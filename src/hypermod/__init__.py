@@ -53,12 +53,12 @@ from .extension import (
     ExtensionResult,
     FlagFailure,
     InternalConsistencyError,
+    StepBudgetExhausted,
     build_context,
     complete_to_modular,
-    compute_star_lines,
-    compute_star_planes,
     criterion_holds,
     extend_once,
+    first_extendable_flag,
     join_spectrum,
     verify_star_structure,
 )

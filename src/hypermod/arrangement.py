@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import AxiomReport, ElementSet, Matroid, Violation, closure, rank_of
 from .extension import ExtensionContext
+from .modularity import _defective_pairs
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,7 @@ class LabeledHyperplane:
 def subspace_of(M: Matroid, flat) -> Subspace:
     """The subspace of a proper flat: sdim = r(M) - r(F) - 1, scodim = r(F)."""
     f = frozenset(flat)
-    mask = M._subset_mask(f)
-    idx = M._index_of_mask.get(mask)
-    if idx is None:
-        raise ValueError(f"{sorted(f)} is not a flat")
-    k = M._grade_of_index[idx]
+    k = M._grade_of_index[M._flat_index(f)]
     if k == M.rank:
         raise ValueError("the full ground set has no subspace")
     return Subspace(flat=f, sdim=M.rank - k - 1, scodim=k)
@@ -80,8 +77,7 @@ def meet_at_point(M: Matroid, flats) -> bool:
     union: set[int] = set()
     for f in flats:
         f = frozenset(f)
-        if not M._is_flat_mask(M._subset_mask(f)):
-            raise ValueError(f"{sorted(f)} is not a flat")
+        M._flat_index(f)  # raises unless f is a flat
         if f == M.ground_set:
             raise ValueError("flats must be proper")
         if f in seen:
@@ -97,25 +93,24 @@ def check_line_connectivity(M: Matroid) -> AxiomReport:
     """Whether every two points of the arrangement lie on a common line.
 
     For rank-4 loopless matroids this asks that any two distinct rank-3
-    flats intersect in a rank-2 flat, which is exactly hypermodularity.
+    flats intersect in a rank-2 flat, which is exactly hypermodularity:
+    two distinct planes A, B join to the top, so their modular defect is
+    2 - r(A∩B), nonzero exactly when they share no line.
     """
     if M.rank != 4:
         raise ValueError(f"line connectivity requires rank 4, got {M.rank}")
     if not M.is_loopless:
         raise ValueError("line connectivity requires a loopless matroid")
-    violations: list[Violation] = []
-    tops = M.flats_by_rank[3]
-    for i in range(len(tops)):
-        for j in range(i + 1, len(tops)):
-            if rank_of(M, tops[i] & tops[j]) != 2:
-                violations.append(
-                    Violation(
-                        "line-connectivity",
-                        (tops[i], tops[j]),
-                        "two points of the arrangement lie on no common line",
-                    )
-                )
-    return AxiomReport.from_violations(violations)
+    return AxiomReport.from_violations(
+        [
+            Violation(
+                "line-connectivity",
+                (a, b),
+                "two points of the arrangement lie on no common line",
+            )
+            for a, b, _ in _defective_pairs(M, 3)
+        ]
+    )
 
 
 def plane_cover_check(M: Matroid, ctx: ExtensionContext) -> AxiomReport:

@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Verbs: generate, analyze, extend, complete, verify, iso, arrangement.
-Exit codes: 0 success, 1 a checked property is false, 2 usage error,
-3 internal error.  ``--machine`` switches to key-value output; every
-number in the human report also appears there.
+Exit codes: 0 success, 1 a checked property is false (including a
+completion that runs out of ``--max-steps``), 2 usage error, 3 internal
+error.  ``--machine`` switches to key-value output; every number in the
+human report also appears there.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ from pathlib import Path
 
 from . import core, matio, realize
 from .arrangement import check_line_connectivity, classify, meet_at_point
-from .core import Matroid, flats_of_rank, is_isomorphic, profile, rank_of
+from .core import Matroid, flats_of_rank, is_isomorphic, profile
 from .extension import (
+    ExtensionContext,
     InternalConsistencyError,
+    StepBudgetExhausted,
     build_context,
     complete_to_modular,
     criterion_holds,
     extend_once,
+    first_extendable_flag,
 )
-from .modularity import (
-    disjoint_rank32_pairs,
-    hypermodularity_witness,
-    is_modular,
-    total_modular_defect,
-)
+from .modularity import hypermodularity_witness, is_modular, total_modular_defect
 
 USAGE_ERROR = 2
 PROPERTY_FALSE = 1
@@ -135,9 +134,10 @@ def cmd_analyze(args) -> int:
     else:
         rep.add("hypermodular", "n/a")
     rep.add("modular", is_modular(M))
-    rep.add("total_defect", total_modular_defect(M).total)
+    report = total_modular_defect(M)
+    rep.add("total_defect", report.total)
     if M.rank == 4 and M.is_loopless:
-        rep.add("disjoint_flags", len(disjoint_rank32_pairs(M)))
+        rep.add("disjoint_flags", len(report.disjoint_flags))
     else:
         rep.add("disjoint_flags", "n/a")
     rep.emit()
@@ -162,28 +162,15 @@ def cmd_extend(args) -> int:
         return USAGE_ERROR
 
     if chosen is None:
-        flags = disjoint_rank32_pairs(M)
-        if not flags:
+        found = first_extendable_flag(M)
+        if not isinstance(found, ExtensionContext):
             rep.add("criterion", False)
-            rep.add("reason", "no disjoint flag: the matroid is already modular")
+            if not found:
+                rep.add("reason", "no disjoint flag: the matroid is already modular")
+            _add_failures(rep, found)
             rep.emit()
             return PROPERTY_FALSE
-        picked = None
-        witnesses = []
-        for f3, f2 in flags:
-            ctx = build_context(M, f3, f2)
-            verdict = criterion_holds(M, ctx)
-            if verdict.holds:
-                picked = ctx
-                break
-            witnesses.append((f3, f2, verdict.witness))
-        if picked is None:
-            rep.add("criterion", False)
-            for i, (f3, f2, wit) in enumerate(witnesses):
-                rep.add(f"witness_{i}", f"{_fmt_flag((f3, f2))} escapes at {_fmt_flag(wit)}")
-            rep.emit()
-            return PROPERTY_FALSE
-        ctx = picked
+        ctx = found
     else:
         try:
             ctx = build_context(M, chosen[0], chosen[1])
@@ -217,6 +204,14 @@ def cmd_extend(args) -> int:
     return 0
 
 
+def _add_failures(rep: Report, failures) -> None:
+    for i, fail in enumerate(failures):
+        rep.add(
+            f"witness_{i}",
+            f"{_fmt_flag((fail.flat3, fail.flat2))} escapes at {_fmt_flag(fail.witness)}",
+        )
+
+
 def cmd_complete(args) -> int:
     M = _load(args.path)
     rep = Report(args.machine)
@@ -232,11 +227,7 @@ def cmd_complete(args) -> int:
         )
     if not outcome.ok:
         rep.add("completed", False)
-        for i, fail in enumerate(outcome.failures):
-            rep.add(
-                f"witness_{i}",
-                f"{_fmt_flag((fail.flat3, fail.flat2))} escapes at {_fmt_flag(fail.witness)}",
-            )
+        _add_failures(rep, outcome.failures)
         rep.emit()
         return PROPERTY_FALSE
     rep.add("completed", True)
@@ -306,19 +297,11 @@ def cmd_arrangement(args) -> int:
 
     rng = random.Random(args.seed if args.seed is not None else 0)
     proper = [f for k in range(1, M.rank) for f in flats_of_rank(M, k)]
-    checks = mismatches = 0
-    meets = 0
-    for _ in range(args.samples):
-        a, b = rng.sample(proper, 2)
-        agree = meet_at_point(M, [a, b]) == (rank_of(M, a | b) == M.rank - 1)
-        checks += 1
-        mismatches += 0 if agree else 1
-        meets += 1 if meet_at_point(M, [a, b]) else 0
-    rep.add("incidence_checks", checks)
-    rep.add("incidence_meeting", meets)
-    rep.add("incidence_mismatches", mismatches)
+    samples = [rng.sample(proper, 2) for _ in range(args.samples)]
+    rep.add("incidence_checks", len(samples))
+    rep.add("incidence_meeting", sum(meet_at_point(M, pair) for pair in samples))
     rep.emit()
-    return 0 if connectivity.passed and mismatches == 0 else PROPERTY_FALSE
+    return 0 if connectivity.passed else PROPERTY_FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +387,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except StepBudgetExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return PROPERTY_FALSE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -247,6 +247,14 @@ class Matroid:
     def _is_flat_mask(self, mask: int) -> bool:
         return mask in self._index_of_mask
 
+    def _flat_index(self, flat: Iterable[int]) -> int:
+        """Position of ``flat`` in the global flat order; ValueError if it is not a flat."""
+        mask = self._subset_mask(flat)
+        idx = self._index_of_mask.get(mask)
+        if idx is None:
+            raise ValueError(f"{sorted(_members_of(mask))} is not a flat")
+        return idx
+
     @cached_property
     def _sup_bits(self) -> list[int]:
         """For each flat index i, the bitmask of flat indices j with F_i <= F_j (self included)."""
@@ -593,10 +601,8 @@ def contract(M: Matroid, flat: Iterable[int]) -> Matroid:
     The flats are ``L - F`` for flats ``L`` containing ``F``, graded by
     the rank drop ``r(L) - r(F)``.
     """
-    fmask = M._subset_mask(flat)
-    idx = M._index_of_mask.get(fmask)
-    if idx is None:
-        raise ValueError(f"{sorted(_members_of(fmask))} is not a flat")
+    idx = M._flat_index(flat)
+    fmask = M._flat_masks[idx]
     base_grade = M._grade_of_index[idx]
     elems = sorted(_members_of(_ground_mask(M) & ~fmask))
     reindex = {old: new for new, old in enumerate(elems)}

@@ -18,8 +18,9 @@ The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
 new element to exactly the star lines and star planes, yielding a
 matroid whose lattice is re-verified from scratch and whose total
-modular defect strictly drops.  :func:`complete_to_modular` repeats
-this until no disjoint flag is left.
+modular defect strictly drops.  :func:`first_extendable_flag` picks
+the first flag whose criterion holds, and :func:`complete_to_modular`
+repeats the step until no disjoint flag is left.
 """
 
 from __future__ import annotations
@@ -37,19 +38,18 @@ from .core import (
     restrict,
     verify_flat_axioms,
 )
-from .modularity import (
-    disjoint_rank32_pairs,
-    is_hypermodular,
-    is_modular,
-    total_modular_defect,
-)
+from .modularity import is_hypermodular, is_modular, total_modular_defect
 
 
 class InternalConsistencyError(RuntimeError):
     """A structural guarantee failed; the input is corrupt or there is a bug."""
 
 
-@dataclass
+class StepBudgetExhausted(RuntimeError):
+    """The completion loop used up its step budget before reaching a modular matroid."""
+
+
+@dataclass(frozen=True)
 class ExtensionContext:
     """The flag neighbourhood data for one single-element extension."""
 
@@ -58,9 +58,9 @@ class ExtensionContext:
     flat2: ElementSet
     pencil: tuple[ElementSet, ...]
     traces: tuple[ElementSet, ...]
-    cross_lines: tuple[ElementSet, ...] | None = None
-    star_lines: tuple[ElementSet, ...] | None = None
-    star_planes: tuple[ElementSet, ...] | None = None
+    cross_lines: tuple[ElementSet, ...]
+    star_lines: tuple[ElementSet, ...]
+    star_planes: tuple[ElementSet, ...]
 
     @property
     def pencil_size(self) -> int:
@@ -106,12 +106,19 @@ class CompletionOutcome:
     failures: tuple[FlagFailure, ...]
 
 
+def _require_extendable(M: Matroid) -> None:
+    """Reject input outside the extension theory: loopless, hypermodular, rank 4."""
+    if M.rank != 4:
+        raise ValueError(f"extension requires rank 4, got rank {M.rank}")
+    if not M.is_loopless:
+        raise ValueError("extension requires a loopless matroid")
+    if not is_hypermodular(M):
+        raise ValueError("extension requires a hypermodular matroid")
+
+
 def _require_flat_of_rank(M: Matroid, flat, k: int) -> ElementSet:
-    f = frozenset(flat)
-    mask = M._subset_mask(f)
-    idx = M._index_of_mask.get(mask)
-    if idx is None:
-        raise ValueError(f"{sorted(f)} is not a flat")
+    idx = M._flat_index(flat)
+    f = M._flat_list[idx]
     if M._grade_of_index[idx] != k:
         raise ValueError(f"{sorted(f)} has rank {M._grade_of_index[idx]}, expected {k}")
     return f
@@ -128,12 +135,7 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     lines) are all re-checked; their failure aborts loudly since it
     means the input was not what it claimed to be.
     """
-    if M.rank != 4:
-        raise ValueError(f"extension contexts require rank 4, got rank {M.rank}")
-    if not M.is_loopless:
-        raise ValueError("extension contexts require a loopless matroid")
-    if not is_hypermodular(M):
-        raise ValueError("extension contexts require a hypermodular matroid")
+    _require_extendable(M)
     f3 = _require_flat_of_rank(M, flat3, 3)
     f2 = _require_flat_of_rank(M, flat2, 2)
     if f3 & f2:
@@ -168,62 +170,40 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     if frozenset().union(*traces[1:]) != f3:
         raise InternalConsistencyError("traces do not tile the flag's rank-3 flat")
 
-    ctx = ExtensionContext(matroid=M, flat3=f3, flat2=f2, pencil=pencil, traces=tuple(traces))
-    compute_star_lines(M, ctx)
-    compute_star_planes(M, ctx)
-
-    joins = _star_line_joins(M, ctx)
-    if not set(ctx.star_planes) <= set(joins):
+    flag_mask = M._subset_mask(flag_union)
+    cross_lines = tuple(
+        x
+        for x in M.flats_by_rank[2]
+        if not M._subset_mask(x) & flag_mask and len(join_spectrum(M, x, traces, 3)) >= 2
+    )
+    star_lines = tuple(sorted(cross_lines + tuple(traces), key=flat_key))
+    star_planes = tuple(x for x in M.flats_by_rank[3] if any(t <= x for t in traces))
+    if not set(star_planes) <= set(_star_line_joins(M, star_lines)):
         raise InternalConsistencyError("a star plane is not a join of two star lines")
-    return ctx
+    return ExtensionContext(
+        matroid=M,
+        flat3=f3,
+        flat2=f2,
+        pencil=pencil,
+        traces=tuple(traces),
+        cross_lines=cross_lines,
+        star_lines=star_lines,
+        star_planes=star_planes,
+    )
 
 
 def join_spectrum(M: Matroid, flat, family, k: int) -> set[ElementSet]:
     """Closures of ``flat`` with each member of ``family`` whose union has rank ``k``."""
-    fmask = M._subset_mask(flat)
-    if not M._is_flat_mask(fmask):
-        raise ValueError(f"{sorted(flat)} is not a flat")
+    fmask = M._flat_masks[M._flat_index(flat)]
     out = set()
     for t in family:
-        tmask = M._subset_mask(t)
-        if not M._is_flat_mask(tmask):
-            raise ValueError(f"{sorted(t)} is not a flat")
-        union = fmask | tmask
-        idx = M._closure_index(union)
+        idx = M._closure_index(fmask | M._flat_masks[M._flat_index(t)])
         if M._grade_of_index[idx] == k:
             out.add(M._flat_list[idx])
     return out
 
 
-def compute_star_lines(M: Matroid, ctx: ExtensionContext) -> tuple[ElementSet, ...]:
-    """Cross lines plus traces: the rank-2 flats through the prospective point.
-
-    A cross line is a rank-2 flat disjoint from the whole flag whose
-    rank-3 joins meet at least two traces.  Results are stored on the
-    context; the cross lines are returned.
-    """
-    flag_mask = M._subset_mask(ctx.flat3 | ctx.flat2)
-    cross = []
-    for x in M.flats_by_rank[2]:
-        if M._subset_mask(x) & flag_mask:
-            continue
-        if len(join_spectrum(M, x, ctx.traces, 3)) >= 2:
-            cross.append(x)
-    ctx.cross_lines = tuple(cross)
-    ctx.star_lines = tuple(sorted(cross + list(ctx.traces), key=flat_key))
-    return ctx.cross_lines
-
-
-def compute_star_planes(M: Matroid, ctx: ExtensionContext) -> tuple[ElementSet, ...]:
-    """The rank-3 flats containing some trace; stored on the context."""
-    ctx.star_planes = tuple(
-        x for x in M.flats_by_rank[3] if any(t <= x for t in ctx.traces)
-    )
-    return ctx.star_planes
-
-
-def _star_line_joins(M: Matroid, ctx: ExtensionContext) -> list[ElementSet]:
-    lines = ctx.star_lines
+def _star_line_joins(M: Matroid, lines: tuple[ElementSet, ...]) -> list[ElementSet]:
     out = []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -237,9 +217,6 @@ def criterion_holds(M: Matroid, ctx: ExtensionContext) -> CriterionResult:
     On failure the witness is the first (canonical order) pair of star
     lines whose join escapes the star planes.
     """
-    if ctx.star_lines is None or ctx.star_planes is None:
-        compute_star_lines(M, ctx)
-        compute_star_planes(M, ctx)
     planes = set(ctx.star_planes)
     lines = ctx.star_lines
     for i in range(len(lines)):
@@ -264,7 +241,7 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
     lines = ctx.star_lines
     planes = set(ctx.star_planes)
 
-    joins = set(_star_line_joins(M, ctx))
+    joins = set(_star_line_joins(M, lines))
     if joins != planes:
         diff = (joins - planes) | (planes - joins)
         violations.append(
@@ -364,52 +341,58 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     )
 
 
+def first_extendable_flag(M: Matroid) -> ExtensionContext | tuple[FlagFailure, ...]:
+    """The context of the first disjoint flag whose criterion holds.
+
+    Flags are tried in canonical order.  If none passes, the result is
+    one :class:`FlagFailure` per flag instead; it is empty exactly when
+    the matroid has no disjoint flag, that is, when it is modular.
+    """
+    _require_extendable(M)
+    failures = []
+    for f3, f2 in total_modular_defect(M).disjoint_flags:
+        ctx = build_context(M, f3, f2)
+        verdict = criterion_holds(M, ctx)
+        if verdict.holds:
+            return ctx
+        failures.append(FlagFailure(f3, f2, verdict.witness))
+    return tuple(failures)
+
+
 def complete_to_modular(M: Matroid, max_steps: int | None = None) -> CompletionOutcome:
     """Repeatedly extend along disjoint flags until the matroid is modular.
 
-    Flags are tried in canonical order and the first one whose criterion
-    holds is used; each step strictly decreases the total modular
-    defect, so ``max_steps`` defaults to that initial total plus one.
-    If at some step no flag passes the criterion, the outcome carries
-    one witness per failed flag instead of a matroid.
+    Each step extends along :func:`first_extendable_flag` and strictly
+    decreases the total modular defect, so ``max_steps`` defaults to
+    that initial total plus one; running out of steps raises
+    :class:`StepBudgetExhausted`.  If at some step no flag passes the
+    criterion, the outcome carries one witness per failed flag instead
+    of a matroid.
     """
-    if M.rank != 4:
-        raise ValueError(f"completion requires rank 4, got rank {M.rank}")
-    if not M.is_loopless:
-        raise ValueError("completion requires a loopless matroid")
-    if not is_hypermodular(M):
-        raise ValueError("completion requires a hypermodular matroid")
-
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    _require_extendable(M)
     if max_steps is None:
         max_steps = total_modular_defect(M).total + 1
 
     current = M
     steps: list[CompletionStep] = []
-    while True:
-        if is_modular(current):
-            return CompletionOutcome(True, current, tuple(steps), ())
+    while not is_modular(current):
         if len(steps) >= max_steps:
-            raise RuntimeError(f"no modular completion within {max_steps} steps")
-        failures: list[FlagFailure] = []
-        progressed = False
-        for f3, f2 in disjoint_rank32_pairs(current):
-            ctx = build_context(current, f3, f2)
-            verdict = criterion_holds(current, ctx)
-            if verdict.holds:
-                result = extend_once(current, ctx)
-                steps.append(
-                    CompletionStep(
-                        step=len(steps) + 1,
-                        flat3=f3,
-                        flat2=f2,
-                        new_element=result.new_element,
-                        defect_before=result.defect_before,
-                        defect_after=result.defect_after,
-                    )
-                )
-                current = result.extended
-                progressed = True
-                break
-            failures.append(FlagFailure(f3, f2, verdict.witness))
-        if not progressed:
-            return CompletionOutcome(False, None, tuple(steps), tuple(failures))
+            raise StepBudgetExhausted(f"no modular completion within {max_steps} steps")
+        found = first_extendable_flag(current)
+        if not isinstance(found, ExtensionContext):
+            return CompletionOutcome(False, None, tuple(steps), found)
+        result = extend_once(current, found)
+        steps.append(
+            CompletionStep(
+                step=len(steps) + 1,
+                flat3=found.flat3,
+                flat2=found.flat2,
+                new_element=result.new_element,
+                defect_before=result.defect_before,
+                defect_after=result.defect_after,
+            )
+        )
+        current = result.extended
+    return CompletionOutcome(True, current, tuple(steps), ())

@@ -14,8 +14,9 @@ Defects are defined only between flats; close arbitrary sets first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import ElementSet, Matroid, _lsb_index, _members_of, flat_key, pair_key
+from .core import ElementSet, Matroid, _lsb_index, pair_key
 
 
 @dataclass
@@ -33,14 +34,6 @@ class DefectReport:
     disjoint_flags: tuple[tuple[ElementSet, ElementSet], ...]
 
 
-def _flat_index(M: Matroid, flat) -> int:
-    mask = M._subset_mask(flat)
-    idx = M._index_of_mask.get(mask)
-    if idx is None:
-        raise ValueError(f"{sorted(_members_of(mask))} is not a flat")
-    return idx
-
-
 def _defect_by_index(M: Matroid, i: int, j: int) -> int:
     mi, mj = M._flat_masks[i], M._flat_masks[j]
     inter = mi & mj
@@ -55,9 +48,31 @@ def _defect_by_index(M: Matroid, i: int, j: int) -> int:
     )
 
 
+def _defective_pairs(
+    M: Matroid, grade: int | None = None
+) -> Iterator[tuple[ElementSet, ElementSet, int]]:
+    """Pairs of distinct flats with nonzero defect, as ``(A, B, defect)``.
+
+    Scans every flat, or only the flats of one grade, in the global flat
+    order with A before B.  The scan is lazy, so a caller that wants one
+    witness stops at the first pair.
+    """
+    if grade is None:
+        lo, hi = 0, len(M._flat_masks)
+    else:
+        lo = sum(len(g) for g in M.flats_by_rank[:grade])
+        hi = lo + len(M.flats_by_rank[grade])
+    flats = M._flat_list
+    for i in range(lo, hi):
+        for j in range(i + 1, hi):
+            d = _defect_by_index(M, i, j)
+            if d:
+                yield flats[i], flats[j], d
+
+
 def modular_defect(M: Matroid, a, b) -> int:
     """Defect r(A) + r(B) - r(A∪B) - r(A∩B) of two flats."""
-    return _defect_by_index(M, _flat_index(M, a), _flat_index(M, b))
+    return _defect_by_index(M, M._flat_index(a), M._flat_index(b))
 
 
 def is_modular_pair(M: Matroid, a, b) -> bool:
@@ -66,22 +81,13 @@ def is_modular_pair(M: Matroid, a, b) -> bool:
 
 def is_modular_flat(M: Matroid, flat) -> bool:
     """Whether the flat has defect zero against every flat of the matroid."""
-    i = _flat_index(M, flat)
+    i = M._flat_index(flat)
     return all(_defect_by_index(M, i, j) == 0 for j in range(len(M._flat_masks)) if j != i)
 
 
 def is_modular(M: Matroid) -> bool:
     """Whether every pair of flats is modular."""
-    cached = M._cache.get("modular")
-    if cached is None:
-        count = len(M._flat_masks)
-        cached = all(
-            _defect_by_index(M, i, j) == 0
-            for i in range(count)
-            for j in range(i + 1, count)
-        )
-        M._cache["modular"] = cached
-    return cached
+    return total_modular_defect(M).total == 0
 
 
 def hypermodularity_witness(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
@@ -89,17 +95,8 @@ def hypermodularity_witness(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
     if M.rank < 3:
         raise ValueError(f"hypermodularity is defined for rank >= 3, got rank {M.rank}")
     if "hm_witness" not in M._cache:
-        witness = None
-        tops = M.flats_by_rank[M.rank - 1]
-        offset = sum(len(g) for g in M.flats_by_rank[: M.rank - 1])
-        for i in range(len(tops)):
-            for j in range(i + 1, len(tops)):
-                if _defect_by_index(M, offset + i, offset + j) != 0:
-                    witness = (tops[i], tops[j])
-                    break
-            if witness:
-                break
-        M._cache["hm_witness"] = witness
+        first = next(_defective_pairs(M, M.rank - 1), None)
+        M._cache["hm_witness"] = None if first is None else first[:2]
     return M._cache["hm_witness"]
 
 
@@ -112,15 +109,8 @@ def total_modular_defect(M: Matroid) -> DefectReport:
     """Sum of defects over all unordered pairs of distinct flats."""
     cached = M._cache.get("defect_report")
     if cached is None:
-        pairs: dict[tuple[ElementSet, ElementSet], int] = {}
-        total = 0
-        count = len(M._flat_masks)
-        for i in range(count):
-            for j in range(i + 1, count):
-                d = _defect_by_index(M, i, j)
-                if d:
-                    total += d
-                    pairs[pair_key(M._flat_list[i], M._flat_list[j])] = d
+        pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
+        total = sum(pairs.values())
         flags: tuple = ()
         if M.rank == 4 and M.is_loopless:
             flags = tuple(disjoint_rank32_pairs(M))

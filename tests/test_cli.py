@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypermod import delete, matroid_from_points, pg3, serialize_matroid
+from hypermod import delete, matroid_from_points, pg3, serialize_matroid, uniform, vamos
 from hypermod.cli import main
 
 
@@ -111,6 +111,16 @@ def test_extend_bad_flag(workdir, capsys):
     assert rc == 2
 
 
+def test_extend_outside_the_theory_is_a_usage_error(tmp_path, capsys):
+    # rank 3, and rank 4 but not hypermodular
+    for name, M in (("u35", uniform(3, 5)), ("vamos", vamos())):
+        path = tmp_path / f"{name}.mat"
+        path.write_text(serialize_matroid(M, name=name))
+        rc, out = run(capsys, ["extend", str(path), "--machine"])
+        assert rc == 2
+        assert out == ""
+
+
 def test_extend_then_complete_agree(workdir, tmp_path, capsys):
     # the auto flag order of extend matches the completion loop
     ext_path = tmp_path / "e.mat"
@@ -154,6 +164,24 @@ def test_complete_modular_is_identity(workdir, tmp_path, capsys):
     assert body == (workdir / "pg32.mat").read_text().splitlines()[1:]
 
 
+def test_complete_exhausted_budget_is_property_false(workdir, capsys):
+    rc = main(["complete", str(workdir / "pg32m0.mat"), "--max-steps", "0", "--machine"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "no modular completion within 0 steps" in captured.err
+    # a modular input needs no step, so the same budget suffices
+    rc, out = run(capsys, ["complete", str(workdir / "pg32.mat"), "--max-steps", "0", "--machine"])
+    assert rc == 0
+    assert machine_dict(out)["steps"] == "0"
+
+
+def test_complete_negative_budget_is_usage_error(workdir, capsys):
+    rc, out = run(capsys, ["complete", str(workdir / "pg32.mat"), "--max-steps", "-1", "--machine"])
+    assert rc == 2
+    assert out == ""
+
+
 def test_verify(workdir, capsys):
     rc, out = run(capsys, ["verify", str(workdir / "pg32m0.mat"), "--exhaustive", "--machine"])
     assert rc == 0
@@ -181,7 +209,10 @@ def test_arrangement(workdir, capsys):
     d = machine_dict(out)
     assert (d["points"], d["lines"], d["planes"]) == ("15", "35", "15")
     assert d["line_connectivity"] == "pass"
-    assert d["incidence_mismatches"] == "0"
+    assert set(d) == {
+        "points", "lines", "planes", "line_connectivity", "incidence_checks", "incidence_meeting",
+    }
+    assert d["incidence_checks"] == "200"
 
 
 def test_missing_file(capsys):

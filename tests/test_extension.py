@@ -118,16 +118,6 @@ def test_star_planes_contain_flag_members(del32, del32_context):
         assert a in ctx.star_planes
 
 
-def test_star_computations_idempotent(del32, del32_context):
-    from hypermod import compute_star_lines, compute_star_planes
-
-    ctx = del32_context
-    before = (ctx.cross_lines, ctx.star_lines, ctx.star_planes)
-    assert compute_star_lines(del32, ctx) == before[0]
-    assert compute_star_planes(del32, ctx) == before[2]
-    assert (ctx.cross_lines, ctx.star_lines, ctx.star_planes) == before
-
-
 def test_join_spectrum(del32, del32_context):
     ctx = del32_context
     # self-join sits in the spectrum at the flat's own rank

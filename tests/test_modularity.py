@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from hypermod import (
+    check_line_connectivity,
     closure,
     contract,
     disjoint_rank32_pairs,
@@ -16,6 +17,7 @@ from hypermod import (
     is_modular_flat,
     is_modular_pair,
     modular_defect,
+    pair_key,
     restrict,
     total_modular_defect,
     uniform,
@@ -203,3 +205,34 @@ def test_corank1_union_splits(del32):
                     for a, b in itertools.combinations(inside, 2)
                 )
             assert splits(f) or splits(l)
+
+
+def test_defect_answers_match_the_oracle(
+    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture
+):
+    # every all-pairs answer against brute_defect over all distinct flat
+    # pairs, taken in the global flat order (grade, then canonical)
+    fixtures = [
+        pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, uniform(3, 4), uniform(4, 6)
+    ]
+    fixtures += [contract(del32, f) for f in del32.flats_by_rank[1]]
+    for M in fixtures:
+        flats = [f for grade in M.flats_by_rank for f in grade]
+        positive = {}
+        for a, b in itertools.combinations(flats, 2):
+            d = brute_defect(M, a, b)
+            if d:
+                positive[(a, b)] = d
+        total = sum(positive.values())
+        report = total_modular_defect(M)
+        assert report.total == total
+        assert report.pair_defects == {pair_key(a, b): d for (a, b), d in positive.items()}
+        assert is_modular(M) == (total == 0)
+        if M.rank < 3:
+            continue
+        tops = set(M.flats_by_rank[M.rank - 1])
+        top_pairs = [(a, b) for a, b in positive if a in tops and b in tops]
+        assert hypermodularity_witness(M) == (top_pairs[0] if top_pairs else None)
+        if M.rank == 4 and M.is_loopless:
+            violations = check_line_connectivity(M).violations
+            assert [v.witnesses for v in violations] == top_pairs
