@@ -72,6 +72,11 @@ def _load(path: str) -> Matroid:
     return matio.parse_matroid(Path(path).read_text())
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+
+
 def _parse_flat(text: str) -> frozenset[int]:
     try:
         return frozenset(int(tok) for tok in text.replace(",", " ").split())
@@ -242,6 +247,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_count("--trials", args.trials)
     M = _load(args.path)
     rep = Report(args.machine)
     flat_report = core.verify_flat_axioms(M)
@@ -281,6 +287,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_arrangement(args) -> int:
+    _require_count("--samples", args.samples)
     M = _load(args.path)
     rep = Report(args.machine)
     if M.rank != 4 or not M.is_loopless:

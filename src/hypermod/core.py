@@ -256,17 +256,28 @@ class Matroid:
         return idx
 
     @cached_property
+    def _grade_starts(self) -> tuple[int, ...]:
+        """``starts[k]`` is the first index of grade ``k``; ``starts[-1]`` is the flat count."""
+        starts = [0]
+        for grade in self.flats_by_rank:
+            starts.append(starts[-1] + len(grade))
+        return tuple(starts)
+
+    @cached_property
+    def _word_masks(self) -> np.ndarray:
+        """Flat masks as rows of little-endian ``uint64`` words (at least one word)."""
+        width = max(1, -(-self.ground_size // 64))
+        raw = b"".join(m.to_bytes(8 * width, "little") for m in self._flat_masks)
+        return np.frombuffer(raw, dtype="<u8").reshape(len(self._flat_masks), width)
+
+    @cached_property
+    def _containment(self) -> _Containment:
+        return _containment_pass(self)
+
+    @property
     def _sup_bits(self) -> list[int]:
         """For each flat index i, the bitmask of flat indices j with F_i <= F_j (self included)."""
-        masks = self._flat_masks
-        sup = []
-        for mi in masks:
-            bits = 0
-            for j, mj in enumerate(masks):
-                if mi & mj == mi:
-                    bits |= 1 << j
-            sup.append(bits)
-        return sup
+        return self._containment.sup_bits
 
     @cached_property
     def _sub_bits(self) -> list[int]:
@@ -279,6 +290,58 @@ class Matroid:
                 sub[low.bit_length() - 1] |= 1 << i
                 b ^= low
         return sub
+
+
+# Cells (rows x columns) in one row block of a packed all-pairs pass over
+# the flats; it bounds the 2-D temporaries of each block.
+_BLOCK_CELLS = 1 << 14
+
+
+@dataclass(frozen=True)
+class _Containment:
+    """The order F_i <= F_j on the stored flats.
+
+    ``up_sets[k][i]`` packs, as ``uint64`` words, the grade-k flats that
+    contain flat i: bit b stands for the b-th flat of grade k.
+    ``sup_bits[i]`` is the same relation over all flats as a Python int.
+    ``graded`` holds when every strict containment goes up in grade, so
+    that a stored flat is its own closure.
+    """
+
+    up_sets: tuple[np.ndarray, ...]
+    sup_bits: list[int]
+    graded: bool
+
+
+def _containment_pass(M: Matroid) -> _Containment:
+    words = M._word_masks
+    count = len(words)
+    starts = M._grade_starts
+    grades = np.asarray(M._grade_of_index)
+    bounds = list(zip(starts, starts[1:]))
+    # One byte row per flat and grade, padded to whole uint64 words.
+    up_bytes = [np.zeros((count, 8 * -(-(b - a) // 64)), dtype=np.uint8) for a, b in bounds]
+    sup: list[int] = []
+    graded = True
+    step = max(1, _BLOCK_CELLS // count)
+    for r0 in range(0, count, step):
+        r1 = min(r0 + step, count)
+        inside = np.ones((r1 - r0, count), dtype=bool)
+        for w in range(words.shape[1]):
+            inside &= (words[r0:r1, w, None] & ~words[None, :, w]) == 0
+        sup.extend(
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(inside, axis=1, bitorder="little")
+        )
+        for k, (a, b) in enumerate(bounds):
+            packed = np.packbits(inside[:, a:b], axis=1, bitorder="little")
+            up_bytes[k][r0:r1, : packed.shape[1]] = packed
+        # A flat strictly inside one of equal or lower grade breaks grading.
+        inside[np.arange(r1 - r0), np.arange(r0, r1)] = False
+        graded = graded and not (inside & (grades[None, :] <= grades[r0:r1, None])).any()
+    return _Containment(
+        up_sets=tuple(u.view("<u8") for u in up_bytes), sup_bits=sup, graded=graded
+    )
 
 
 # ---------------------------------------------------------------------------

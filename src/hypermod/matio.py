@@ -76,7 +76,11 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
     if ground < 0 or rank < 0:
         raise ParseError("ground and rank must be nonnegative")
 
-    grades: list[list[frozenset[int]]] = [[] for _ in range(rank + 1)]
+    # Flats are collected by grade before anything is sized by a header
+    # value, so a huge ``rank`` or ``ground`` costs nothing until the flat
+    # lines confirm it.
+    by_grade: dict[int, list[frozenset[int]]] = {}
+    count = 0
     for lineno, line in lines:
         if not line.startswith("flat"):
             raise ParseError(f"expected 'flat <k>: ...', got {line!r}", lineno)
@@ -97,13 +101,17 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
         for e in members:
             if not (0 <= e < ground):
                 raise ParseError(f"element {e} out of range for ground {ground}", lineno)
-        grades[k].append(members)
+        by_grade.setdefault(k, []).append(members)
+        count += 1
 
-    full = frozenset(range(ground))
-    if full not in grades[rank]:
+    if rank > count:
+        raise ParseError(f"rank {rank} exceeds the {count} flats listed")
+    # Members are distinct and below ``ground``, so ``ground`` of them are all of it.
+    if not any(len(f) == ground for f in by_grade.get(rank, ())):
         raise ParseError(f"missing rank-{rank} flat listing the whole ground set")
-    if not grades[0]:
+    if 0 not in by_grade:
         raise ParseError("missing the rank-0 flat")
+    grades = [by_grade.get(k, []) for k in range(rank + 1)]
     try:
         matroid = Matroid(ground, grades, name=name)
     except ValueError as exc:
@@ -124,10 +132,22 @@ def parse_matroid(text: str, *, verify: bool = True) -> Matroid:
     return parse_matroid_document(text, verify=verify).matroid
 
 
+def _header_name(name: str) -> str:
+    """``name`` if it parses back as itself: one token without ``#``."""
+    if name.split() != [name] or "#" in name:
+        raise ValueError(f"name {name!r} must be one token without whitespace or '#'")
+    return name
+
+
 def serialize_matroid(M: Matroid, name: str | None = None) -> str:
-    """Canonical document: headers, then flats grade-ascending, lexicographic."""
+    """Canonical document: headers, then flats grade-ascending, lexicographic.
+
+    ValueError if the name is empty or holds whitespace or ``#``, since it
+    would not parse back.
+    """
+    label = name if name is not None else M.name or "matroid"
     out = [
-        f"matroid {name or M.name or 'matroid'}",
+        f"matroid {_header_name(label)}",
         f"ground {M.ground_size}",
         f"rank {M.rank}",
     ]
@@ -144,7 +164,11 @@ def parse_points(text: str) -> PointConfig:
     name = _expect_header(lines, "points", str)
     p = _expect_header(lines, "field", int)
     dim = _expect_header(lines, "dim", int)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if not prime:
         raise ParseError(f"field order {p} is not prime")
     vectors: list[tuple[int, ...]] = []
     for lineno, line in lines:
@@ -167,8 +191,9 @@ def parse_points(text: str) -> PointConfig:
 
 
 def serialize_points(cfg: PointConfig, name: str | None = None) -> str:
+    label = name if name is not None else cfg.name or "points"
     out = [
-        f"points {name or cfg.name or 'points'}",
+        f"points {_header_name(label)}",
         f"field {cfg.prime}",
         f"dim {cfg.dim}",
     ]

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ElementSet, Matroid, _lsb_index, pair_key
+import numpy as np
+
+from .core import _BLOCK_CELLS, ElementSet, Matroid, _lsb_index, pair_key
 
 
 @dataclass
@@ -24,7 +26,7 @@ class DefectReport:
     """All strictly positive pair defects, their sum, and the disjoint flags.
 
     ``pair_defects`` maps canonically ordered flat pairs to their defect;
-    zero-defect pairs are omitted but still count toward nothing.  For
+    zero-defect pairs are omitted, since they add nothing to ``total``.  For
     loopless rank-4 matroids ``disjoint_flags`` lists the disjoint
     (rank-3, rank-2) pairs; it is empty for other ranks.
     """
@@ -48,26 +50,108 @@ def _defect_by_index(M: Matroid, i: int, j: int) -> int:
     )
 
 
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on ``uint64`` words."""
+    h = h ^ (h >> np.uint64(30))
+    h = h * np.uint64(0xBF58476D1CE4E5B9)
+    h = h ^ (h >> np.uint64(27))
+    h = h * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _hash(words) -> np.ndarray:
+    """Hash of masks given word by word as equal-shape ``uint64`` arrays."""
+    h = np.uint64(0)
+    for w in words:
+        h = _mix(h ^ w)
+    return h
+
+
+def _flat_lookup(M: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted flat hashes, the flat index behind each, and the grade of every flat."""
+    table = M._cache.get("flat_lookup")
+    if table is None:
+        words = M._word_masks
+        hashes = _hash(words[:, w] for w in range(words.shape[1]))
+        order = np.argsort(hashes, kind="stable")
+        table = (hashes[order], order, np.asarray(M._grade_of_index))
+        M._cache["flat_lookup"] = table
+    return table
+
+
+def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Defects of flats ``r0..r1-1`` (rows) against flats ``c0..c1-1`` (columns).
+
+    Equal to :func:`_defect_by_index` on every cell, provided
+    ``M._containment.graded`` holds.  The meet of a pair is its
+    intersection, found among the stored flats by hash and confirmed word
+    by word; a pair whose intersection is not confirmed is computed by
+    :func:`_defect_by_index`.  The join grade is the lowest grade with a
+    flat above both.  Temporaries are rows x columns, one word at a time.
+    """
+    words = M._word_masks
+    keys, order, grade = _flat_lookup(M)
+    rows, cols = words[r0:r1], words[c0:c1]
+    width = words.shape[1]
+    h = _hash(rows[:, w, None] & cols[None, :, w] for w in range(width))
+    meet = order[np.minimum(np.searchsorted(keys, h), len(keys) - 1)]
+    found = np.ones(h.shape, dtype=bool)
+    for w in range(width):
+        found &= words[:, w][meet] == (rows[:, w, None] & cols[None, :, w])
+
+    # The top flat lies above every pair.  A flat strictly above F_i has a
+    # larger grade, so only flats of grade below k can have a join of grade
+    # k; those are an index prefix.  The join of a nested pair is not
+    # needed, as its defect is zero.
+    starts = M._grade_starts
+    up_sets = M._containment.up_sets
+    join = np.full(h.shape, M.rank)
+    for k in range(M.rank - 1, 0, -1):
+        nr, nc = min(r1, starts[k]) - r0, min(c1, starts[k]) - c0
+        if nr <= 0 or nc <= 0:
+            continue
+        up = up_sets[k]
+        common = np.zeros((nr, nc), dtype=bool)
+        for w in range(up.shape[1]):
+            common |= (up[r0 : r0 + nr, w, None] & up[None, c0 : c0 + nc, w]) != 0
+        join[:nr, :nc][common] = k
+
+    defect = grade[r0:r1, None] + grade[None, c0:c1] - join - grade[meet]
+    # A pair whose meet is one of its own flats is nested.
+    nested = (meet == np.arange(r0, r1)[:, None]) | (meet == np.arange(c0, c1)[None, :])
+    defect[nested] = 0
+    for b, c in zip(*np.nonzero(~found)):
+        defect[b, c] = _defect_by_index(M, r0 + int(b), c0 + int(c))
+    return defect
+
+
 def _defective_pairs(
     M: Matroid, grade: int | None = None
 ) -> Iterator[tuple[ElementSet, ElementSet, int]]:
     """Pairs of distinct flats with nonzero defect, as ``(A, B, defect)``.
 
     Scans every flat, or only the flats of one grade, in the global flat
-    order with A before B.  The scan is lazy, so a caller that wants one
-    witness stops at the first pair.
+    order with A before B.  The scan is lazy per block of rows, so a
+    caller that wants one witness stops early.  A lattice in which some
+    flat lies strictly inside a flat of equal or lower grade is scanned
+    pair by pair with :func:`_defect_by_index`, since there a stored flat
+    need not be its own closure.
     """
-    if grade is None:
-        lo, hi = 0, len(M._flat_masks)
-    else:
-        lo = sum(len(g) for g in M.flats_by_rank[:grade])
-        hi = lo + len(M.flats_by_rank[grade])
+    starts = M._grade_starts
+    lo, hi = (0, starts[-1]) if grade is None else (starts[grade], starts[grade + 1])
     flats = M._flat_list
-    for i in range(lo, hi):
-        for j in range(i + 1, hi):
-            d = _defect_by_index(M, i, j)
-            if d:
-                yield flats[i], flats[j], d
+    if not M._containment.graded:
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                d = _defect_by_index(M, i, j)
+                if d:
+                    yield flats[i], flats[j], d
+        return
+    step = max(1, _BLOCK_CELLS // max(1, hi - lo))
+    for r0 in range(lo, hi, step):
+        defect = np.triu(_defect_block(M, r0, min(r0 + step, hi), r0, hi), 1)
+        for b, c in zip(*np.nonzero(defect)):
+            yield flats[r0 + b], flats[r0 + c], int(defect[b, c])
 
 
 def modular_defect(M: Matroid, a, b) -> int:

@@ -20,14 +20,34 @@ import numpy as np
 from .core import ElementSet, Matroid
 
 
+# Miller-Rabin with every prime base up to 41 decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Exact primality below ``_PRIMALITY_LIMIT``; ValueError at or above it."""
+    if p >= _PRIMALITY_LIMIT:
+        raise ValueError(f"primality of {p} is only decided below {_PRIMALITY_LIMIT}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -193,6 +193,14 @@ def test_verify(workdir, capsys):
     assert rc == 0
 
 
+def test_verify_negative_trials_is_usage_error(workdir, capsys):
+    rc = main(["verify", str(workdir / "pg32.mat"), "--trials", "-3", "--machine"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--trials must be nonnegative" in captured.err
+
+
 def test_iso(workdir, tmp_path, capsys):
     other = tmp_path / "pg32m7.mat"
     other.write_text(serialize_matroid(delete(pg3(2), {7}), name="pg32_minus7"))
@@ -213,6 +221,14 @@ def test_arrangement(workdir, capsys):
         "points", "lines", "planes", "line_connectivity", "incidence_checks", "incidence_meeting",
     }
     assert d["incidence_checks"] == "200"
+
+
+def test_arrangement_negative_samples_is_usage_error(workdir, capsys):
+    rc = main(["arrangement", str(workdir / "pg32.mat"), "--samples", "-5", "--machine"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--samples must be nonnegative" in captured.err
 
 
 def test_missing_file(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from hypermod import (
@@ -45,6 +47,18 @@ def test_roundtrip_fixtures(pg32, del32, vamos_m, two_cover):
         again = parse_matroid(text)
         assert again == M
         assert serialize_matroid(again) == text
+
+
+def test_names_that_would_not_parse_back_are_rejected(pg32):
+    cfg = pg3_points(2)
+    for bad in ("", "a b", "x#y", "tab\there", "line\nbreak"):
+        with pytest.raises(ValueError, match="one token"):
+            serialize_matroid(pg32, name=bad)
+        with pytest.raises(ValueError, match="one token"):
+            serialize_points(cfg, name=bad)
+    for good in ("pg32_minus0", "PG(3,2)\\{0}", "x-y.z"):
+        assert parse_matroid_document(serialize_matroid(pg32, name=good)).name == good
+        assert parse_points(serialize_points(cfg, name=good)).name == good
 
 
 def test_serialize_deterministic(pg32):
@@ -96,6 +110,20 @@ def test_parse_errors():
         parse_matroid("matroid m\nground 2\nrank 1\nnonsense here\nflat 1: 0 1\n")
 
 
+def test_huge_header_values_fail_before_any_allocation():
+    # Either header would size a list or a set of a billion entries if it
+    # were trusted before the flat lines confirm it.
+    documents = {
+        "matroid m\nground 1000000000\nrank 1\nflat 0:\nflat 1: 0 1\n": "missing rank-1 flat",
+        "matroid m\nground 2\nrank 1000000000\nflat 0:\nflat 1: 0 1\n": "exceeds the 2 flats",
+    }
+    for text, message in documents.items():
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=message):
+            parse_matroid(text, verify=False)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_parse_verifies_axioms_by_default(pg32):
     grades = [list(g) for g in pg32.flats_by_rank]
     grades[2].pop(0)
@@ -136,6 +164,17 @@ def test_points_errors():
         parse_points("points p\nfield 2\ndim 2\npoint: 0 0\n")
     with pytest.raises(ParseError, match="arity"):
         parse_points("points p\nfield 2\ndim 3\npoint: 1 0\n")
+
+
+def test_points_field_near_1e18_is_decided_promptly():
+    start = time.perf_counter()
+    cfg = parse_points(f"points p\nfield {10**18 - 11}\ndim 2\npoint: 3 5\n")
+    assert cfg.prime == 10**18 - 11
+    with pytest.raises(ParseError, match="not prime"):
+        parse_points(f"points p\nfield {999999937 * 999999929}\ndim 2\npoint: 3 5\n")
+    with pytest.raises(ParseError, match="only decided below"):
+        parse_points(f"points p\nfield {10**25 + 13}\ndim 2\npoint: 3 5\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pg32_points_roundtrip():

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermod import (
+    Matroid,
     check_line_connectivity,
     closure,
     contract,
+    delete,
     disjoint_rank32_pairs,
     flats_of_rank,
     hypermodularity_witness,
@@ -21,7 +25,10 @@ from hypermod import (
     restrict,
     total_modular_defect,
     uniform,
+    vamos,
 )
+from hypermod import modularity
+from hypermod.modularity import _defect_block, _defect_by_index, _defective_pairs
 from oracles import brute_defect
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
@@ -236,3 +243,103 @@ def test_defect_answers_match_the_oracle(
         if M.rank == 4 and M.is_loopless:
             violations = check_line_connectivity(M).violations
             assert [v.witnesses for v in violations] == top_pairs
+
+
+# -- the packed pair table against the scalar single-pair routine ----------
+
+
+def _scalar_defects(M):
+    count = len(M._flat_list)
+    return np.array([[_defect_by_index(M, i, j) for j in range(count)] for i in range(count)])
+
+
+def _scalar_pairs(M, lo, hi):
+    flats = M._flat_list
+    return [
+        (flats[i], flats[j], d)
+        for i in range(lo, hi)
+        for j in range(i + 1, hi)
+        if (d := _defect_by_index(M, i, j))
+    ]
+
+
+def _assert_scan_matches_scalar(M):
+    starts = M._grade_starts
+    assert list(_defective_pairs(M)) == _scalar_pairs(M, 0, starts[-1])
+    for k in range(M.rank + 1):
+        assert list(_defective_pairs(M, k)) == _scalar_pairs(M, starts[k], starts[k + 1])
+
+
+def test_pair_table_matches_scalar_on_every_pair(
+    monkeypatch, pg32, pg33, del32, del33a, del33ab, vamos_m, two_cover, direct_sum_u12,
+    loop_fixture,
+):
+    zoo = [
+        pg32, pg33, del32, del33a, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture,
+        uniform(3, 6), uniform(4, 6), uniform(0, 2),
+    ]
+    for M in zoo:
+        assert M._containment.graded
+        count = len(M._flat_list)
+        # every cell, zeros and the diagonal included
+        assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
+    # small row blocks, so every scan crosses block boundaries
+    monkeypatch.setattr(modularity, "_BLOCK_CELLS", 40)
+    for M in zoo:
+        _assert_scan_matches_scalar(M)
+
+
+def _count_scalar_calls(monkeypatch):
+    calls = []
+
+    def counted(M, i, j):
+        calls.append((i, j))
+        return _defect_by_index(M, i, j)
+
+    monkeypatch.setattr(modularity, "_defect_by_index", counted)
+    return calls
+
+
+def test_pair_table_falls_back_per_pair_where_the_meet_is_no_flat(monkeypatch):
+    # {0,1,2} and {1,2,3} meet in {1,2}, which is not a stored flat.
+    M = Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {1, 2, 3}], [{0, 1, 2, 3}]])
+    assert M._containment.graded
+    calls = _count_scalar_calls(monkeypatch)
+    assert np.array_equal(_defect_block(M, 0, 8, 0, 8), _scalar_defects(M))
+    assert sorted(calls) == [(5, 6), (6, 5)]
+
+
+def test_lattice_with_a_flat_nested_downward_is_scanned_pair_by_pair():
+    # {0} has grade 2 but lies inside {0,1} of grade 1, so the closure of
+    # {0} is {0,1}: a stored flat need not be its own closure.  The same
+    # lattice with {0} moved to grade 1 is graded and takes the table.
+    nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
+    repaired = Matroid(3, [[()], [{0}, {1}, {2}], [{0, 1}, {1, 2}], [{0, 1, 2}]])
+    assert [M._containment.graded for M in (nested, repaired)] == [False, True]
+    for M in (nested, repaired):
+        _assert_scan_matches_scalar(M)
+
+
+def test_pair_table_survives_hash_collisions(monkeypatch, pg32):
+    # Every mask hashes alike, so each lookup lands on one flat and the
+    # word check must send every other meet to the scalar routine.  The
+    # matroids are built here, so no lookup table is cached yet.
+    monkeypatch.setattr(modularity, "_mix", lambda h: h & np.uint64(0))
+    calls = _count_scalar_calls(monkeypatch)
+    for M in (delete(pg32, {0}), vamos(), uniform(3, 6)):
+        calls.clear()
+        count = len(M._flat_list)
+        assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
+        assert calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pair_table_matches_scalar_on_random_deletions(pg32, pg33, vamos_m, data):
+    base = data.draw(st.sampled_from([pg32, pg33, vamos_m, uniform(3, 6)]))
+    removed = data.draw(
+        st.lists(st.integers(0, base.ground_size - 1), min_size=1, max_size=2, unique=True)
+    )
+    M = delete(base, set(removed))
+    assert M._containment.graded
+    _assert_scan_matches_scalar(M)

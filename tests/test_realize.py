@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,24 @@ from hypermod import (
     verify_rank_axioms,
 )
 from oracles import modp_matrix_rank, pg_point_list
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(10**5) if is_prime(p)] == [p for p in range(10**5) if trial(p)]
+
+
+def test_is_prime_large_values():
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 - 11)
+    assert not is_prime(999999937 * 999999929)
+    # strong pseudoprimes to every prime base up to 7, and up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(3317044064679887385961981)
 
 
 def test_point_config_validation():
