@@ -248,7 +248,8 @@ def cmd_complete(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_count("--trials", args.trials)
-    M = _load(args.path)
+    # The flat axioms are checked once, below, so a failure is reported, not a parse error.
+    M = matio.parse_matroid(Path(args.path).read_text(), verify=False)
     rep = Report(args.machine)
     flat_report = core.verify_flat_axioms(M)
     rep.add("flat_axioms", "pass" if flat_report.passed else "fail")

@@ -9,10 +9,15 @@ is answered from that lattice alone.  Elements are dense integers
 Instances are immutable after construction and all operations are pure
 functions, so matroids may be shared freely between threads.  Internally
 flats are mirrored as integer bitmasks, which keeps closure and rank
-queries cheap even for lattices with a few hundred flats.
+queries cheap even for lattices with a few hundred flats.  The
+constructor also builds the containment order of the stored flats once,
+as bits over flat indices (:func:`_flat_relation`); the shape check,
+:func:`verify_flat_axioms`, :func:`contract` and the pair table of
+:mod:`hypermod.modularity` all read it.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
-checks them against longest-chain lengths so that corrupt input files
+checks them against longest-chain lengths (:func:`_chain_lengths`, the
+same routine that grades :func:`restrict`) so that corrupt input files
 are caught loudly instead of silently re-ranked.
 """
 
@@ -53,15 +58,17 @@ def _mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def _members_of(mask: int) -> ElementSet:
+def _bits(mask: int) -> list[int]:
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members_of(mask: int) -> ElementSet:
+    return frozenset(_bits(mask))
 
 
 def _lsb_index(x: int) -> int:
@@ -145,16 +152,6 @@ class Matroid:
             raise ValueError("top grade must contain exactly the full ground set")
         if len(grades[0]) != 1:
             raise ValueError("grade 0 must contain exactly one flat")
-        for k, grade in enumerate(grades):
-            masks = [_mask_of(f) for f in grade]
-            for i in range(len(masks)):
-                for j in range(i + 1, len(masks)):
-                    inter = masks[i] & masks[j]
-                    if inter == masks[i] or inter == masks[j]:
-                        raise ValueError(
-                            f"grade {k} flats must be pairwise incomparable: "
-                            f"{sorted(grade[i])} vs {sorted(grade[j])}"
-                        )
 
         self.ground_size = n
         self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = tuple(grades)
@@ -172,12 +169,23 @@ class Matroid:
         self._grade_of_index = grade_of
         self._index_of_mask = {m: i for i, m in enumerate(self._flat_masks)}
         self._all_flat_bits = (1 << len(flat_list)) - 1
-        elem_bits = [0] * n
-        for i, f in enumerate(flat_list):
-            bit = 1 << i
-            for e in f:
-                elem_bits[e] |= bit
-        self._elem_flatbits = elem_bits
+        self._elem_flatbits, self._sup_bits = _flat_relation(n, self._flat_masks)
+        # A flat inside another of its own grade breaks the shape.  One inside
+        # a flat of lower grade is left to verify_flat_axioms, but there a
+        # stored flat need not be its own closure, so ``_graded`` is False.
+        self._graded = True
+        starts = self._grade_starts
+        for i, up in enumerate(self._sup_bits):
+            k = grade_of[i]
+            a, b = starts[k], starts[k + 1]
+            peers = ((up >> a) & ((1 << (b - a)) - 1)) ^ (1 << (i - a))
+            if peers:
+                raise ValueError(
+                    f"grade {k} flats must be pairwise incomparable: "
+                    f"{sorted(flat_list[i])} vs {sorted(flat_list[a + _lsb_index(peers)])}"
+                )
+            if up & ((1 << a) - 1):
+                self._graded = False
         self._cache: dict = {}
 
     # -- basic views ---------------------------------------------------
@@ -264,22 +272,6 @@ class Matroid:
         return tuple(starts)
 
     @cached_property
-    def _word_masks(self) -> np.ndarray:
-        """Flat masks as rows of little-endian ``uint64`` words (at least one word)."""
-        width = max(1, -(-self.ground_size // 64))
-        raw = b"".join(m.to_bytes(8 * width, "little") for m in self._flat_masks)
-        return np.frombuffer(raw, dtype="<u8").reshape(len(self._flat_masks), width)
-
-    @cached_property
-    def _containment(self) -> _Containment:
-        return _containment_pass(self)
-
-    @property
-    def _sup_bits(self) -> list[int]:
-        """For each flat index i, the bitmask of flat indices j with F_i <= F_j (self included)."""
-        return self._containment.sup_bits
-
-    @cached_property
     def _sub_bits(self) -> list[int]:
         """Transpose of ``_sup_bits``: flats contained in F_i (self included)."""
         sub = [0] * len(self._flat_masks)
@@ -292,56 +284,48 @@ class Matroid:
         return sub
 
 
-# Cells (rows x columns) in one row block of a packed all-pairs pass over
-# the flats; it bounds the 2-D temporaries of each block.
-_BLOCK_CELLS = 1 << 14
+def _flat_relation(n: int, masks: list[int]) -> tuple[list[int], list[int]]:
+    """Element and containment bits of a family of subsets of ``0..n-1``.
 
-
-@dataclass(frozen=True)
-class _Containment:
-    """The order F_i <= F_j on the stored flats.
-
-    ``up_sets[k][i]`` packs, as ``uint64`` words, the grade-k flats that
-    contain flat i: bit b stands for the b-th flat of grade k.
-    ``sup_bits[i]`` is the same relation over all flats as a Python int.
-    ``graded`` holds when every strict containment goes up in grade, so
-    that a stored flat is its own closure.
+    Bit i of ``elem_bits[e]`` says that set i holds element e.  Bit j of
+    ``sup_bits[i]`` says that set i lies inside set j, itself included:
+    the AND of ``elem_bits`` over the elements of set i, exact for any
+    family, lattice or not.
     """
+    members = [_bits(m) for m in masks]
+    elem_bits = [0] * n
+    for i, elems in enumerate(members):
+        bit = 1 << i
+        for e in elems:
+            elem_bits[e] |= bit
+    everything = (1 << len(masks)) - 1
+    sup_bits = []
+    for elems in members:
+        up = everything
+        for e in elems:
+            up &= elem_bits[e]
+        sup_bits.append(up)
+    return elem_bits, sup_bits
 
-    up_sets: tuple[np.ndarray, ...]
-    sup_bits: list[int]
-    graded: bool
 
+def _chain_lengths(masks: list[int], sup: list[int]) -> list[int]:
+    """Length of the longest chain of strict inclusions ending at each set.
 
-def _containment_pass(M: Matroid) -> _Containment:
-    words = M._word_masks
-    count = len(words)
-    starts = M._grade_starts
-    grades = np.asarray(M._grade_of_index)
-    bounds = list(zip(starts, starts[1:]))
-    # One byte row per flat and grade, padded to whole uint64 words.
-    up_bytes = [np.zeros((count, 8 * -(-(b - a) // 64)), dtype=np.uint8) for a, b in bounds]
-    sup: list[int] = []
-    graded = True
-    step = max(1, _BLOCK_CELLS // count)
-    for r0 in range(0, count, step):
-        r1 = min(r0 + step, count)
-        inside = np.ones((r1 - r0, count), dtype=bool)
-        for w in range(words.shape[1]):
-            inside &= (words[r0:r1, w, None] & ~words[None, :, w]) == 0
-        sup.extend(
-            int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(inside, axis=1, bitorder="little")
-        )
-        for k, (a, b) in enumerate(bounds):
-            packed = np.packbits(inside[:, a:b], axis=1, bitorder="little")
-            up_bytes[k][r0:r1, : packed.shape[1]] = packed
-        # A flat strictly inside one of equal or lower grade breaks grading.
-        inside[np.arange(r1 - r0), np.arange(r0, r1)] = False
-        graded = graded and not (inside & (grades[None, :] <= grades[r0:r1, None])).any()
-    return _Containment(
-        up_sets=tuple(u.view("<u8") for u in up_bytes), sup_bits=sup, graded=graded
-    )
+    ``masks`` are distinct sets and ``sup`` their containment bits from
+    :func:`_flat_relation`.  A strict subset is smaller, so visiting the
+    sets by size fixes each length before it is pushed to the sets above.
+    """
+    chain = [0] * len(masks)
+    for i in sorted(range(len(masks)), key=lambda i: masks[i].bit_count()):
+        longer = chain[i] + 1
+        above = sup[i] & ~(1 << i)
+        while above:
+            low = above & -above
+            above ^= low
+            j = low.bit_length() - 1
+            if chain[j] < longer:
+                chain[j] = longer
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +427,8 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
                 )
 
     # Declared grades vs longest chains from the bottom flat.
-    order = sorted(range(len(masks)), key=lambda i: bin(masks[i]).count("1"))
-    chain = [0] * len(masks)
-    for j in order:
-        best = -1
-        b = sub[j] & ~(1 << j)
-        while b:
-            lowb = b & -b
-            b ^= lowb
-            best = max(best, chain[lowb.bit_length() - 1])
-        chain[j] = best + 1
+    chain = _chain_lengths(masks, sup)
+    for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
         if chain[j] != M._grade_of_index[j]:
             violations.append(
                 Violation(
@@ -634,18 +610,11 @@ def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     elems = sorted(_members_of(mask))
     reindex = {old: new for new, old in enumerate(elems)}
 
-    inter_masks = sorted({fm & mask for fm in M._flat_masks}, key=lambda m: bin(m).count("1"))
-    chain = {}
-    for m in inter_masks:
-        best = -1
-        for other, c in chain.items():
-            if other != m and other & m == other:
-                best = max(best, c)
-        chain[m] = best + 1
-    height = max(chain.values())
-    grades: list[list[ElementSet]] = [[] for _ in range(height + 1)]
-    for m, c in chain.items():
-        grades[c].append(frozenset(reindex[e] for e in _members_of(m)))
+    inter_masks = list({fm & mask for fm in M._flat_masks})
+    chain = _chain_lengths(inter_masks, _flat_relation(M.ground_size, inter_masks)[1])
+    grades: list[list[ElementSet]] = [[] for _ in range(max(chain) + 1)]
+    for m, c in zip(inter_masks, chain):
+        grades[c].append(frozenset(reindex[e] for e in _bits(m)))
     return Matroid(len(elems), grades, element_map=tuple(elems))
 
 

@@ -18,7 +18,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, ElementSet, Matroid, _lsb_index, pair_key
+from .core import ElementSet, Matroid, _lsb_index, pair_key
+
+# Cells (rows x columns) in one row block of the pair table; it bounds the
+# 2-D temporaries of each block.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -67,15 +71,34 @@ def _hash(words) -> np.ndarray:
     return h
 
 
-def _flat_lookup(M: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted flat hashes, the flat index behind each, and the grade of every flat."""
-    table = M._cache.get("flat_lookup")
+def _packed(ints: list[int], bits: int) -> np.ndarray:
+    """Nonnegative ints below ``2**bits`` as rows of little-endian ``uint64`` words."""
+    width = -(-bits // 64)
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in ints)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width)
+
+
+def _pair_table_inputs(M: Matroid) -> tuple:
+    """What :func:`_defect_block` reads, built once per matroid.
+
+    ``words``: the flat masks packed, at least one word per flat.
+    ``keys``, ``order``: the sorted flat hashes and the flat index behind each.
+    ``grade``: every flat's grade.
+    ``up_sets[k][i]``: the grade-k flats above flat i, bit b for the b-th
+    flat of grade k, sliced from ``M._sup_bits``.
+    """
+    table = M._cache.get("pair_table")
     if table is None:
-        words = M._word_masks
+        words = _packed(M._flat_masks, max(1, M.ground_size))
         hashes = _hash(words[:, w] for w in range(words.shape[1]))
         order = np.argsort(hashes, kind="stable")
-        table = (hashes[order], order, np.asarray(M._grade_of_index))
-        M._cache["flat_lookup"] = table
+        starts = M._grade_starts
+        up_sets = tuple(
+            _packed([(up >> a) & ((1 << (b - a)) - 1) for up in M._sup_bits], b - a)
+            for a, b in zip(starts, starts[1:])
+        )
+        table = (words, hashes[order], order, np.asarray(M._grade_of_index), up_sets)
+        M._cache["pair_table"] = table
     return table
 
 
@@ -83,14 +106,13 @@ def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     """Defects of flats ``r0..r1-1`` (rows) against flats ``c0..c1-1`` (columns).
 
     Equal to :func:`_defect_by_index` on every cell, provided
-    ``M._containment.graded`` holds.  The meet of a pair is its
+    ``M._graded`` holds.  The meet of a pair is its
     intersection, found among the stored flats by hash and confirmed word
     by word; a pair whose intersection is not confirmed is computed by
     :func:`_defect_by_index`.  The join grade is the lowest grade with a
     flat above both.  Temporaries are rows x columns, one word at a time.
     """
-    words = M._word_masks
-    keys, order, grade = _flat_lookup(M)
+    words, keys, order, grade, up_sets = _pair_table_inputs(M)
     rows, cols = words[r0:r1], words[c0:c1]
     width = words.shape[1]
     h = _hash(rows[:, w, None] & cols[None, :, w] for w in range(width))
@@ -104,7 +126,6 @@ def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     # k; those are an index prefix.  The join of a nested pair is not
     # needed, as its defect is zero.
     starts = M._grade_starts
-    up_sets = M._containment.up_sets
     join = np.full(h.shape, M.rank)
     for k in range(M.rank - 1, 0, -1):
         nr, nc = min(r1, starts[k]) - r0, min(c1, starts[k]) - c0
@@ -140,7 +161,7 @@ def _defective_pairs(
     starts = M._grade_starts
     lo, hi = (0, starts[-1]) if grade is None else (starts[grade], starts[grade + 1])
     flats = M._flat_list
-    if not M._containment.graded:
+    if not M._graded:
         for i in range(lo, hi):
             for j in range(i + 1, hi):
                 d = _defect_by_index(M, i, j)

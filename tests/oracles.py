@@ -90,3 +90,22 @@ def pg_point_list(q: int, dim: int = 4):
                 reps.add(tuple((inv * x) % q for x in vec))
                 break
     return sorted(reps)
+
+
+def brute_containment(M) -> list[int]:
+    """Per stored flat (grade by grade, as listed), the bits of the stored flats above it."""
+    flats = [f for grade in M.flats_by_rank for f in grade]
+    return [sum(1 << j for j, g in enumerate(flats) if f <= g) for f in flats]
+
+
+def brute_chain_lengths(sets) -> dict[frozenset[int], int]:
+    """Longest chain of strict inclusions among ``sets`` that ends at each set."""
+    sets = {frozenset(s) for s in sets}
+    memo: dict[frozenset[int], int] = {}
+
+    def length(s):
+        if s not in memo:
+            memo[s] = max((length(t) + 1 for t in sets if t < s), default=0)
+        return memo[s]
+
+    return {s: length(s) for s in sets}

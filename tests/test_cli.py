@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypermod import delete, matroid_from_points, pg3, serialize_matroid, uniform, vamos
+from hypermod import Matroid, delete, matroid_from_points, pg3, serialize_matroid, uniform, vamos
 from hypermod.cli import main
 
 
@@ -199,6 +199,20 @@ def test_verify_negative_trials_is_usage_error(workdir, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "--trials must be nonnegative" in captured.err
+
+
+def test_verify_reports_a_flat_axiom_failure(tmp_path, capsys):
+    # Without one line, the two planes through it meet in no stored flat.
+    grades = [list(g) for g in pg3(2).flats_by_rank]
+    grades[2].pop(0)
+    path = tmp_path / "holey.mat"
+    path.write_text(serialize_matroid(Matroid(15, grades), name="holey"))
+    rc, out = run(capsys, ["verify", str(path), "--trials", "100", "--machine"])
+    assert rc == 1
+    d = machine_dict(out)
+    assert d["flat_axioms"] == "fail"
+    assert int(d["violations"]) > 0
+    assert any(k.startswith("violation_") and v.startswith("F1 ") for k, v in d.items())
 
 
 def test_iso(workdir, tmp_path, capsys):

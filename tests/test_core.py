@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermod import (
     Matroid,
@@ -25,7 +26,15 @@ from hypermod import (
     verify_flat_axioms,
     verify_rank_axioms,
 )
-from oracles import brute_closure, brute_rank, modp_span_members, pg_point_list, uniform_rank
+from oracles import (
+    brute_chain_lengths,
+    brute_closure,
+    brute_containment,
+    brute_rank,
+    modp_span_members,
+    pg_point_list,
+    uniform_rank,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +155,26 @@ def test_flat_axioms_detect_bad_grading():
     assert any(v.axiom == "grading" for v in report.violations)
 
 
+def test_containment_bits_match_brute_force(
+    pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture
+):
+    grades = [list(g) for g in pg32.flats_by_rank]
+    grades[2].pop(0)
+    corrupt = [
+        Matroid(15, grades),  # a missing line
+        Matroid(3, [[frozenset()], [{2}], [{0, 1}], [{0, 1, 2}]]),  # bad grading
+        Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]]),  # {0} below {0,1}
+    ]
+    zoo = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
+    for M in zoo + [uniform(3, 6), uniform(0, 2)] + corrupt:
+        sup = brute_containment(M)
+        assert M._sup_bits == sup
+        grade = [k for k, g in enumerate(M.flats_by_rank) for _ in g]
+        strict = [(i, j) for i, up in enumerate(sup) for j in range(len(sup)) if j != i and up >> j & 1]
+        assert M._graded == all(grade[i] < grade[j] for i, j in strict)
+    assert [M._graded for M in corrupt] == [True, True, False]
+
+
 def test_rank_axioms_exhaustive_uniform():
     report = verify_rank_axioms(uniform(3, 4), mode="exhaustive")
     assert report.passed
@@ -195,6 +224,17 @@ def test_restrict_uniform():
     assert restrict(u34, {0, 1}) == uniform(2, 2)
     with pytest.raises(ValueError, match="empty"):
         restrict(u34, ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restrict_grades_are_longest_chains(pg32, pg33, vamos_m, data):
+    M = data.draw(st.sampled_from([pg32, pg33, vamos_m, uniform(3, 6)]))
+    subset = frozenset(data.draw(st.sets(st.integers(0, M.ground_size - 1), min_size=1)))
+    R = restrict(M, subset)
+    back = R.element_map
+    grades = {frozenset(back[e] for e in f): k for k, g in enumerate(R.flats_by_rank) for f in g}
+    assert grades == brute_chain_lengths(f & subset for g in M.flats_by_rank for f in g)
 
 
 def test_delete_identity_and_small(pg32):

@@ -3,13 +3,16 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermod import (
     Matroid,
     ParseError,
+    delete,
     parse_matroid,
     parse_matroid_document,
     parse_points,
+    pg3,
     pg3_points,
     matroid_from_points,
     profile,
@@ -17,6 +20,7 @@ from hypermod import (
     serialize_points,
     uniform,
     vamos,
+    verify_flat_axioms,
 )
 
 U23_DOC = """\
@@ -182,3 +186,62 @@ def test_pg32_points_roundtrip():
     text = serialize_points(cfg)
     assert parse_points(text).points == cfg.points
     assert serialize_points(parse_points(text), name="pg3_2") == text
+
+
+# -- fuzz guard: a mutated document parses cleanly or is a ParseError --------
+
+FUZZ_BOUND_S = 2.0
+_FUZZ_BYTES = st.sampled_from(list(b"0123456789 \n:-#")) | st.integers(0, 255)
+
+
+@st.composite
+def _mutated(draw, texts):
+    data = bytearray(draw(st.sampled_from(texts)).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            data.insert(at, draw(_FUZZ_BYTES))
+        elif at < len(data):
+            if op == "replace":
+                data[at] = draw(_FUZZ_BYTES)
+            else:
+                del data[at]
+    return bytes(data).decode("latin-1")
+
+
+_MAT_TEXTS = [
+    serialize_matroid(M, name=name)
+    for name, M in (
+        ("pg32", pg3(2)),
+        ("pg32_minus0", delete(pg3(2), {0})),
+        ("vamos", vamos()),
+        ("u35", uniform(3, 5)),
+        ("u02", uniform(0, 2)),
+    )
+]
+_PTS_TEXTS = [serialize_points(pg3_points(q)) for q in (2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated(_MAT_TEXTS))
+def test_mutated_mat_parses_to_a_lattice_or_is_a_parse_error(text):
+    start = time.perf_counter()
+    try:
+        M = parse_matroid(text)
+    except ParseError:
+        pass
+    else:
+        assert verify_flat_axioms(M).passed
+    assert time.perf_counter() - start < FUZZ_BOUND_S
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_mutated(_PTS_TEXTS))
+def test_mutated_pts_parses_or_is_a_parse_error(text):
+    start = time.perf_counter()
+    try:
+        parse_points(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - start < FUZZ_BOUND_S

@@ -28,7 +28,12 @@ from hypermod import (
     vamos,
 )
 from hypermod import modularity
-from hypermod.modularity import _defect_block, _defect_by_index, _defective_pairs
+from hypermod.modularity import (
+    _defect_block,
+    _defect_by_index,
+    _defective_pairs,
+    _pair_table_inputs,
+)
 from oracles import brute_defect
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
@@ -279,7 +284,7 @@ def test_pair_table_matches_scalar_on_every_pair(
         uniform(3, 6), uniform(4, 6), uniform(0, 2),
     ]
     for M in zoo:
-        assert M._containment.graded
+        assert M._graded
         count = len(M._flat_list)
         # every cell, zeros and the diagonal included
         assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
@@ -287,6 +292,15 @@ def test_pair_table_matches_scalar_on_every_pair(
     monkeypatch.setattr(modularity, "_BLOCK_CELLS", 40)
     for M in zoo:
         _assert_scan_matches_scalar(M)
+
+
+def test_pair_table_up_sets_are_the_containment_by_grade(pg33, del33ab, vamos_m):
+    for M in (pg33, del33ab, vamos_m, uniform(4, 6)):
+        up_sets = _pair_table_inputs(M)[4]
+        for k, grade in enumerate(M.flats_by_rank):
+            for i, f in enumerate(M._flat_list):
+                packed = int.from_bytes(up_sets[k][i].tobytes(), "little")
+                assert packed == sum(1 << b for b, g in enumerate(grade) if f <= g)
 
 
 def _count_scalar_calls(monkeypatch):
@@ -303,7 +317,7 @@ def _count_scalar_calls(monkeypatch):
 def test_pair_table_falls_back_per_pair_where_the_meet_is_no_flat(monkeypatch):
     # {0,1,2} and {1,2,3} meet in {1,2}, which is not a stored flat.
     M = Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {1, 2, 3}], [{0, 1, 2, 3}]])
-    assert M._containment.graded
+    assert M._graded
     calls = _count_scalar_calls(monkeypatch)
     assert np.array_equal(_defect_block(M, 0, 8, 0, 8), _scalar_defects(M))
     assert sorted(calls) == [(5, 6), (6, 5)]
@@ -315,7 +329,7 @@ def test_lattice_with_a_flat_nested_downward_is_scanned_pair_by_pair():
     # lattice with {0} moved to grade 1 is graded and takes the table.
     nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
     repaired = Matroid(3, [[()], [{0}, {1}, {2}], [{0, 1}, {1, 2}], [{0, 1, 2}]])
-    assert [M._containment.graded for M in (nested, repaired)] == [False, True]
+    assert [M._graded for M in (nested, repaired)] == [False, True]
     for M in (nested, repaired):
         _assert_scan_matches_scalar(M)
 
@@ -341,5 +355,5 @@ def test_pair_table_matches_scalar_on_random_deletions(pg32, pg33, vamos_m, data
         st.lists(st.integers(0, base.ground_size - 1), min_size=1, max_size=2, unique=True)
     )
     M = delete(base, set(removed))
-    assert M._containment.graded
+    assert M._graded
     _assert_scan_matches_scalar(M)
