@@ -13,7 +13,9 @@ queries cheap even for lattices with a few hundred flats.  The
 constructor also builds the containment order of the stored flats once,
 as bits over flat indices (:func:`_flat_relation`); the shape check,
 :func:`verify_flat_axioms`, :func:`contract` and the pair table of
-:mod:`hypermod.modularity` all read it.
+:mod:`hypermod.modularity` all read it.  Connectivity comes from one
+basis: :func:`components` merges the stars of its fundamental circuits
+with 2r closure queries and enumerates no circuits.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths (:func:`_chain_lengths`, the
@@ -659,7 +661,8 @@ def circuits_up_to(M: Matroid, max_size: int) -> list[ElementSet]:
 
     Every circuit has size at most r+1, so that bound captures all of
     them.  Enumeration is by increasing size; a dependent set with no
-    smaller circuit inside it is minimal.
+    smaller circuit inside it is minimal.  The cost is exponential in
+    ``max_size``; :func:`components` does not need circuits.
     """
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
@@ -686,46 +689,26 @@ def circuits_up_to(M: Matroid, max_size: int) -> list[ElementSet]:
 def components(M: Matroid) -> ComponentPartition:
     """Connected components: the transitive closure of "lie on a common circuit".
 
-    Loops (and elements on no circuit at all, i.e. coloops) end up as
-    singleton blocks.  Circuit enumeration runs by increasing size up to
-    r+1 and stops early once everything has merged into one block.
+    Read off one basis B, chosen greedily in element order.  The star of
+    b in B is everything outside cl(B - b): b and each e whose
+    fundamental circuit C(e, B) holds b.  Overlapping stars merge into
+    the components (Krogdahl 1977; Oxley, *Matroid Theory*, ch. 4), and
+    each loop, lying in no star, is a singleton block, as is each coloop.
     """
-    n = M.ground_size
-    if n == 0:
-        return ComponentPartition((), 0)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    loops = M.loops
-    known = [1 << e for e in loops]
-    nonloops = [e for e in range(n) if e not in loops]
-    for size in range(2, min(M.rank + 1, len(nonloops)) + 1):
-        if len({find(e) for e in nonloops}) <= 1:
-            break
-        for combo in itertools.combinations(nonloops, size):
-            m = _mask_of(combo)
-            if any(c & m == c for c in known):
-                continue
-            if M._rank_of_mask(m) < size:
-                known.append(m)
-                first = combo[0]
-                for e in combo[1:]:
-                    union(first, e)
-    groups: dict[int, list[int]] = {}
-    for e in range(n):
-        groups.setdefault(find(e), []).append(e)
-    blocks = tuple(sorted((frozenset(g) for g in groups.values()), key=flat_key))
-    return ComponentPartition(blocks, len(blocks))
+    basis, span = 0, M._flat_masks[0]
+    for e in range(M.ground_size):
+        if not span >> e & 1:
+            basis |= 1 << e
+            span = M._flat_masks[M._closure_index(basis)]
+    blocks = [1 << e for e in M.loops]
+    for b in _bits(basis):
+        star = _ground_mask(M) & ~M._flat_masks[M._closure_index(basis ^ (1 << b))]
+        for other in [m for m in blocks if m & star]:
+            blocks.remove(other)
+            star |= other
+        blocks.append(star)
+    parts = tuple(sorted((_members_of(m) for m in blocks), key=flat_key))
+    return ComponentPartition(parts, len(parts))
 
 
 def is_inseparable(M: Matroid) -> bool:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ElementSet, Matroid, _lsb_index, pair_key
+from .core import ElementSet, Matroid, _bits, _lsb_index, pair_key
 
 # Cells (rows x columns) in one row block of the pair table; it bounds the
 # 2-D temporaries of each block.
@@ -229,15 +229,19 @@ def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
 
     For a loopless rank-4 hypermodular matroid this list is empty
     exactly when the matroid is modular, so it enumerates the defects
-    the completion loop must repair.
+    the completion loop must repair.  A line misses a plane when it is
+    outside the OR of the element bits of the plane's members.
     """
     if M.rank != 4:
         raise ValueError(f"defined for rank-4 matroids, got rank {M.rank}")
     if not M.is_loopless:
         raise ValueError("defined for loopless matroids")
+    starts = M._grade_starts
+    lines = ((1 << starts[3]) - 1) ^ ((1 << starts[2]) - 1)
     out = []
-    for f in M.flats_by_rank[3]:
-        for l in M.flats_by_rank[2]:
-            if not (f & l):
-                out.append((f, l))
+    for i in range(starts[3], starts[4]):
+        meets = 0
+        for e in _bits(M._flat_masks[i]):
+            meets |= M._elem_flatbits[e]
+        out.extend((M._flat_list[i], M._flat_list[j]) for j in _bits(lines & ~meets))
     return out

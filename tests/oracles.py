@@ -109,3 +109,28 @@ def brute_chain_lengths(sets) -> dict[frozenset[int], int]:
         return memo[s]
 
     return {s: length(s) for s in sets}
+
+
+def brute_components(M, ground=None, contracted=()) -> list[frozenset[int]]:
+    """Blocks of (M / contracted) | ground, canonically ordered: unions of overlapping circuits.
+
+    Subsets are enumerated by size up to the minor's rank + 1, with the
+    minor's rank r(X ∪ T) - r(T) from ``brute_rank``; a dependent set is
+    a circuit when dropping any one element leaves it independent.
+    """
+    T = frozenset(contracted)
+    ground = sorted(M.ground_set - T if ground is None else ground)
+
+    def rank(X):
+        return brute_rank(M, T | set(X)) - brute_rank(M, T)
+
+    blocks = [frozenset([e]) for e in ground]
+    for size in range(1, rank(ground) + 2):
+        for combo in itertools.combinations(ground, size):
+            if rank(combo) == size or any(
+                rank(combo[:i] + combo[i + 1 :]) < size - 1 for i in range(size)
+            ):
+                continue
+            touching = [b for b in blocks if b & set(combo)]
+            blocks = [b for b in blocks if b not in touching] + [frozenset().union(*touching)]
+    return sorted(blocks, key=sorted)

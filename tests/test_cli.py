@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from hypermod import Matroid, delete, matroid_from_points, pg3, serialize_matroid, uniform, vamos
+from hypermod import (
+    Matroid,
+    components,
+    delete,
+    matroid_from_points,
+    pg3,
+    serialize_matroid,
+    uniform,
+    vamos,
+)
 from hypermod.cli import main
 
 
@@ -63,6 +74,20 @@ def test_analyze_deletion(workdir, capsys):
     assert d["modular"] == "false"
     assert d["disjoint_flags"] == "28"
     assert d["total_defect"] == "49"
+
+
+def test_analyze_pg35_deletion_at_scale(tmp_path, capsys):
+    D = delete(pg3(5), {0, 1})
+    start = time.perf_counter()
+    assert components(D).kappa == 1
+    assert time.perf_counter() - start < 2.0
+    path = tmp_path / "pg35m01.mat"
+    path.write_text(serialize_matroid(D, name="pg35_minus01"))
+    rc, out = run(capsys, ["analyze", str(path), "--machine"])
+    assert rc == 0
+    d = machine_dict(out)
+    # two deleted points, each adding q^2(q^2+q+1) = 775 flags and 1240 defect at q = 5
+    assert (d["kappa"], d["total_defect"], d["disjoint_flags"]) == ("1", "2480", "1550")
 
 
 def test_extend_auto(workdir, tmp_path, capsys):

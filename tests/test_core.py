@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypermod import (
     Matroid,
+    PointConfig,
     circuits_up_to,
     closure,
     components,
@@ -18,6 +19,7 @@ from hypermod import (
     is_isomorphic,
     is_modular,
     is_nondegenerate,
+    matroid_from_points,
     pg3,
     profile,
     rank_of,
@@ -29,6 +31,7 @@ from hypermod import (
 from oracles import (
     brute_chain_lengths,
     brute_closure,
+    brute_components,
     brute_containment,
     brute_rank,
     modp_span_members,
@@ -318,6 +321,39 @@ def test_component_ranks_add_up(pg32, del32, direct_sum_u12, loop_fixture, vamos
     for M in (pg32, del32, direct_sum_u12, loop_fixture, vamos_m):
         part = components(M)
         assert sum(rank_of(M, b) for b in part.blocks) == M.rank
+
+
+def test_components_match_the_oracle(pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture):
+    # Basis {0,1,2}: the stars of 0 and 1 are disjoint, and the star of 2
+    # meets both, so one star merges two earlier blocks.
+    diamond = matroid_from_points(
+        PointConfig(prime=2, dim=3, points=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)))
+    )
+    fixtures = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, diamond]
+    fixtures += [uniform(3, 3), uniform(0, 3), uniform(0, 2), uniform(2, 5), uniform(4, 4)]
+    for M in fixtures:
+        assert components(M).blocks == tuple(brute_components(M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_components_of_minors_match_the_oracle(pg32, vamos_m, del33ab, data):
+    M = data.draw(st.sampled_from([pg32, vamos_m, del33ab]))
+    subset = data.draw(st.sets(st.integers(0, M.ground_size - 1), min_size=1, max_size=12))
+    R = restrict(M, subset)
+    flat = data.draw(st.sampled_from([f for g in R.flats_by_rank[:-1] for f in g]))
+    for N in (R, contract(R, flat)):
+        assert components(N).blocks == tuple(brute_components(N))
+
+
+def test_is_nondegenerate_matches_the_oracle(two_cover, del32, vamos_m):
+    for M in (two_cover, del32, vamos_m):
+        kappa = len(brute_components(M))
+        for grade in M.flats_by_rank:
+            for f in grade:
+                kr = len(brute_components(M, ground=f))
+                kc = len(brute_components(M, contracted=f)) if f != M.ground_set else 1
+                assert is_nondegenerate(M, f) == (kr + kc == kappa + 1)
 
 
 def test_is_nondegenerate_single_element(pg32):

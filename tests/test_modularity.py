@@ -153,10 +153,32 @@ def test_disjoint_pairs(pg32, del32):
 
 
 def test_disjoint_pairs_requires_loopless(loop_fixture):
-    # build a rank-4 matroid with a loop by contracting nothing useful;
-    # simplest: a loop fixture is rank 1, so check the rank error instead
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank"):
         disjoint_rank32_pairs(loop_fixture)
+    # U(4,4) plus a loop: rank 4, but not loopless
+    looped = [[{4} | set(c) for c in itertools.combinations(range(4), k)] for k in range(5)]
+    with pytest.raises(ValueError, match="loopless"):
+        disjoint_rank32_pairs(Matroid(5, looped))
+
+
+def _brute_flags(M):
+    return [(f, l) for f in M.flats_by_rank[3] for l in M.flats_by_rank[2] if not f & l]
+
+
+def test_disjoint_pairs_match_the_double_loop(pg32, pg33, del32, del33a, del33ab, vamos_m):
+    for M in (pg32, pg33, del32, del33a, del33ab, vamos_m, uniform(4, 6), uniform(4, 4)):
+        assert disjoint_rank32_pairs(M) == _brute_flags(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_disjoint_pairs_match_the_double_loop_on_deletions(pg32, pg33, data):
+    base = data.draw(st.sampled_from([pg32, pg33]))
+    removed = data.draw(
+        st.lists(st.integers(0, base.ground_size - 1), min_size=1, max_size=2, unique=True)
+    )
+    M = delete(base, set(removed))
+    assert disjoint_rank32_pairs(M) == _brute_flags(M)
 
 
 def test_modular_implies_hypermodular(pg32, pg33):
