@@ -12,10 +12,15 @@ flats are mirrored as integer bitmasks, which keeps closure and rank
 queries cheap even for lattices with a few hundred flats.  The
 constructor also builds the containment order of the stored flats once,
 as bits over flat indices (:func:`_flat_relation`); the shape check,
-:func:`verify_flat_axioms`, :func:`contract` and the pair table of
-:mod:`hypermod.modularity` all read it.  Connectivity comes from one
-basis: :func:`components` merges the stars of its fundamental circuits
-with 2r closure queries and enumerates no circuits.
+:func:`verify_flat_axioms`, :func:`contract` and the pair table all read
+it.  Connectivity comes from one basis: :func:`components` merges the
+stars of its fundamental circuits with 2r closure queries and
+enumerates no circuits.
+
+One packed pair table, exact on any family the constructor accepts,
+answers every all-pairs question in row blocks: F1 reads its meets
+(:func:`_meet_block`), and the flat-pair R3 check and the defect scans
+of :mod:`hypermod.modularity` its defects (:func:`_defect_block`).
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths (:func:`_chain_lengths`, the
@@ -29,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -173,9 +178,7 @@ class Matroid:
         self._all_flat_bits = (1 << len(flat_list)) - 1
         self._elem_flatbits, self._sup_bits = _flat_relation(n, self._flat_masks)
         # A flat inside another of its own grade breaks the shape.  One inside
-        # a flat of lower grade is left to verify_flat_axioms, but there a
-        # stored flat need not be its own closure, so ``_graded`` is False.
-        self._graded = True
+        # a flat of lower grade is left to verify_flat_axioms.
         starts = self._grade_starts
         for i, up in enumerate(self._sup_bits):
             k = grade_of[i]
@@ -186,8 +189,6 @@ class Matroid:
                     f"grade {k} flats must be pairwise incomparable: "
                     f"{sorted(flat_list[i])} vs {sorted(flat_list[a + _lsb_index(peers)])}"
                 )
-            if up & ((1 << a) - 1):
-                self._graded = False
         self._cache: dict = {}
 
     # -- basic views ---------------------------------------------------
@@ -331,6 +332,142 @@ def _chain_lengths(masks: list[int], sup: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# The pair table: meets, joins and defects of blocks of flat pairs
+# ---------------------------------------------------------------------------
+
+# Cells (rows x columns) in one row block of the pair table; it bounds the
+# 2-D temporaries of each block.
+_BLOCK_CELLS = 1 << 14
+
+
+def _defect_by_index(M: Matroid, i: int, j: int) -> int:
+    """r(A)+r(B)-r(A∪B)-r(A∩B) of flats i and j, with declared r(A), r(B); 0 if nested."""
+    mi, mj = M._flat_masks[i], M._flat_masks[j]
+    inter = mi & mj
+    if inter == mi or inter == mj:
+        return 0
+    grade = M._grade_of_index
+    join = _lsb_index(M._sup_bits[i] & M._sup_bits[j])
+    return grade[i] + grade[j] - grade[join] - M._rank_of_mask(inter)
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on ``uint64`` words."""
+    h = h ^ (h >> np.uint64(30))
+    h = h * np.uint64(0xBF58476D1CE4E5B9)
+    h = h ^ (h >> np.uint64(27))
+    h = h * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _hash(words) -> np.ndarray:
+    """Hash of masks given word by word as equal-shape ``uint64`` arrays."""
+    h = np.uint64(0)
+    for w in words:
+        h = _mix(h ^ w)
+    return h
+
+
+def _packed(ints: list[int], bits: int) -> np.ndarray:
+    """Nonnegative ints below ``2**bits`` as rows of little-endian ``uint64`` words."""
+    width = -(-bits // 64)
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in ints)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width)
+
+
+def _pair_table(M: Matroid) -> tuple:
+    """What the block routines read, built once per matroid.
+
+    ``words``: the flat masks packed, at least one word per flat.
+    ``keys``, ``order``: the sorted flat hashes and the flat index behind each.
+    ``grade``, ``rank``: every flat's declared grade, and that of the lowest flat above it.
+    ``up_sets[k][i]``: the grade-k flats above flat i, bit b for the b-th
+    flat of grade k, sliced from ``M._sup_bits``.
+    ``prefix[k]``: one past the last flat with a grade-k flat strictly above it.
+    """
+    table = M._cache.get("pair_table")
+    if table is None:
+        words = _packed(M._flat_masks, max(1, M.ground_size))
+        hashes = _hash(words[:, w] for w in range(words.shape[1]))
+        order = np.argsort(hashes, kind="stable")
+        grade = M._grade_of_index
+        rank = [grade[_lsb_index(s)] for s in M._sup_bits]
+        up_sets, prefix = [], []
+        for a, b in zip(M._grade_starts, M._grade_starts[1:]):
+            up = [(s >> a) & ((1 << (b - a)) - 1) for s in M._sup_bits]
+            # A grade-k flat holds only its own bit: its grade peers are incomparable.
+            below = [i for i, bits in enumerate(up) if bits and not a <= i < b]
+            prefix.append(below[-1] + 1 if below else 0)
+            up_sets.append(_packed(up, b - a))
+        table = (words, hashes[order], order, np.asarray(grade), np.asarray(rank), up_sets, prefix)
+        M._cache["pair_table"] = table
+    return table
+
+
+def _meet_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections of flats ``r0..r1-1`` (rows) with flats ``c0..c1-1`` (columns).
+
+    Returns ``(meet, found)``: where ``found``, the intersection is the
+    stored flat ``meet``, looked up by hash and confirmed word by word.
+    A cell not found has no stored intersection, or lost a hash collision.
+    """
+    words, keys, order = _pair_table(M)[:3]
+    inter = [words[r0:r1, w, None] & words[None, c0:c1, w] for w in range(words.shape[1])]
+    meet = order[np.minimum(np.searchsorted(keys, _hash(inter)), len(keys) - 1)]
+    found = np.ones(meet.shape, dtype=bool)
+    for w, x in enumerate(inter):
+        found &= words[:, w][meet] == x
+    return meet, found
+
+
+def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Defects of flats ``r0..r1-1`` (rows) against flats ``c0..c1-1`` (columns).
+
+    Equal to :func:`_defect_by_index` on every cell of any family the
+    constructor accepts, by two identities of ``_rank_of_mask``: the join
+    has the lowest grade whose up-sets meet, and a found meet k has rank
+    ``rank[k]``, the closure bits of F_k being ``_sup_bits[k]``.  Cells
+    whose meet is not found fall back to :func:`_defect_by_index`.
+    """
+    grade, rank, up_sets, prefix = _pair_table(M)[3:]
+    meet, found = _meet_block(M, r0, r1, c0, c1)
+    # The top flat lies above every pair.  Up-sets of grade k meet only
+    # below ``prefix[k]``, or at a grade-k flat of the pair, which is then
+    # nested with the other and has defect zero.
+    join = np.full(meet.shape, M.rank)
+    for k in range(M.rank - 1, -1, -1):
+        nr, nc = min(r1, prefix[k]) - r0, min(c1, prefix[k]) - c0
+        if nr <= 0 or nc <= 0:
+            continue
+        up = up_sets[k]
+        common = np.zeros((nr, nc), dtype=bool)
+        for w in range(up.shape[1]):
+            common |= (up[r0 : r0 + nr, w, None] & up[None, c0 : c0 + nc, w]) != 0
+        join[:nr, :nc][common] = k
+
+    defect = grade[r0:r1, None] + grade[None, c0:c1] - join - rank[meet]
+    # A pair whose meet is one of its own flats is nested.
+    nested = (meet == np.arange(r0, r1)[:, None]) | (meet == np.arange(c0, c1)[None, :])
+    defect[nested] = 0
+    for b, c in zip(*np.nonzero(~found)):
+        defect[b, c] = _defect_by_index(M, r0 + int(b), c0 + int(c))
+    return defect
+
+
+def _upper_cells(M: Matroid, lo: int, hi: int, block: Callable) -> Iterator[tuple[int, int, int]]:
+    """Nonzero cells ``(i, j, value)``, lo <= i < j < hi, of a block routine, row-major.
+
+    ``block(M, r0, r1, c0, c1)`` is called like :func:`_defect_block`, lazily on
+    rows of about ``_BLOCK_CELLS`` cells, so a caller that wants one cell stops early.
+    """
+    step = max(1, _BLOCK_CELLS // max(1, hi - lo))
+    for r0 in range(lo, hi, step):
+        values = np.triu(block(M, r0, min(r0 + step, hi), r0, hi), 1)
+        for b, c in zip(*np.nonzero(values)):
+            yield r0 + int(b), r0 + int(c), int(values[b, c])
+
+
+# ---------------------------------------------------------------------------
 # Closure / rank / flat access
 # ---------------------------------------------------------------------------
 
@@ -365,23 +502,19 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     smallest flat containing F and s, with nothing strictly between),
     and that every declared grade equals the longest chain length from
     the bottom flat.  Violations are reported, never thrown.
+    F1 reads the meets of the pair table; a meet not confirmed there is
+    looked up among the stored masks before it is reported.
     """
     violations: list[Violation] = []
     masks = M._flat_masks
     flats = M._flat_list
-    idx_of = M._index_of_mask
 
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            inter = masks[i] & masks[j]
-            if inter not in idx_of:
-                violations.append(
-                    Violation(
-                        "F1",
-                        (flats[i], flats[j]),
-                        f"intersection {sorted(_members_of(inter))} is not a flat",
-                    )
-                )
+    # F1: a cell whose meet is not confirmed may have lost a hash collision.
+    for i, j, _ in _upper_cells(M, 0, len(masks), lambda *span: ~_meet_block(*span)[1]):
+        inter = masks[i] & masks[j]
+        if inter not in M._index_of_mask:
+            detail = f"intersection {sorted(_members_of(inter))} is not a flat"
+            violations.append(Violation("F1", (flats[i], flats[j]), detail))
 
     sup = M._sup_bits
     sub = M._sub_bits
@@ -464,7 +597,9 @@ def verify_rank_axioms(
     allowed for ground sizes up to ``EXHAUSTIVE_LIMIT``).
     ``mode="sampled"`` draws ``trials`` seeded random subset pairs.  In
     both modes submodularity is additionally checked on every pair of
-    flats.  At most a handful of witnesses per axiom are reported.
+    flats: those of negative defect in the pair table, which equals
+    r(A)+r(B)-r(A∪B)-r(A∩B) on pairs that are not nested.  At most a
+    handful of witnesses per axiom are reported.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -476,25 +611,14 @@ def verify_rank_axioms(
     violations: list[Violation] = []
 
     # Submodularity over all pairs of flats, in every mode.
-    masks = M._flat_masks
     grades = M._grade_of_index
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            mi, mj = masks[i], masks[j]
-            inter = mi & mj
-            if inter == mi or inter == mj:
-                continue
-            lhs = M._rank_of_mask(mi | mj) + M._rank_of_mask(inter)
-            if lhs > grades[i] + grades[j]:
-                violations.append(
-                    Violation(
-                        "R3",
-                        (M._flat_list[i], M._flat_list[j]),
-                        f"r(A∪B)+r(A∩B)={lhs} exceeds r(A)+r(B)={grades[i] + grades[j]}",
-                    )
-                )
-                if len(violations) >= _VIOLATION_CAP:
-                    return AxiomReport.from_violations(violations)
+    negative = _upper_cells(M, 0, len(grades), lambda *span: np.minimum(_defect_block(*span), 0))
+    for i, j, d in itertools.islice(negative, _VIOLATION_CAP):
+        bound = grades[i] + grades[j]
+        detail = f"r(A∪B)+r(A∩B)={bound - d} exceeds r(A)+r(B)={bound}"
+        violations.append(Violation("R3", (M._flat_list[i], M._flat_list[j]), detail))
+    if len(violations) >= _VIOLATION_CAP:
+        return AxiomReport.from_violations(violations)
 
     if mode == "exhaustive":
         violations.extend(_exhaustive_rank_violations(M))

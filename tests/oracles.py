@@ -4,12 +4,16 @@ Everything here is deliberately simple and separate from the library's
 own machinery: plain-Python Gaussian elimination over GF(p), uniform
 rank formulas, and closure/rank read straight off a matroid's stored
 flat lists by literal intersection.  Tests compare the library against
-these, never the library against itself.
+these, never the library against itself.  The exception is
+``brute_f1`` and ``brute_flat_r3``: scalar flat-pair loops over the
+library's own closure, the reference the pair table must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from hypermod.core import Violation, _members_of
 
 
 def modp_matrix_rank(rows, p: int) -> int:
@@ -134,3 +138,51 @@ def brute_components(M, ground=None, contracted=()) -> list[frozenset[int]]:
             touching = [b for b in blocks if b & set(combo)]
             blocks = [b for b in blocks if b not in touching] + [frozenset().union(*touching)]
     return sorted(blocks, key=sorted)
+
+
+def brute_f1(M) -> list:
+    """F1 violations of ``verify_flat_axioms``, one flat pair at a time."""
+    violations = []
+    masks = M._flat_masks
+    flats = M._flat_list
+    idx_of = M._index_of_mask
+
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            inter = masks[i] & masks[j]
+            if inter not in idx_of:
+                violations.append(
+                    Violation(
+                        "F1",
+                        (flats[i], flats[j]),
+                        f"intersection {sorted(_members_of(inter))} is not a flat",
+                    )
+                )
+    return violations
+
+
+def brute_flat_r3(M, cap: int = 16) -> list:
+    """Flat-pair R3 violations of ``verify_rank_axioms``, one pair at a time, at most ``cap``."""
+    violations = []
+
+    # Submodularity over all pairs of flats, in every mode.
+    masks = M._flat_masks
+    grades = M._grade_of_index
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            mi, mj = masks[i], masks[j]
+            inter = mi & mj
+            if inter == mi or inter == mj:
+                continue
+            lhs = M._rank_of_mask(mi | mj) + M._rank_of_mask(inter)
+            if lhs > grades[i] + grades[j]:
+                violations.append(
+                    Violation(
+                        "R3",
+                        (M._flat_list[i], M._flat_list[j]),
+                        f"r(A∪B)+r(A∩B)={lhs} exceeds r(A)+r(B)={grades[i] + grades[j]}",
+                    )
+                )
+                if len(violations) >= cap:
+                    return violations
+    return violations

@@ -13,6 +13,7 @@ from hypermod import (
     serialize_matroid,
     uniform,
     vamos,
+    verify_rank_axioms,
 )
 from hypermod.cli import main
 
@@ -76,13 +77,20 @@ def test_analyze_deletion(workdir, capsys):
     assert d["total_defect"] == "49"
 
 
-def test_analyze_pg35_deletion_at_scale(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def pg35m01(tmp_path_factory):
+    """PG(3,5) without two points, and the .mat file it serializes to."""
     D = delete(pg3(5), {0, 1})
+    path = tmp_path_factory.mktemp("scale") / "pg35m01.mat"
+    path.write_text(serialize_matroid(D, name="pg35_minus01"))
+    return D, path
+
+
+def test_analyze_pg35_deletion_at_scale(pg35m01, capsys):
+    D, path = pg35m01
     start = time.perf_counter()
     assert components(D).kappa == 1
     assert time.perf_counter() - start < 2.0
-    path = tmp_path / "pg35m01.mat"
-    path.write_text(serialize_matroid(D, name="pg35_minus01"))
     rc, out = run(capsys, ["analyze", str(path), "--machine"])
     assert rc == 0
     d = machine_dict(out)
@@ -238,6 +246,47 @@ def test_verify_reports_a_flat_axiom_failure(tmp_path, capsys):
     assert d["flat_axioms"] == "fail"
     assert int(d["violations"]) > 0
     assert any(k.startswith("violation_") and v.startswith("F1 ") for k, v in d.items())
+
+
+def test_verify_golden_for_a_flat_nested_downward(tmp_path, capsys):
+    # {0} has grade 2 but lies inside {0,1} of grade 1.  Ground 3 is checked exhaustively.
+    M = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
+    path = tmp_path / "nested.mat"
+    path.write_text(serialize_matroid(M, name="nested"))
+    rc, out = run(capsys, ["verify", str(path), "--machine"])
+    assert rc == 1
+    assert out == "".join(line + "\n" for line in [
+        "flat_axioms fail",
+        "rank_mode exhaustive",
+        "rank_axioms fail",
+        "violations 15",
+        "violation_0 F1 {0,1} {1,2} (intersection [1] is not a flat)",
+        "violation_1 F2 {} {1} {0,1} {1,2} (no unique smallest flat containing the union)",
+        "violation_2 F2 {2} {0} {0,1,2} {1,2} (cover skipped: a flat lies strictly between)",
+        "violation_3 F2 {0} {2} {0,1,2} {0,1} (cover skipped: a flat lies strictly between)",
+        "violation_4 grading {0} (declared grade 2 but longest chain has length 1)",
+        "violation_5 grading {0,1} (declared grade 1 but longest chain has length 2)",
+        "violation_6 R3 {0,1} {2} (r(A∪B)+r(A∩B)=3 exceeds r(A)+r(B)=2)",
+        "violation_7 R3 {0,1} {1,2} (r(A∪B)+r(A∩B)=4 exceeds r(A)+r(B)=3)",
+        "violation_8 R1 {0,2} (rank 3 exceeds cardinality)",
+        "violation_9 R3 {0} {2} (submodularity fails)",
+        "violation_10 R3 {0,1} {2} (submodularity fails)",
+        "violation_11 R3 {0,1} {1,2} (submodularity fails)",
+        "violation_12 R3 {2} {0} (submodularity fails)",
+        "violation_13 R3 {2} {0,1} (submodularity fails)",
+        "violation_14 R3 {1,2} {0,1} (submodularity fails)",
+    ])
+
+
+def test_verify_pg35_deletion_at_scale(pg35m01, capsys):
+    D, path = pg35m01
+    start = time.perf_counter()
+    assert verify_rank_axioms(D, trials=0).passed
+    assert time.perf_counter() - start < 2.0
+    rc, out = run(capsys, ["verify", str(path), "--machine"])
+    assert rc == 0
+    d = machine_dict(out)
+    assert (d["flat_axioms"], d["rank_axioms"], d["violations"]) == ("pass", "pass", "0")
 
 
 def test_iso(workdir, tmp_path, capsys):

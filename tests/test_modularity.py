@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hypermod import (
     Matroid,
@@ -26,15 +26,13 @@ from hypermod import (
     total_modular_defect,
     uniform,
     vamos,
+    verify_flat_axioms,
+    verify_rank_axioms,
 )
-from hypermod import modularity
-from hypermod.modularity import (
-    _defect_block,
-    _defect_by_index,
-    _defective_pairs,
-    _pair_table_inputs,
-)
-from oracles import brute_defect
+from hypermod import core
+from hypermod.core import _defect_block, _defect_by_index, _pair_table
+from hypermod.modularity import _defective_pairs
+from oracles import brute_defect, brute_f1, brute_flat_r3
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
 # one-point deletion of PG(3,2): 28 disjoint (rank-3, rank-2) flags plus
@@ -306,19 +304,18 @@ def test_pair_table_matches_scalar_on_every_pair(
         uniform(3, 6), uniform(4, 6), uniform(0, 2),
     ]
     for M in zoo:
-        assert M._graded
         count = len(M._flat_list)
         # every cell, zeros and the diagonal included
         assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
     # small row blocks, so every scan crosses block boundaries
-    monkeypatch.setattr(modularity, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 40)
     for M in zoo:
         _assert_scan_matches_scalar(M)
 
 
 def test_pair_table_up_sets_are_the_containment_by_grade(pg33, del33ab, vamos_m):
     for M in (pg33, del33ab, vamos_m, uniform(4, 6)):
-        up_sets = _pair_table_inputs(M)[4]
+        up_sets = _pair_table(M)[5]
         for k, grade in enumerate(M.flats_by_rank):
             for i, f in enumerate(M._flat_list):
                 packed = int.from_bytes(up_sets[k][i].tobytes(), "little")
@@ -332,41 +329,49 @@ def _count_scalar_calls(monkeypatch):
         calls.append((i, j))
         return _defect_by_index(M, i, j)
 
-    monkeypatch.setattr(modularity, "_defect_by_index", counted)
+    monkeypatch.setattr(core, "_defect_by_index", counted)
     return calls
 
 
 def test_pair_table_falls_back_per_pair_where_the_meet_is_no_flat(monkeypatch):
     # {0,1,2} and {1,2,3} meet in {1,2}, which is not a stored flat.
     M = Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {1, 2, 3}], [{0, 1, 2, 3}]])
-    assert M._graded
     calls = _count_scalar_calls(monkeypatch)
     assert np.array_equal(_defect_block(M, 0, 8, 0, 8), _scalar_defects(M))
     assert sorted(calls) == [(5, 6), (6, 5)]
 
 
-def test_lattice_with_a_flat_nested_downward_is_scanned_pair_by_pair():
+def test_pair_table_matches_scalar_with_a_flat_nested_downward():
     # {0} has grade 2 but lies inside {0,1} of grade 1, so the closure of
-    # {0} is {0,1}: a stored flat need not be its own closure.  The same
-    # lattice with {0} moved to grade 1 is graded and takes the table.
+    # {0} is {0,1}: a stored flat need not be its own closure, and its
+    # rank (1) is not its grade (2).  The same lattice with {0} moved to
+    # grade 1 is graded.
     nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
     repaired = Matroid(3, [[()], [{0}, {1}, {2}], [{0, 1}, {1, 2}], [{0, 1, 2}]])
-    assert [M._graded for M in (nested, repaired)] == [False, True]
     for M in (nested, repaired):
+        count = len(M._flat_list)
+        assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
         _assert_scan_matches_scalar(M)
 
 
 def test_pair_table_survives_hash_collisions(monkeypatch, pg32):
     # Every mask hashes alike, so each lookup lands on one flat and the
-    # word check must send every other meet to the scalar routine.  The
+    # word check must send every other meet to the scalar routine, and
+    # every other F1 cell to the dictionary of stored masks.  The
     # matroids are built here, so no lookup table is cached yet.
-    monkeypatch.setattr(modularity, "_mix", lambda h: h & np.uint64(0))
+    monkeypatch.setattr(core, "_mix", lambda h: h & np.uint64(0))
     calls = _count_scalar_calls(monkeypatch)
-    for M in (delete(pg32, {0}), vamos(), uniform(3, 6)):
+    grades = [list(g) for g in pg32.flats_by_rank]
+    grades[2].pop(0)
+    holey = Matroid(15, grades)
+    for M in (delete(pg32, {0}), vamos(), uniform(3, 6), holey):
         calls.clear()
         count = len(M._flat_list)
         assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
         assert calls
+        f1 = [v for v in verify_flat_axioms(M).violations if v.axiom == "F1"]
+        assert f1 == brute_f1(M)
+    assert brute_f1(holey)
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,5 +382,44 @@ def test_pair_table_matches_scalar_on_random_deletions(pg32, pg33, vamos_m, data
         st.lists(st.integers(0, base.ground_size - 1), min_size=1, max_size=2, unique=True)
     )
     M = delete(base, set(removed))
-    assert M._graded
     _assert_scan_matches_scalar(M)
+
+
+@st.composite
+def _small_families(draw):
+    """Families the constructor accepts, lattices or not: 2-8 proper subsets at random grades.
+
+    Half of the bottom flats are nonempty, so flats can nest inside grade 0 too.
+    """
+    n, r = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    proper = st.integers(1, (1 << n) - 2)
+    bottom = draw(st.one_of(st.just(0), proper))
+    masks = draw(st.lists(proper, min_size=2, max_size=8, unique=True))
+    grades = [[bottom]] + [[] for _ in range(r - 1)] + [[(1 << n) - 1]]
+    for m in masks:
+        grades[draw(st.integers(1, r - 1))].append(m)
+    grades = [[[e for e in range(n) if m >> e & 1] for m in grade] for grade in grades]
+    try:
+        return Matroid(n, grades)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_small_families())
+# {0,1} and {1,2} meet in {1} and join inside the bottom flat: a join of grade 0.
+@example(M=Matroid(4, [[{0, 1, 2}], [{1}], [{0, 1}, {1, 2}], [range(4)]]))
+def test_pair_table_is_exact_on_any_accepted_family(M):
+    count = len(M._flat_list)
+    assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
+    assert list(verify_rank_axioms(M, trials=0).violations) == brute_flat_r3(M)
+    f1 = [v for v in verify_flat_axioms(M).violations if v.axiom == "F1"]
+    assert f1 == brute_f1(M)
+
+
+def test_flat_pair_r3_keeps_the_violation_cap():
+    # Eight points whose joins all jump to grade 4: 28 pairs of defect -2.
+    M = Matroid(8, [[()], [{e} for e in range(8)], [], [], [range(8)]])
+    violations = list(verify_rank_axioms(M, trials=0).violations)
+    assert violations == brute_flat_r3(M) == brute_flat_r3(M, cap=28)[:16]
+    assert len(brute_flat_r3(M, cap=28)) == 28
