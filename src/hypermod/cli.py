@@ -10,6 +10,7 @@ human report also appears there.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -84,6 +85,32 @@ def _parse_flat(text: str) -> frozenset[int]:
         raise ValueError(f"bad element list {text!r}") from None
 
 
+# ``generate`` builds whole lattices, so past this many flats or elements it
+# would run for hours or exhaust memory.  PG(3,7) has 3652 flats.
+GENERATE_LIMIT = 5000
+
+
+def _too_large(args) -> bool:
+    """Whether the lattice ``generate`` is asked for is past ``GENERATE_LIMIT``.
+
+    Flats and elements are counted in closed form, before anything is
+    built; the sum over uniform grades stops once it passes the limit.
+    """
+    if args.kind == "pg3":
+        q = args.q
+        size = 2 + 2 * (q**3 + q**2 + q + 1) + (q**2 + 1) * (q**2 + q + 1)
+    else:
+        size = 1
+        for k in range(args.r):
+            size += math.comb(args.n, k)
+            if size > GENERATE_LIMIT:
+                break
+        size = max(size, args.n)
+    if size > GENERATE_LIMIT:
+        print(f"error: generate builds at most {GENERATE_LIMIT} flats or elements", file=sys.stderr)
+    return size > GENERATE_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -98,6 +125,8 @@ def cmd_generate(args) -> int:
         if not realize.is_prime(args.q):
             print(f"error: q must be prime, got {args.q}", file=sys.stderr)
             return USAGE_ERROR
+        if _too_large(args):
+            return USAGE_ERROR
         cfg = realize.pg3_points(args.q)
         M = realize.matroid_from_points(cfg)
         if args.pts:
@@ -109,6 +138,8 @@ def cmd_generate(args) -> int:
             return USAGE_ERROR
         if not (0 <= args.r <= args.n):
             print(f"error: need 0 <= r <= n, got r={args.r}, n={args.n}", file=sys.stderr)
+            return USAGE_ERROR
+        if _too_large(args):
             return USAGE_ERROR
         M = realize.uniform(args.r, args.n)
     else:
@@ -250,16 +281,16 @@ def cmd_verify(args) -> int:
     _require_count("--trials", args.trials)
     # The flat axioms are checked once, below, so a failure is reported, not a parse error.
     M = matio.parse_matroid(Path(args.path).read_text(), verify=False)
+    if args.exhaustive and M.ground_size > core.EXHAUSTIVE_LIMIT:
+        print(
+            f"error: exhaustive mode is limited to {core.EXHAUSTIVE_LIMIT} elements",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     rep = Report(args.machine)
     flat_report = core.verify_flat_axioms(M)
     rep.add("flat_axioms", "pass" if flat_report.passed else "fail")
     if args.exhaustive or (args.seed is None and M.ground_size <= core.EXHAUSTIVE_LIMIT):
-        if M.ground_size > core.EXHAUSTIVE_LIMIT:
-            print(
-                f"error: exhaustive mode is limited to {core.EXHAUSTIVE_LIMIT} elements",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
         rank_report = core.verify_rank_axioms(M, mode="exhaustive")
         rep.add("rank_mode", "exhaustive")
     else:

@@ -12,8 +12,9 @@ flats are mirrored as integer bitmasks, which keeps closure and rank
 queries cheap even for lattices with a few hundred flats.  The
 constructor also builds the containment order of the stored flats once,
 as bits over flat indices (:func:`_flat_relation`); the shape check,
-:func:`verify_flat_axioms`, :func:`contract` and the pair table all read
-it.  Connectivity comes from one basis: :func:`components` merges the
+:func:`contract`, the pair table and :func:`verify_flat_axioms` all read
+it, the last to find the covers of every flat for the cover axiom F2.
+Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.
 
@@ -274,18 +275,6 @@ class Matroid:
             starts.append(starts[-1] + len(grade))
         return tuple(starts)
 
-    @cached_property
-    def _sub_bits(self) -> list[int]:
-        """Transpose of ``_sup_bits``: flats contained in F_i (self included)."""
-        sub = [0] * len(self._flat_masks)
-        for i, bits in enumerate(self._sup_bits):
-            b = bits
-            while b:
-                low = b & -b
-                sub[low.bit_length() - 1] |= 1 << i
-                b ^= low
-        return sub
-
 
 def _flat_relation(n: int, masks: list[int]) -> tuple[list[int], list[int]]:
     """Element and containment bits of a family of subsets of ``0..n-1``.
@@ -497,13 +486,19 @@ def flats_of_rank(M: Matroid, k: int) -> tuple[ElementSet, ...]:
 def verify_flat_axioms(M: Matroid) -> AxiomReport:
     """Check the lattice axioms on the stored flats.
 
-    Verifies closure under pairwise intersection, the cover property
-    (for every flat F and element s outside it there is a unique
-    smallest flat containing F and s, with nothing strictly between),
-    and that every declared grade equals the longest chain length from
+    F1: the intersection of two flats is a flat.  It reads the meets of
+    the pair table; a meet not confirmed there is looked up among the
+    stored masks before it is reported.
+
+    F2, the cover axiom (Oxley, *Matroid Theory*, 2nd ed., §1.4, F3):
+    the covers of each flat F, its minimal flats strictly above, hold
+    every element outside F.  Each element s that none holds is reported
+    as (F, {s}), in flat order and then element order.  No overlap test
+    is needed: given F1, two covers G1 != G2 holding s would meet in a
+    flat strictly between F and G1.
+
+    Grading: every declared grade equals the longest chain length from
     the bottom flat.  Violations are reported, never thrown.
-    F1 reads the meets of the pair table; a meet not confirmed there is
-    looked up among the stored masks before it is reported.
     """
     violations: list[Violation] = []
     masks = M._flat_masks
@@ -516,50 +511,20 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
             detail = f"intersection {sorted(_members_of(inter))} is not a flat"
             violations.append(Violation("F1", (flats[i], flats[j]), detail))
 
+    # F2: a flat strictly above F is a cover unless it is strictly above
+    # another flat strictly above F.
     sup = M._sup_bits
-    sub = M._sub_bits
-    for i, fmask in enumerate(masks):
-        outside = _ground_mask(M) & ~fmask
-        s_mask = outside
-        while s_mask:
-            low = s_mask & -s_mask
-            s_mask ^= low
-            s = low.bit_length() - 1
-            cand = sup[i] & M._elem_flatbits[s]
-            if cand == 0:
-                violations.append(
-                    Violation("F2", (flats[i], frozenset([s])), "no flat contains the union")
-                )
-                continue
-            minimal = []
-            b = cand
-            while b:
-                lowb = b & -b
-                b ^= lowb
-                j = lowb.bit_length() - 1
-                if cand & sub[j] == lowb:
-                    minimal.append(j)
-            if len(minimal) != 1:
-                wit = tuple(flats[j] for j in minimal[:3])
-                violations.append(
-                    Violation(
-                        "F2",
-                        (flats[i], frozenset([s])) + wit,
-                        "no unique smallest flat containing the union",
-                    )
-                )
-                continue
-            top = minimal[0]
-            between = sup[i] & sub[top] & ~(1 << i) & ~(1 << top)
-            if between:
-                g = _lsb_index(between)
-                violations.append(
-                    Violation(
-                        "F2",
-                        (flats[i], frozenset([s]), flats[top], flats[g]),
-                        "cover skipped: a flat lies strictly between",
-                    )
-                )
+    strictly_above = [up ^ (1 << i) for i, up in enumerate(sup)]
+    for i, above in enumerate(strictly_above):
+        skipped = 0
+        for j in _bits(above):
+            skipped |= strictly_above[j]
+        held = masks[i]
+        for j in _bits(above & ~skipped):
+            held |= masks[j]
+        for s in _bits(_ground_mask(M) & ~held):
+            detail = "no cover of the flat holds the element"
+            violations.append(Violation("F2", (flats[i], frozenset([s])), detail))
 
     # Declared grades vs longest chains from the bottom flat.
     chain = _chain_lengths(masks, sup)

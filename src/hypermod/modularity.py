@@ -61,7 +61,7 @@ def is_modular_pair(M: Matroid, a, b) -> bool:
 def is_modular_flat(M: Matroid, flat) -> bool:
     """Whether the flat has defect zero against every flat of the matroid."""
     i = M._flat_index(flat)
-    return all(_defect_by_index(M, i, j) == 0 for j in range(len(M._flat_masks)) if j != i)
+    return not _defect_block(M, i, i + 1, 0, len(M._flat_masks)).any()
 
 
 def is_modular(M: Matroid) -> bool:

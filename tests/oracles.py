@@ -6,7 +6,8 @@ rank formulas, and closure/rank read straight off a matroid's stored
 flat lists by literal intersection.  Tests compare the library against
 these, never the library against itself.  The exception is
 ``brute_f1`` and ``brute_flat_r3``: scalar flat-pair loops over the
-library's own closure, the reference the pair table must reproduce.
+library's own closure, the reference the pair table must reproduce; and
+``brute_f2``, the per-(flat, element) walk the cover axiom replaced.
 """
 
 from __future__ import annotations
@@ -159,6 +160,71 @@ def brute_f1(M) -> list:
                     )
                 )
     return violations
+
+
+def brute_f2(M) -> list:
+    """F2 violations of the per-(flat, element) walk that ``verify_flat_axioms`` replaced.
+
+    For every flat F and element s outside it: the flats holding F and s
+    must have a unique minimal member, with no flat strictly between it
+    and F.  Where F1 holds, it flags the same (F, {s}) pairs as the cover
+    axiom; where F1 fails, a superset of them.
+    """
+    violations = []
+    masks = M._flat_masks
+    flats = M._flat_list
+    sup = brute_containment(M)
+    sub = [sum(1 << i for i, up in enumerate(sup) if up >> j & 1) for j in range(len(sup))]
+    for i, fmask in enumerate(masks):
+        outside = ((1 << M.ground_size) - 1) & ~fmask
+        s_mask = outside
+        while s_mask:
+            low = s_mask & -s_mask
+            s_mask ^= low
+            s = low.bit_length() - 1
+            cand = sup[i] & M._elem_flatbits[s]
+            if cand == 0:
+                violations.append(
+                    Violation("F2", (flats[i], frozenset([s])), "no flat contains the union")
+                )
+                continue
+            minimal = []
+            b = cand
+            while b:
+                lowb = b & -b
+                b ^= lowb
+                j = lowb.bit_length() - 1
+                if cand & sub[j] == lowb:
+                    minimal.append(j)
+            if len(minimal) != 1:
+                wit = tuple(flats[j] for j in minimal[:3])
+                violations.append(
+                    Violation(
+                        "F2",
+                        (flats[i], frozenset([s])) + wit,
+                        "no unique smallest flat containing the union",
+                    )
+                )
+                continue
+            top = minimal[0]
+            between = sup[i] & sub[top] & ~(1 << i) & ~(1 << top)
+            if between:
+                g = (between & -between).bit_length() - 1
+                violations.append(
+                    Violation(
+                        "F2",
+                        (flats[i], frozenset([s]), flats[top], flats[g]),
+                        "cover skipped: a flat lies strictly between",
+                    )
+                )
+    return violations
+
+
+def brute_flat_verdict(M) -> bool:
+    """Whether F1, the F2 walk and the grading all hold, each read off its oracle."""
+    chain = brute_chain_lengths(M._flat_list)
+    graded = all(chain[f] == k for k, grade in enumerate(M.flats_by_rank) for f in grade)
+    return graded and not brute_f1(M) and not brute_f2(M)
 
 
 def brute_flat_r3(M, cap: int = 16) -> list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import time
 
 import pytest
@@ -15,7 +16,8 @@ from hypermod import (
     vamos,
     verify_rank_axioms,
 )
-from hypermod.cli import main
+from hypermod import core
+from hypermod.cli import _too_large, main
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,31 @@ def test_generate_vamos_analyze(tmp_path, capsys):
 
 def test_generate_rejects_nonprime(capsys):
     assert main(["generate", "pg3", "--q", "4", "-o", "/tmp/never.mat"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pg3", "--q", "1000003"],  # prime: q^4 candidate vectors
+        ["uniform", "--r", "12", "--n", "60"],  # about 10^11 flats
+        ["uniform", "--r", "1", "--n", "10000000000"],  # two flats on a huge ground set
+    ],
+)
+def test_generate_refuses_a_lattice_past_the_limit(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    rc = main(["generate", *argv, "-o", str(tmp_path / "never.mat")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "at most" in capsys.readouterr().err
+    assert not (tmp_path / "never.mat").exists()
+
+
+def test_generate_admits_the_largest_fixtures():
+    # PG(3,7) has 3652 flats, U(4,14) 471 and U(12,12) 4096.
+    admitted = [("pg3", 7, None, None), ("uniform", None, 4, 14), ("uniform", None, 12, 12)]
+    for kind, q, r, n in admitted:
+        assert not _too_large(argparse.Namespace(kind=kind, q=q, r=r, n=n))
+    assert _too_large(argparse.Namespace(kind="uniform", q=None, r=13, n=13))
 
 
 def test_analyze_deletion(workdir, capsys):
@@ -234,6 +261,18 @@ def test_verify_negative_trials_is_usage_error(workdir, capsys):
     assert "--trials must be nonnegative" in captured.err
 
 
+def test_verify_refuses_exhaustive_before_checking(workdir, capsys, monkeypatch):
+    def unreachable(M):
+        raise AssertionError("verify_flat_axioms ran before the ground size was checked")
+
+    monkeypatch.setattr(core, "verify_flat_axioms", unreachable)
+    rc = main(["verify", str(workdir / "pg32.mat"), "--exhaustive", "--machine"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "exhaustive mode is limited to 14 elements" in captured.err
+
+
 def test_verify_reports_a_flat_axiom_failure(tmp_path, capsys):
     # Without one line, the two planes through it meet in no stored flat.
     grades = [list(g) for g in pg3(2).flats_by_rank]
@@ -261,9 +300,9 @@ def test_verify_golden_for_a_flat_nested_downward(tmp_path, capsys):
         "rank_axioms fail",
         "violations 15",
         "violation_0 F1 {0,1} {1,2} (intersection [1] is not a flat)",
-        "violation_1 F2 {} {1} {0,1} {1,2} (no unique smallest flat containing the union)",
-        "violation_2 F2 {2} {0} {0,1,2} {1,2} (cover skipped: a flat lies strictly between)",
-        "violation_3 F2 {0} {2} {0,1,2} {0,1} (cover skipped: a flat lies strictly between)",
+        "violation_1 F2 {} {1} (no cover of the flat holds the element)",
+        "violation_2 F2 {2} {0} (no cover of the flat holds the element)",
+        "violation_3 F2 {0} {2} (no cover of the flat holds the element)",
         "violation_4 grading {0} (declared grade 2 but longest chain has length 1)",
         "violation_5 grading {0,1} (declared grade 1 but longest chain has length 2)",
         "violation_6 R3 {0,1} {2} (r(A∪B)+r(A∩B)=3 exceeds r(A)+r(B)=2)",

@@ -33,6 +33,9 @@ from oracles import (
     brute_closure,
     brute_components,
     brute_containment,
+    brute_f1,
+    brute_f2,
+    brute_flat_verdict,
     brute_rank,
     modp_span_members,
     pg_point_list,
@@ -171,6 +174,12 @@ def test_containment_bits_match_brute_force(
     zoo = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
     for M in zoo + [uniform(3, 6), uniform(0, 2)] + corrupt:
         assert M._sup_bits == brute_containment(M)
+        # and the flat axioms, which read the containment bits, against the walk
+        report = verify_flat_axioms(M)
+        assert report.passed == brute_flat_verdict(M)
+        if not brute_f1(M):
+            f2 = [v.witnesses for v in report.violations if v.axiom == "F2"]
+            assert f2 == [v.witnesses[:2] for v in brute_f2(M)]
 
 
 def test_rank_axioms_exhaustive_uniform():

@@ -32,7 +32,7 @@ from hypermod import (
 from hypermod import core
 from hypermod.core import _defect_block, _defect_by_index, _pair_table
 from hypermod.modularity import _defective_pairs
-from oracles import brute_defect, brute_f1, brute_flat_r3
+from oracles import brute_defect, brute_f1, brute_f2, brute_flat_r3, brute_flat_verdict
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
 # one-point deletion of PG(3,2): 28 disjoint (rank-3, rank-2) flags plus
@@ -260,6 +260,8 @@ def test_defect_answers_match_the_oracle(
         assert report.total == total
         assert report.pair_defects == {pair_key(a, b): d for (a, b), d in positive.items()}
         assert is_modular(M) == (total == 0)
+        for f in flats:
+            assert is_modular_flat(M, f) == all(brute_defect(M, f, g) == 0 for g in flats)
         if M.rank < 3:
             continue
         tops = set(M.flats_by_rank[M.rank - 1])
@@ -405,16 +407,58 @@ def _small_families(draw):
         assume(False)
 
 
+def _assert_flat_axioms_match_the_walk(M):
+    """The oracles' verdict, and the walk's F2 pairs, or a subsequence of them where F1 fails."""
+    report = verify_flat_axioms(M)
+    assert report.passed == brute_flat_verdict(M)
+    f2 = [v.witnesses for v in report.violations if v.axiom == "F2"]
+    walk = iter(v.witnesses[:2] for v in brute_f2(M))
+    if brute_f1(M):
+        assert all(pair in walk for pair in f2)
+    else:
+        assert f2 == list(walk)
+
+
 @settings(max_examples=300, deadline=None)
 @given(M=_small_families())
 # {0,1} and {1,2} meet in {1} and join inside the bottom flat: a join of grade 0.
 @example(M=Matroid(4, [[{0, 1, 2}], [{1}], [{0, 1}, {1, 2}], [range(4)]]))
+# Graded, and the covers {0,1} and {0,2} of the bottom flat hold everything,
+# but they meet in {0}, which is no flat: only F1 fails.
+@example(M=Matroid(3, [[()], [{0, 1}, {0, 2}], [{0, 1, 2}]]))
 def test_pair_table_is_exact_on_any_accepted_family(M):
     count = len(M._flat_list)
     assert np.array_equal(_defect_block(M, 0, count, 0, count), _scalar_defects(M))
     assert list(verify_rank_axioms(M, trials=0).violations) == brute_flat_r3(M)
     f1 = [v for v in verify_flat_axioms(M).violations if v.axiom == "F1"]
     assert f1 == brute_f1(M)
+    _assert_flat_axioms_match_the_walk(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flat_axioms_match_the_walk_on_mutated_lattices(pg32, del32, vamos_m, data):
+    """One flat of a known lattice dropped, moved to another grade, or with one element toggled.
+
+    Only grades strictly between the bottom and the top change, since the
+    constructor pins those two to one flat each.  About 30 % of the
+    families it accepts pass F1 but fail F2.
+    """
+    base = data.draw(st.sampled_from([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
+    grades = [list(g) for g in base.flats_by_rank]
+    k = data.draw(st.integers(1, base.rank - 1))
+    flat = data.draw(st.sampled_from(grades[k]))
+    kind = data.draw(st.sampled_from(["drop", "move", "toggle"]))
+    grades[k].remove(flat)
+    if kind == "move":
+        grades[data.draw(st.integers(1, base.rank - 1).filter(lambda g: g != k))].append(flat)
+    elif kind == "toggle":
+        grades[k].append(flat ^ {data.draw(st.integers(0, base.ground_size - 1))})
+    try:
+        M = Matroid(base.ground_size, grades)
+    except ValueError:
+        assume(False)
+    _assert_flat_axioms_match_the_walk(M)
 
 
 def test_flat_pair_r3_keeps_the_violation_cap():
