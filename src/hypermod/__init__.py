@@ -4,8 +4,8 @@ Represents finite matroids by their graded lattice of flats, decides
 modularity and hypermodularity, and — for loopless rank-4 hypermodular
 matroids — performs the single-element extensions that strictly shrink
 the total modular defect, iterating them to a modular completion.
-Point configurations over prime fields supply realizable fixtures such
-as PG(3,2) and PG(3,3).
+Point configurations over prime fields up to 3037000500 (exact int64
+arithmetic) supply realizable fixtures such as PG(3,q) for prime q <= 7.
 """
 
 from .core import (

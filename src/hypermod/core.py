@@ -256,9 +256,6 @@ class Matroid:
     def _rank_of_mask(self, mask: int) -> int:
         return self._grade_of_index[self._closure_index(mask)]
 
-    def _is_flat_mask(self, mask: int) -> bool:
-        return mask in self._index_of_mask
-
     def _flat_index(self, flat: Iterable[int]) -> int:
         """Position of ``flat`` in the global flat order; ValueError if it is not a flat."""
         mask = self._subset_mask(flat)
@@ -329,6 +326,11 @@ def _chain_lengths(masks: list[int], sup: list[int]) -> list[int]:
 _BLOCK_CELLS = 1 << 14
 
 
+def _join_index(M: Matroid, i: int, j: int) -> int:
+    """Index of the closure of flats i and j: the first flat holding both."""
+    return _lsb_index(M._sup_bits[i] & M._sup_bits[j])
+
+
 def _defect_by_index(M: Matroid, i: int, j: int) -> int:
     """r(A)+r(B)-r(A∪B)-r(A∩B) of flats i and j, with declared r(A), r(B); 0 if nested."""
     mi, mj = M._flat_masks[i], M._flat_masks[j]
@@ -336,8 +338,7 @@ def _defect_by_index(M: Matroid, i: int, j: int) -> int:
     if inter == mi or inter == mj:
         return 0
     grade = M._grade_of_index
-    join = _lsb_index(M._sup_bits[i] & M._sup_bits[j])
-    return grade[i] + grade[j] - grade[join] - M._rank_of_mask(inter)
+    return grade[i] + grade[j] - grade[_join_index(M, i, j)] - M._rank_of_mask(inter)
 
 
 def _mix(h: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 A loopless rank-4 hypermodular matroid that is not modular has a
 disjoint flag: a rank-3 flat and a rank-2 flat with empty intersection.
-Around one flag we assemble an :class:`ExtensionContext`:
+Around one flag we assemble an :class:`ExtensionContext`, computed on
+flat indices with joins read off the containment relation:
 
 * the *pencil*: all rank-3 flats containing the flag's rank-2 flat
   (they tile the ground set, overlapping only in that flat);
@@ -26,14 +27,15 @@ repeats the step until no disjoint flag is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import combinations
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     AxiomReport,
     ElementSet,
     Matroid,
     Violation,
-    closure,
+    _join_index,
     flat_key,
     restrict,
     verify_flat_axioms,
@@ -116,12 +118,19 @@ def _require_extendable(M: Matroid) -> None:
         raise ValueError("extension requires a hypermodular matroid")
 
 
-def _require_flat_of_rank(M: Matroid, flat, k: int) -> ElementSet:
+def _require_flat_of_rank(M: Matroid, flat, k: int) -> int:
     idx = M._flat_index(flat)
-    f = M._flat_list[idx]
-    if M._grade_of_index[idx] != k:
-        raise ValueError(f"{sorted(f)} has rank {M._grade_of_index[idx]}, expected {k}")
-    return f
+    grade = M._grade_of_index[idx]
+    if grade != k:
+        raise ValueError(f"{sorted(M._flat_list[idx])} has rank {grade}, expected {k}")
+    return idx
+
+
+def _star_line_pairs(M: Matroid, lines) -> Iterator[tuple[ElementSet, ElementSet, int]]:
+    """Each pair of ``lines`` in canonical order, with the index of its join."""
+    indexed = [(x, M._flat_index(x)) for x in lines]
+    for (a, i), (b, j) in combinations(indexed, 2):
+        yield a, b, _join_index(M, i, j)
 
 
 def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
@@ -131,84 +140,73 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     (rank-3, rank-2) flat pair.  The structural consequences that are
     forced for such input (pencil size >= 3, pencil members tiling the
     ground set and overlapping pairwise only in the flag's rank-2 flat,
-    traces tiling the rank-3 flat, star planes arising as joins of star
-    lines) are all re-checked; their failure aborts loudly since it
-    means the input was not what it claimed to be.
+    star planes arising as joins of star lines) are all re-checked;
+    their failure aborts loudly since it means the input was not what it
+    claimed to be.
     """
     _require_extendable(M)
-    f3 = _require_flat_of_rank(M, flat3, 3)
-    f2 = _require_flat_of_rank(M, flat2, 2)
-    if f3 & f2:
+    i3 = _require_flat_of_rank(M, flat3, 3)
+    i2 = _require_flat_of_rank(M, flat2, 2)
+    flats, masks = M._flat_list, M._flat_masks
+    m3, m2 = masks[i3], masks[i2]
+    if m3 & m2:
         raise ValueError("the two flats of a flag must be disjoint")
 
-    pencil = tuple(a for a in M.flats_by_rank[3] if f2 <= a)
-    traces = [f2]
+    planes = range(*M._grade_starts[3:5])
+    pencil = [a for a in planes if M._sup_bits[i2] >> a & 1]
+    traces = [i2]
     for a in pencil:
-        t = a & f3
-        if not M._is_flat_mask(M._subset_mask(t)) or len(t) == 0:
+        t = masks[a] & m3
+        if t not in M._index_of_mask or not t:
             raise InternalConsistencyError(
-                f"pencil member {sorted(a)} meets the flag's rank-3 flat in a non-flat"
+                f"pencil member {sorted(flats[a])} meets the flag's rank-3 flat in a non-flat"
             )
-        traces.append(t)
+        traces.append(M._index_of_mask[t])
 
     n = len(pencil)
     if n < 3:
         raise InternalConsistencyError(f"pencil has {n} members, expected at least 3")
-    flag_union = f3 | f2
-    covered: set[int] = set()
-    residues = [a - f2 for a in pencil]
-    for i, res in enumerate(residues):
-        if covered & res:
+    flag_mask = m3 | m2
+    covered = 0
+    for a in pencil:
+        residue = masks[a] & ~m2
+        if covered & residue:
             raise InternalConsistencyError("pencil residues are not pairwise disjoint")
-        covered |= res
-        if not (pencil[i] - flag_union):
+        covered |= residue
+        if not masks[a] & ~flag_mask:
             raise InternalConsistencyError(
-                f"pencil member {sorted(pencil[i])} adds nothing beyond the flag"
+                f"pencil member {sorted(flats[a])} adds nothing beyond the flag"
             )
-    if covered | f2 != M.ground_set:
+    if covered | m2 != (1 << M.ground_size) - 1:
         raise InternalConsistencyError("pencil does not cover the ground set")
-    if frozenset().union(*traces[1:]) != f3:
-        raise InternalConsistencyError("traces do not tile the flag's rank-3 flat")
 
-    flag_mask = M._subset_mask(flag_union)
-    cross_lines = tuple(
+    cross_lines = [
         x
-        for x in M.flats_by_rank[2]
-        if not M._subset_mask(x) & flag_mask and len(join_spectrum(M, x, traces, 3)) >= 2
-    )
-    star_lines = tuple(sorted(cross_lines + tuple(traces), key=flat_key))
-    star_planes = tuple(x for x in M.flats_by_rank[3] if any(t <= x for t in traces))
-    if not set(star_planes) <= set(_star_line_joins(M, star_lines)):
+        for x in range(*M._grade_starts[2:4])
+        if not masks[x] & flag_mask
+        and sum(j in planes for j in {_join_index(M, x, t) for t in traces}) >= 2
+    ]
+    star_lines = tuple(sorted((flats[x] for x in cross_lines + traces), key=flat_key))
+    star_planes = [x for x in planes if any(M._sup_bits[t] >> x & 1 for t in traces)]
+    if not set(star_planes) <= {join for _, _, join in _star_line_pairs(M, star_lines)}:
         raise InternalConsistencyError("a star plane is not a join of two star lines")
     return ExtensionContext(
         matroid=M,
-        flat3=f3,
-        flat2=f2,
-        pencil=pencil,
-        traces=tuple(traces),
-        cross_lines=cross_lines,
+        flat3=flats[i3],
+        flat2=flats[i2],
+        pencil=tuple(flats[a] for a in pencil),
+        traces=tuple(flats[t] for t in traces),
+        cross_lines=tuple(flats[x] for x in cross_lines),
         star_lines=star_lines,
-        star_planes=star_planes,
+        star_planes=tuple(flats[x] for x in star_planes),
     )
 
 
 def join_spectrum(M: Matroid, flat, family, k: int) -> set[ElementSet]:
     """Closures of ``flat`` with each member of ``family`` whose union has rank ``k``."""
-    fmask = M._flat_masks[M._flat_index(flat)]
-    out = set()
-    for t in family:
-        idx = M._closure_index(fmask | M._flat_masks[M._flat_index(t)])
-        if M._grade_of_index[idx] == k:
-            out.add(M._flat_list[idx])
-    return out
-
-
-def _star_line_joins(M: Matroid, lines: tuple[ElementSet, ...]) -> list[ElementSet]:
-    out = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            out.append(closure(M, lines[i] | lines[j]))
-    return out
+    i = M._flat_index(flat)
+    joins = {_join_index(M, i, M._flat_index(t)) for t in family}
+    return {M._flat_list[j] for j in joins if M._grade_of_index[j] == k}
 
 
 def criterion_holds(M: Matroid, ctx: ExtensionContext) -> CriterionResult:
@@ -217,12 +215,12 @@ def criterion_holds(M: Matroid, ctx: ExtensionContext) -> CriterionResult:
     On failure the witness is the first (canonical order) pair of star
     lines whose join escapes the star planes.
     """
-    planes = set(ctx.star_planes)
-    lines = ctx.star_lines
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if closure(M, lines[i] | lines[j]) not in planes:
-                return CriterionResult(False, (lines[i], lines[j]))
+    if ctx.matroid != M:
+        raise ValueError("context was built for a different matroid")
+    planes = {M._flat_index(x) for x in ctx.star_planes}
+    for a, b, join in _star_line_pairs(M, ctx.star_lines):
+        if join not in planes:
+            return CriterionResult(False, (a, b))
     return CriterionResult(True, None)
 
 
@@ -239,24 +237,20 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
         raise ValueError(f"criterion does not hold; witness {verdict.witness}")
     violations: list[Violation] = []
     lines = ctx.star_lines
-    planes = set(ctx.star_planes)
+    planes = {M._flat_index(x) for x in ctx.star_planes}
 
-    joins = set(_star_line_joins(M, lines))
+    joins = {join for _, _, join in _star_line_pairs(M, lines)}
     if joins != planes:
-        diff = (joins - planes) | (planes - joins)
+        diff = (M._flat_list[x] for x in joins ^ planes)
         violations.append(
             Violation("star-planes-equality", tuple(sorted(diff, key=flat_key)),
                       "star planes differ from pairwise star-line joins")
         )
+    for a, b in combinations(lines, 2):
+        if a & b:
+            violations.append(Violation("star-lines-disjoint", (a, b), "two star lines intersect"))
 
     seen: set[int] = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if lines[i] & lines[j]:
-                violations.append(
-                    Violation("star-lines-disjoint", (lines[i], lines[j]),
-                              "two star lines intersect")
-                )
     for x in lines:
         seen |= x
     if frozenset(seen) != M.ground_set:

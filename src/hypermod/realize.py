@@ -3,11 +3,12 @@
 A :class:`PointConfig` holds homogeneous coordinate vectors over GF(p).
 Its matroid is built bottom-up: each grade-(k+1) flat is the set of
 points inside the linear span of a grade-k flat plus one more point,
-with span membership decided by exact Gaussian elimination mod p.
+with span membership decided by Gaussian elimination mod p in int64.
+That is exact while (p - 1)^2 < 2^63, so :func:`matroid_from_points`
+rejects primes above ``_EXACT_PRIME_LIMIT`` = 3037000500.
 
-Only prime field orders are supported; the fixtures used here (the
-projective spaces PG(3,2) and PG(3,3), uniform matroids, the Vámos
-matroid) never need extension fields.
+Only prime field orders are supported; the fixtures (PG(3,q) for prime
+q up to 7, uniform matroids, the Vámos matroid) never need extension fields.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import ElementSet, Matroid
 # below this bound (Sorenson and Webster, 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIMALITY_LIMIT = 3317044064679887385961981
+_EXACT_PRIME_LIMIT = 3037000500  # the largest p with (p - 1)**2 < 2**63
 
 
 def is_prime(p: int) -> bool:
@@ -127,6 +129,8 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     """
     n = len(cfg.points)
     p = cfg.prime
+    if p > _EXACT_PRIME_LIMIT:
+        raise ValueError(f"field order {p} exceeds {_EXACT_PRIME_LIMIT}, the int64-exact bound")
     pts = np.array(cfg.points, dtype=np.int64) % p
     full = frozenset(range(n))
     grades: list[list[ElementSet]] = [[frozenset()]]

@@ -8,6 +8,10 @@ these, never the library against itself.  The exception is
 ``brute_f1`` and ``brute_flat_r3``: scalar flat-pair loops over the
 library's own closure, the reference the pair table must reproduce; and
 ``brute_f2``, the per-(flat, element) walk the cover axiom replaced.
+The extension oracles (``brute_context``, ``brute_criterion``,
+``brute_star_violations``, ``brute_join_spectrum``) are the frozenset
+path the index-based extension layer replaced, with every join taken by
+``brute_closure``.
 """
 
 from __future__ import annotations
@@ -251,4 +255,86 @@ def brute_flat_r3(M, cap: int = 16) -> list:
                 )
                 if len(violations) >= cap:
                     return violations
+    return violations
+
+
+def brute_join_spectrum(M, flat, family, k: int) -> set[frozenset[int]]:
+    """Closures of ``flat`` with each member of ``family`` whose union has rank ``k``."""
+    joins = {brute_closure(M, frozenset(flat) | frozenset(t)) for t in family}
+    return {j for j in joins if brute_rank(M, j) == k}
+
+
+def brute_context(M, f3, f2) -> dict:
+    """The public fields of ``build_context`` on one disjoint flag, by subset tests."""
+    pencil = tuple(a for a in M.flats_by_rank[3] if f2 <= a)
+    traces = (f2,) + tuple(a & f3 for a in pencil)
+    cross_lines = tuple(
+        x
+        for x in M.flats_by_rank[2]
+        if not x & (f3 | f2) and len(brute_join_spectrum(M, x, traces, 3)) >= 2
+    )
+    return {
+        "flat3": f3,
+        "flat2": f2,
+        "pencil": pencil,
+        "traces": traces,
+        "cross_lines": cross_lines,
+        "star_lines": tuple(sorted(cross_lines + traces, key=sorted)),
+        "star_planes": tuple(x for x in M.flats_by_rank[3] if any(t <= x for t in traces)),
+    }
+
+
+def brute_criterion(M, star_lines, star_planes) -> tuple:
+    """``(holds, witness)``: the first pair of star lines whose join is not a star plane."""
+    planes = set(star_planes)
+    for a, b in itertools.combinations(star_lines, 2):
+        if brute_closure(M, a | b) not in planes:
+            return False, (a, b)
+    return True, None
+
+
+def brute_star_violations(M, ctx) -> list:
+    """The violations ``verify_star_structure`` reports, in order; ValueError if the criterion fails."""
+    holds, witness = brute_criterion(M, ctx.star_lines, ctx.star_planes)
+    if not holds:
+        raise ValueError(f"criterion does not hold; witness {witness}")
+    violations = []
+    lines, planes = ctx.star_lines, set(ctx.star_planes)
+    joins = {brute_closure(M, a | b) for a, b in itertools.combinations(lines, 2)}
+    if joins != planes:
+        violations.append(
+            Violation(
+                "star-planes-equality",
+                tuple(sorted(joins ^ planes, key=sorted)),
+                "star planes differ from pairwise star-line joins",
+            )
+        )
+    for a, b in itertools.combinations(lines, 2):
+        if a & b:
+            violations.append(Violation("star-lines-disjoint", (a, b), "two star lines intersect"))
+    seen = frozenset().union(*lines)
+    if seen != M.ground_set:
+        violations.append(
+            Violation("star-lines-partition", (seen,), "star lines do not cover the ground set")
+        )
+    for x in M.flats_by_rank[2]:
+        if x in lines:
+            continue
+        size = len(brute_join_spectrum(M, x, ctx.traces, 3))
+        if size != 1:
+            violations.append(
+                Violation(
+                    "outside-line-unique-join",
+                    (x,),
+                    f"rank-3 join spectrum has size {size}, expected 1",
+                )
+            )
+    for x in ctx.star_planes:
+        for j in lines:
+            if j & x and not j <= x:
+                violations.append(
+                    Violation(
+                        "line-in-plane-dichotomy", (x, j), "a star line partially meets a star plane"
+                    )
+                )
     return violations

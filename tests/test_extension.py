@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -30,6 +31,8 @@ from hypermod import (
     verify_flat_axioms,
     verify_star_structure,
 )
+import oracles
+from oracles import brute_context, brute_criterion, brute_join_spectrum, brute_star_violations
 
 # Pinned by the defect oracle: deleting two points of PG(3,3) costs 195
 # per point (117 plane/line pairs plus 78 line pairs through it).
@@ -172,6 +175,66 @@ def test_star_partition(del32, del32_context):
         inside = [j for j in ctx.star_lines if j <= x]
         assert len(inside) == 3
         assert frozenset().union(*inside) == x
+
+
+# Disjoint flags per fixture, so that every flag is seen to be compared.
+ORACLE_FLAGS = {"del32": 28, "del33a": 117, "del33ab": 234}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FLAGS))
+def test_extension_layer_matches_the_frozenset_oracle(name, request, monkeypatch):
+    """Contexts, verdicts, witnesses, star reports and join spectra on every flag.
+
+    Each context is also checked with its first star plane, its last star
+    plane or its first star line dropped.  Frozensets compare by value.
+    The oracles' closures are memoized: flags share most of their joins.
+    """
+    monkeypatch.setattr(oracles, "brute_closure", functools.cache(oracles.brute_closure))
+    M = request.getfixturevalue(name)
+    flags = disjoint_rank32_pairs(M)
+    assert len(flags) == ORACLE_FLAGS[name]
+    failed_verdicts = 0
+    for f3, f2 in flags:
+        ctx = build_context(M, f3, f2)
+        expected = brute_context(M, f3, f2)
+        assert {field: getattr(ctx, field) for field in expected} == expected
+        variants = (
+            ctx,
+            dataclasses.replace(ctx, star_planes=ctx.star_planes[1:]),
+            dataclasses.replace(ctx, star_planes=ctx.star_planes[:-1]),
+            dataclasses.replace(ctx, star_lines=ctx.star_lines[1:]),
+        )
+        for variant in variants:
+            verdict = criterion_holds(M, variant)
+            assert tuple(verdict) == brute_criterion(M, variant.star_lines, variant.star_planes)
+            failed_verdicts += not verdict.holds
+            if not verdict.holds:
+                with pytest.raises(ValueError, match="criterion does not hold"):
+                    brute_star_violations(M, variant)
+                with pytest.raises(ValueError, match="criterion does not hold"):
+                    verify_star_structure(M, variant)
+                continue
+            report = verify_star_structure(M, variant)
+            violations = brute_star_violations(M, variant)
+            assert report.violations == tuple(violations)
+            assert report.passed == (not violations)
+        for x in ctx.star_lines:
+            for k in (2, 3, 4):
+                assert join_spectrum(M, x, ctx.traces, k) == brute_join_spectrum(M, x, ctx.traces, k)
+    # every star plane is a join of star lines, so dropping one breaks the
+    # criterion; dropping a star line never does
+    assert failed_verdicts == 2 * len(flags)
+
+
+def test_context_of_another_matroid_is_rejected(pg32):
+    built_on = delete(pg32, {0})
+    other = delete(pg32, {1})
+    assert built_on.ground_size == other.ground_size and built_on != other
+    for f3, f2 in disjoint_rank32_pairs(built_on):
+        ctx = build_context(built_on, f3, f2)
+        for check in (criterion_holds, verify_star_structure, extend_once):
+            with pytest.raises(ValueError, match="context was built for a different matroid"):
+                check(other, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""The paper's realizable claim on a seeded corpus of PG(3,2) and PG(3,3) deletions.
+
+Two planes of PG(3,q) meet in a line, so PG(3,q)∖S is hypermodular
+exactly when every line keeps at least two points.  For such S the
+completion must take |S| steps, with a strictly decreasing defect
+trajectory, and end with the profile of PG(3,q).  For every other S,
+``hypermod complete`` must refuse the input with exit code 2.
+
+Corpus (20 deletions): for q = 2 and q = 3 and each seed 0..7, S is
+``random.Random(100 * q + seed).sample(points, 1 + seed % (q + 2))``.
+Two deletions per q fail the line condition on purpose: all points but
+one of the line picked by ``random.Random(q)``, once alone and once with
+the first point off that line.  Lines come from the GF(q) span oracle,
+not from the library.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+
+import pytest
+
+from hypermod import (
+    complete_to_modular,
+    delete,
+    is_hypermodular,
+    pg3,
+    pg3_points,
+    profile,
+    serialize_matroid,
+)
+from hypermod.cli import main
+from oracles import modp_span_members, pg_point_list
+
+PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1)}
+SEEDS = range(8)
+
+
+@functools.cache
+def _lines(q: int) -> list[frozenset[int]]:
+    points = pg_point_list(q)
+    lines: set[frozenset[int]] = set()
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if not any({i, j} <= line for line in lines):
+                lines.add(modp_span_members(points, (i, j), q))
+    return sorted(lines, key=sorted)
+
+
+def _corpus(q: int) -> list[frozenset[int]]:
+    n = len(pg_point_list(q))
+    sets = [
+        frozenset(random.Random(100 * q + seed).sample(range(n), 1 + seed % (q + 2)))
+        for seed in SEEDS
+    ]
+    line = random.Random(q).choice(_lines(q))
+    thinned = frozenset(sorted(line)[1:])
+    off_line = min(set(range(n)) - line)
+    return sets + [thinned, thinned | {off_line}]
+
+
+CASES = [(q, S) for q in (2, 3) for S in _corpus(q)]
+IDS = [f"pg3{q}-minus-{'_'.join(map(str, sorted(S)))}" for q, S in CASES]
+
+
+@pytest.fixture(scope="module")
+def spaces():
+    return {q: pg3(q) for q in (2, 3)}
+
+
+def test_corpus_has_both_kinds():
+    # element i of pg3(q) is point i of the oracle's list
+    for q in (2, 3):
+        assert list(pg3_points(q).points) == pg_point_list(q)
+    assert len(CASES) == 20
+    kinds = {(q, all(len(line - S) >= 2 for line in _lines(q))) for q, S in CASES}
+    assert kinds == {(2, True), (2, False), (3, True), (3, False)}
+
+
+@pytest.mark.parametrize("q,S", CASES, ids=IDS)
+def test_deletion_completes_exactly_when_every_line_keeps_two_points(q, S, spaces, tmp_path):
+    D = delete(spaces[q], S)
+    keeps_lines = all(len(line - S) >= 2 for line in _lines(q))
+    assert is_hypermodular(D) == keeps_lines
+    if not keeps_lines:
+        path = tmp_path / "deletion.mat"
+        path.write_text(serialize_matroid(D, name="deletion"))
+        assert main(["complete", str(path), "--machine"]) == 2
+        return
+    outcome = complete_to_modular(D)
+    assert outcome.ok
+    assert len(outcome.steps) == len(S)
+    trajectory = [s.defect_before for s in outcome.steps] + [outcome.steps[-1].defect_after]
+    assert all(a > b for a, b in zip(trajectory, trajectory[1:]))
+    assert trajectory[-1] == 0
+    assert profile(outcome.matroid).counts == PG_PROFILE[q]

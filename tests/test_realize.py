@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -92,6 +93,35 @@ def test_pg3_rejects_nonprime():
     with pytest.raises(ValueError, match="prime"):
         pg3(4)
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
+
+
+def _dependent_config(p: int) -> PointConfig:
+    """Points a, b, a + b, c over GF(p), with seeded residues spread over the field."""
+    rng = random.Random(p)
+    a, b, c = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(3)]
+    return PointConfig(prime=p, dim=3, points=(a, b, tuple(x + y for x, y in zip(a, b)), c))
+
+
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_primes_past_the_exact_bound_are_rejected_at_once(p):
+    # int64 products of residues overflow once (p - 1)**2 >= 2**63: 4294967311
+    # gave a bogus duplicate flat and 2**61 - 1 never returned.
+    cfg = _dependent_config(p)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="3037000500"):
+        matroid_from_points(cfg)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_largest_primes_below_the_bound_stay_exact():
+    p = 3037000493
+    assert is_prime(p) and (p - 1) ** 2 < 2**63
+    cfg = _dependent_config(p)
+    M = matroid_from_points(cfg)
+    assert rank_of(M, {0, 1, 2}) == 2
+    for k in range(5):
+        for sub in itertools.combinations(range(4), k):
+            assert rank_of(M, sub) == modp_matrix_rank([cfg.points[i] for i in sub], p)
 
 
 def test_single_deletions_stay_hypermodular(pg32, pg33):
