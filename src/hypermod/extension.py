@@ -234,7 +234,8 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
-        raise ValueError(f"criterion does not hold; witness {verdict.witness}")
+        a, b = verdict.witness
+        raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
     violations: list[Violation] = []
     lines = ctx.star_lines
     planes = {M._flat_index(x) for x in ctx.star_planes}
@@ -293,7 +294,8 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
-        raise ValueError(f"criterion does not hold; witness {verdict.witness}")
+        a, b = verdict.witness
+        raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
 
     m = M.ground_size
     new = frozenset([m])

@@ -1,11 +1,15 @@
 """Matroids from point configurations over prime fields, plus named fixtures.
 
 A :class:`PointConfig` holds homogeneous coordinate vectors over GF(p).
-Its matroid is built bottom-up: each grade-(k+1) flat is the set of
-points inside the linear span of a grade-k flat plus one more point,
-with span membership decided by Gaussian elimination mod p in int64.
-That is exact while (p - 1)^2 < 2^63, so :func:`matroid_from_points`
-rejects primes above ``_EXACT_PRIME_LIMIT`` = 3037000500.
+Its matroid is built bottom-up.  A flat F is the set of points inside
+span(F), so the covers of F are the projective classes of the residues
+of the other points modulo span(F): each flat reduces every point once
+by its echelon rows, scales each nonzero residue to a leading 1 and
+groups the points by residue, and each class together with F is one
+cover.  Arithmetic is mod p in int64, where every product is of two
+residues below p.  That is exact while (p - 1)^2 < 2^63, so
+:func:`matroid_from_points` rejects primes above
+``_EXACT_PRIME_LIMIT`` = 3037000500.
 
 Only prime field orders are supported; the fixtures (PG(3,q) for prime
 q up to 7, uniform matroids, the Vámos matroid) never need extension fields.
@@ -97,30 +101,6 @@ class PointConfig:
         return tuple(tuple(g) for g in seen.values() if len(g) > 1)
 
 
-def _echelon(rows: np.ndarray, p: int) -> list[tuple[np.ndarray, int]]:
-    """Reduced basis of the row space: list of (row with pivot 1, pivot column)."""
-    basis: list[tuple[np.ndarray, int]] = []
-    for row in rows:
-        r = row.copy() % p
-        for b, piv in basis:
-            if r[piv]:
-                r = (r - r[piv] * b) % p
-        nz = np.nonzero(r)[0]
-        if nz.size:
-            piv = int(nz[0])
-            r = (r * pow(int(r[piv]), -1, p)) % p
-            basis.append((r, piv))
-    return basis
-
-
-def _span_members(pts: np.ndarray, basis: list[tuple[np.ndarray, int]], p: int) -> ElementSet:
-    """Indices of all points lying in the span of the basis."""
-    residual = pts.copy()
-    for row, piv in basis:
-        residual = (residual - np.outer(residual[:, piv], row)) % p
-    return frozenset(int(i) for i in np.nonzero(~residual.any(axis=1))[0])
-
-
 def matroid_from_points(cfg: PointConfig) -> Matroid:
     """The linear matroid of the configuration, as a lattice of flats.
 
@@ -131,23 +111,33 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     p = cfg.prime
     if p > _EXACT_PRIME_LIMIT:
         raise ValueError(f"field order {p} exceeds {_EXACT_PRIME_LIMIT}, the int64-exact bound")
-    pts = np.array(cfg.points, dtype=np.int64) % p
+    pts = np.array(cfg.points, dtype=np.int64).reshape(n, cfg.dim)
     full = frozenset(range(n))
     grades: list[list[ElementSet]] = [[frozenset()]]
-    current: set[ElementSet] = {frozenset()}
+    # Each flat keeps the echelon rows it was reached with, as (pivot, row):
+    # pivot entry 1 and zeros at every earlier pivot.
+    current: dict[ElementSet, list[tuple[int, np.ndarray]]] = {frozenset(): []}
     while full not in current:
-        nxt: set[ElementSet] = set()
-        for flat in current:
-            remaining = full - flat
-            covered: set[int] = set()
-            for e in sorted(remaining):
-                if e in covered:
-                    continue
-                members = sorted(flat | {e})
-                basis = _echelon(pts[members], p)
-                span = _span_members(pts, basis, p)
-                covered |= span
-                nxt.add(span)
+        nxt: dict[ElementSet, list[tuple[int, np.ndarray]]] = {}
+        for flat, rows in current.items():
+            res = pts
+            for piv, row in rows:
+                res = (res - np.outer(res[:, piv], row)) % p
+            outside = np.flatnonzero(res.any(axis=1))
+            res = res[outside]
+            lead = res[np.arange(outside.size), (res != 0).argmax(axis=1)]
+            values, which = np.unique(lead, return_inverse=True)
+            inverses = np.array([pow(int(c), -1, p) for c in values], dtype=np.int64)
+            res = res * inverses[which][:, None] % p
+            keys = res.view(np.dtype((np.void, res.itemsize * cfg.dim))).ravel().tolist()
+            classes: dict[bytes, list[int]] = {}
+            for e, key in zip(outside.tolist(), keys):
+                classes.setdefault(key, []).append(e)
+            for key, members in classes.items():
+                cover = flat.union(members)
+                if cover not in nxt:
+                    row = np.frombuffer(key, dtype=np.int64)
+                    nxt[cover] = rows + [(int((row != 0).argmax()), row)]
         grades.append(sorted(nxt, key=lambda f: tuple(sorted(f))))
         current = nxt
     return Matroid(n, grades, name=cfg.name)

@@ -56,6 +56,29 @@ def modp_span_members(points, subset, p: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def modp_flats(points, p: int) -> list[set[frozenset[int]]]:
+    """Flats of the GF(p) point configuration, grade by grade.
+
+    Every span of a flat plus one point, from the span of nothing up;
+    each flat is graded by the matrix rank of its points.
+    """
+    flats = frontier = {modp_span_members(points, (), p)}
+    while frontier:
+        frontier = {
+            modp_span_members(points, sorted(flat | {e}), p)
+            for flat in frontier
+            for e in range(len(points))
+            if e not in flat
+        } - flats
+        flats = flats | frontier
+    grades: list[set[frozenset[int]]] = []
+    for flat in flats:
+        k = modp_matrix_rank([points[i] for i in flat], p)
+        grades.extend(set() for _ in range(k + 1 - len(grades)))
+        grades[k].add(flat)
+    return grades
+
+
 def uniform_rank(subset, r: int) -> int:
     return min(len(subset), r)
 
@@ -297,7 +320,8 @@ def brute_star_violations(M, ctx) -> list:
     """The violations ``verify_star_structure`` reports, in order; ValueError if the criterion fails."""
     holds, witness = brute_criterion(M, ctx.star_lines, ctx.star_planes)
     if not holds:
-        raise ValueError(f"criterion does not hold; witness {witness}")
+        a, b = witness
+        raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
     violations = []
     lines, planes = ctx.star_lines, set(ctx.star_planes)
     joins = {brute_closure(M, a | b) for a, b in itertools.combinations(lines, 2)}

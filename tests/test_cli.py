@@ -94,6 +94,23 @@ def test_generate_admits_the_largest_fixtures():
     assert _too_large(argparse.Namespace(kind="uniform", q=None, r=13, n=13))
 
 
+def test_generate_builds_the_largest_projective_fixture(tmp_path, capsys):
+    q = 7
+    out = tmp_path / "pg37.mat"
+    start = time.perf_counter()
+    rc, text = run(capsys, ["generate", "pg3", "--q", str(q), "-o", str(out), "--machine"])
+    assert time.perf_counter() - start < 4.0
+    assert rc == 0
+    assert machine_dict(text)["profile"] == "1,400,2850,400,1"
+    sizes: dict[int, set[int]] = {}
+    for line in out.read_text().splitlines():
+        if line.startswith("flat "):
+            grade, members = line[len("flat "):].split(":")
+            sizes.setdefault(int(grade), set()).add(len(members.split()))
+    # a line of PG(3,q) has q + 1 points, a plane q^2 + q + 1
+    assert sizes[2] == {q + 1} and sizes[3] == {q * q + q + 1}
+
+
 def test_analyze_deletion(workdir, capsys):
     rc, out = run(capsys, ["analyze", str(workdir / "pg32m0.mat"), "--machine"])
     assert rc == 0

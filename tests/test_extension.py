@@ -209,10 +209,11 @@ def test_extension_layer_matches_the_frozenset_oracle(name, request, monkeypatch
             assert tuple(verdict) == brute_criterion(M, variant.star_lines, variant.star_planes)
             failed_verdicts += not verdict.holds
             if not verdict.holds:
-                with pytest.raises(ValueError, match="criterion does not hold"):
+                with pytest.raises(ValueError, match="criterion does not hold") as expected_error:
                     brute_star_violations(M, variant)
-                with pytest.raises(ValueError, match="criterion does not hold"):
+                with pytest.raises(ValueError, match="criterion does not hold") as error:
                     verify_star_structure(M, variant)
+                assert str(error.value) == str(expected_error.value)
                 continue
             report = verify_star_structure(M, variant)
             violations = brute_star_violations(M, variant)
@@ -270,6 +271,18 @@ def test_extend_requires_criterion(del32, del32_context):
     ctx = dataclasses.replace(del32_context, star_planes=del32_context.star_planes[1:])
     with pytest.raises(ValueError, match="criterion"):
         extend_once(del32, ctx)
+
+
+def test_criterion_errors_print_the_witness_sorted(pg33):
+    # The witness lines are frozensets whose repr order depends on how
+    # each set was built; the message prints them as sorted lists.
+    M = delete(pg33, {0, 1, 13})
+    ctx = build_context(M, frozenset(range(11)), {11, 14, 17})
+    ctx = dataclasses.replace(ctx, star_planes=ctx.star_planes[:-1])
+    for check in (extend_once, verify_star_structure):
+        with pytest.raises(ValueError) as error:
+            check(M, ctx)
+        assert str(error.value) == "criterion does not hold; witness ([4, 7, 10], [13, 16])"
 
 
 def test_extend_detects_corrupt_star(del32, del32_context):

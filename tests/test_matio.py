@@ -189,6 +189,8 @@ def test_pg32_points_roundtrip():
 
 
 # -- fuzz guard: a mutated document parses cleanly or is a ParseError --------
+# A parsed point set of at most 40 points is also realized: its lattice
+# passes the flat axioms, or realization refuses it with a ValueError.
 
 FUZZ_BOUND_S = 2.0
 _FUZZ_BYTES = st.sampled_from(list(b"0123456789 \n:-#")) | st.integers(0, 255)
@@ -241,7 +243,14 @@ def test_mutated_mat_parses_to_a_lattice_or_is_a_parse_error(text):
 def test_mutated_pts_parses_or_is_a_parse_error(text):
     start = time.perf_counter()
     try:
-        parse_points(text)
+        cfg = parse_points(text)
     except ParseError:
-        pass
+        cfg = None
+    if cfg is not None and len(cfg.points) <= 40:
+        try:
+            M = matroid_from_points(cfg)
+        except ValueError:
+            pass
+        else:
+            assert verify_flat_axioms(M).passed
     assert time.perf_counter() - start < FUZZ_BOUND_S

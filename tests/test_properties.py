@@ -14,7 +14,7 @@ from hypermod import (
     serialize_matroid,
     verify_flat_axioms,
 )
-from oracles import modp_matrix_rank
+from oracles import modp_flats, modp_matrix_rank
 
 
 @st.composite
@@ -64,6 +64,34 @@ def test_closure_is_a_closure_operator(cfg, rng):
 def test_serialize_parse_roundtrip(cfg):
     M = matroid_from_points(cfg)
     assert parse_matroid(serialize_matroid(M)) == M
+
+
+@st.composite
+def dependent_configs(draw):
+    """Up to 10 points over GF(p), with repeated points and a combination of two others."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 3037000493]))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    coord = st.integers(min_value=0, max_value=p - 1)
+    scalar = st.integers(min_value=1, max_value=p - 1)
+    points = draw(st.lists(st.tuples(*[coord] * dim).filter(any), max_size=8))
+    for _ in range(draw(st.integers(min_value=0, max_value=10 - len(points)))):
+        if not points:
+            break
+        u, v = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        s, t = draw(scalar), draw(st.integers(min_value=0, max_value=p - 1))
+        # t = 0 repeats u, up to the scalar s; otherwise s u + t v
+        vec = tuple((s * a + t * b) % p for a, b in zip(u, v))
+        if any(vec):
+            points.insert(draw(st.integers(min_value=0, max_value=len(points))), vec)
+    return PointConfig(prime=p, dim=dim, points=tuple(points))
+
+
+@given(dependent_configs())
+@settings(max_examples=150, deadline=None)
+def test_point_matroid_flats_are_the_span_oracle_flats(cfg):
+    M = matroid_from_points(cfg)
+    expected = modp_flats(cfg.points, cfg.prime)
+    assert [set(grade) for grade in M.flats_by_rank] == expected
 
 
 def _deletion_fixture():
