@@ -17,8 +17,9 @@ path the index-based extension layer replaced, with every join taken by
 from __future__ import annotations
 
 import itertools
+import random
 
-from hypermod.core import Violation, _members_of
+from hypermod.core import Violation, _mask_of, _members_of
 
 
 def modp_matrix_rank(rows, p: int) -> int:
@@ -279,6 +280,82 @@ def brute_flat_r3(M, cap: int = 16) -> list:
                 if len(violations) >= cap:
                     return violations
     return violations
+
+
+def brute_rank_violations(M, mode: str, seed: int = 0, trials: int = 10000, cap: int = 16) -> list:
+    """The report of ``verify_rank_axioms``, every rank read off ``brute_rank``.
+
+    Flat pairs first, then R1, R2 and R3 on subsets: every subset, every
+    (subset, element) and every ordered pair of subsets in exhaustive
+    mode, or the same ``random.Random(seed)`` draws in sampled mode.  The
+    order and the cap per pass are the library's.
+    """
+    n = M.ground_size
+    memo: dict[int, int] = {}
+
+    def rank(mask):
+        if mask not in memo:
+            memo[mask] = brute_rank(M, _members_of(mask))
+        return memo[mask]
+
+    violations = []
+    flats, grades = M._flat_list, M._grade_of_index
+    for i, j in itertools.combinations(range(len(flats)), 2):
+        a, b = _mask_of(flats[i]), _mask_of(flats[j])
+        if a & b in (a, b):
+            continue
+        lhs, rhs = rank(a | b) + rank(a & b), grades[i] + grades[j]
+        if lhs > rhs:
+            detail = f"r(A∪B)+r(A∩B)={lhs} exceeds r(A)+r(B)={rhs}"
+            violations.append(Violation("R3", (flats[i], flats[j]), detail))
+            if len(violations) >= cap:
+                return violations
+
+    if mode == "sampled":
+        rng = random.Random(seed)
+        for _ in range(trials):
+            a = rng.getrandbits(n) if n else 0
+            b = rng.getrandbits(n) if n else 0
+            ra, rb, ru, ri = rank(a), rank(b), rank(a | b), rank(a & b)
+            for m, r in ((a, ra), (b, rb)):
+                if not 0 <= r <= bin(m).count("1"):
+                    violations.append(
+                        Violation("R1", (_members_of(m),), f"rank {r} exceeds cardinality")
+                    )
+            if ra > ru or rb > ru:
+                violations.append(
+                    Violation("R2", (_members_of(a), _members_of(b)), "rank decreases on a superset")
+                )
+            if ru + ri > ra + rb:
+                detail = f"r(A∪B)+r(A∩B)={ru + ri} exceeds r(A)+r(B)={ra + rb}"
+                violations.append(Violation("R3", (_members_of(a), _members_of(b)), detail))
+            if len(violations) >= cap:
+                break
+        return violations
+
+    masks = range(1 << n)
+    found = [
+        Violation("R1", (_members_of(m),), f"rank {rank(m)} exceeds cardinality")
+        for m in masks
+        if rank(m) > bin(m).count("1")
+    ][:cap]
+    for e in range(n):
+        found += [
+            Violation("R2", (_members_of(m), frozenset([e])), "rank decreases when adding an element")
+            for m in masks
+            if rank(m) > rank(m | 1 << e)
+        ][:cap]
+        if len(found) >= cap:
+            return violations + found
+    for a in masks:
+        found += [
+            Violation("R3", (_members_of(a), _members_of(m)), "submodularity fails")
+            for m in masks
+            if rank(a | m) + rank(a & m) > rank(a) + rank(m)
+        ][:cap]
+        if len(found) >= cap:
+            break
+    return violations + found
 
 
 def brute_join_spectrum(M, flat, family, k: int) -> set[frozenset[int]]:

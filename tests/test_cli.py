@@ -111,6 +111,16 @@ def test_generate_builds_the_largest_projective_fixture(tmp_path, capsys):
     assert sizes[2] == {q + 1} and sizes[3] == {q * q + q + 1}
 
 
+def test_verify_checks_the_largest_exhaustive_fixture_fast(tmp_path, capsys):
+    path = tmp_path / "u414.mat"
+    path.write_text(serialize_matroid(uniform(4, 14), name="u414"))
+    start = time.perf_counter()
+    rc, text = run(capsys, ["verify", str(path), "--exhaustive", "--machine"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 0
+    assert machine_dict(text)["violations"] == "0"
+
+
 def test_analyze_deletion(workdir, capsys):
     rc, out = run(capsys, ["analyze", str(workdir / "pg32m0.mat"), "--machine"])
     assert rc == 0

@@ -238,9 +238,25 @@ def test_mutated_mat_parses_to_a_lattice_or_is_a_parse_error(text):
     assert time.perf_counter() - start < FUZZ_BOUND_S
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=_mutated(_PTS_TEXTS))
-def test_mutated_pts_parses_or_is_a_parse_error(text):
+@st.composite
+def _mutated_coordinates(draw, texts):
+    """1-4 digits of the coordinates replaced, or inserted next to a digit.
+
+    The headers and every point's arity stay intact, so the text parses
+    unless a point becomes the zero vector.
+    """
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("point:")]))
+        line = lines[i]
+        at = draw(st.sampled_from([k for k, c in enumerate(line) if c.isdigit()]))
+        digit = str(draw(st.integers(0, 9)))
+        insert = draw(st.booleans())
+        lines[i] = line[: at + insert] + digit + line[at + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_pts_parses_or_is_a_parse_error(text):
     start = time.perf_counter()
     try:
         cfg = parse_points(text)
@@ -254,3 +270,15 @@ def test_mutated_pts_parses_or_is_a_parse_error(text):
         else:
             assert verify_flat_axioms(M).passed
     assert time.perf_counter() - start < FUZZ_BOUND_S
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_mutated(_PTS_TEXTS))
+def test_mutated_pts_parses_or_is_a_parse_error(text):
+    _assert_pts_parses_or_is_a_parse_error(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated_coordinates(_PTS_TEXTS))
+def test_pts_with_mutated_coordinates_is_realized_or_a_parse_error(text):
+    _assert_pts_parses_or_is_a_parse_error(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from hypermod import (
 from hypermod import core
 from hypermod.core import _defect_block, _defect_by_index, _pair_table
 from hypermod.modularity import _defective_pairs
-from oracles import brute_defect, brute_f1, brute_f2, brute_flat_r3, brute_flat_verdict
+from oracles import (
+    brute_defect,
+    brute_f1,
+    brute_f2,
+    brute_flat_r3,
+    brute_flat_verdict,
+    brute_rank_violations,
+)
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
 # one-point deletion of PG(3,2): 28 disjoint (rank-3, rank-2) flags plus
@@ -433,6 +441,48 @@ def test_pair_table_is_exact_on_any_accepted_family(M):
     f1 = [v for v in verify_flat_axioms(M).violations if v.axiom == "F1"]
     assert f1 == brute_f1(M)
     _assert_flat_axioms_match_the_walk(M)
+
+
+def _assert_rank_axioms_match_the_oracle(M, seed, trials):
+    """Both modes' reports are the oracle's, and every closure is the flats above the set.
+
+    Exhaustive mode and the closure of every mask are checked up to ground
+    size 8; past that, the closures of 64 seeded random masks.
+    """
+    n = M.ground_size
+    for mode in ("sampled", "exhaustive") if n <= 8 else ("sampled",):
+        report = verify_rank_axioms(M, mode, seed=seed, trials=trials)
+        assert list(report.violations) == brute_rank_violations(M, mode, seed, trials)
+    rng = random.Random(seed)
+    masks = range(1 << n) if n <= 8 else [rng.getrandbits(n) for _ in range(64)]
+    for mask in masks:
+        above = [i for i, f in enumerate(M._flat_masks) if f & mask == mask]
+        assert M._closure_bits(mask) == sum(1 << i for i in above)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_small_families(), seed=st.integers(0, 2**32 - 1), trials=st.integers(0, 60))
+# The golden lattice of tests/test_cli.py: {0} of grade 2 inside {0,1} of grade 1.
+@example(M=Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]]), seed=0, trials=20)
+def test_rank_axioms_match_the_oracle_on_any_accepted_family(M, seed, trials):
+    _assert_rank_axioms_match_the_oracle(M, seed, trials)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), trials=st.integers(0, 200))
+def test_rank_axioms_match_the_oracle_on_the_zoo(
+    pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture, data, seed, trials
+):
+    grades = [list(g) for g in pg32.flats_by_rank]
+    grades[2].pop(0)
+    corrupt = [
+        Matroid(15, grades),  # a missing line
+        Matroid(3, [[frozenset()], [{2}], [], [{0, 1}], [{0, 1, 2}]]),  # rank beyond size
+        Matroid(8, [[()], [{e} for e in range(8)], [], [], [range(8)]]),  # 28 bad flat pairs
+    ]
+    zoo = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
+    M = data.draw(st.sampled_from(zoo + [uniform(3, 6), uniform(4, 8), uniform(0, 2)] + corrupt))
+    _assert_rank_axioms_match_the_oracle(M, seed, trials)
 
 
 @settings(max_examples=150, deadline=None)
