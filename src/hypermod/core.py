@@ -25,9 +25,9 @@ One packed pair table, exact on any family the constructor accepts,
 answers every all-pairs question in row blocks: F1 reads its meets
 (:func:`_meet_block`), and the flat-pair R3 check and the defect scans
 of :mod:`hypermod.modularity` its defects (:func:`_defect_block`).
-Exhaustive rank verification decides R3 on subsets by its local form
-over one table of all 2^n subset ranks; the 4^n pair scan runs only to
-list witnesses once that has failed.
+The flat-pair R3 check also decides R3 on subsets, and one OR per flat
+decides whether R1 can fail anywhere, so the subset passes of
+:func:`verify_rank_axioms` run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths (:func:`_chain_lengths`, the
@@ -47,9 +47,9 @@ import numpy as np
 
 ElementSet = frozenset[int]
 
-# Exhaustive rank verification tabulates the rank of all 2^n subsets, and
-# lists R3 witnesses from all 4^n subset pairs when submodularity fails;
-# past this ground size that blows up and callers must sample instead.
+# Exhaustive rank verification tabulates the rank of all 2^n subsets when
+# R1 or R3 can fail, and then lists R3 witnesses from all 4^n subset pairs
+# if R3 does; past this ground size that blows up and callers must sample.
 EXHAUSTIVE_LIMIT = 14
 
 # Backtracking isomorphism search is only intended for small fixtures.
@@ -568,20 +568,24 @@ def verify_rank_axioms(
 ) -> AxiomReport:
     """Check the rank axioms R1-R3 induced by the lattice.
 
-    ``mode="exhaustive"`` tabulates the rank of every subset and checks
-    R1 on every subset and R2 on every subset/element pair (vectorized;
-    only allowed for ground sizes up to ``EXHAUSTIVE_LIMIT``).  R3 is
-    decided by its local form, r(A+e)+r(A+f) >= r(A+e+f)+r(A) for every A
-    and every e, f outside A; only when that fails are all pairs of
-    subsets scanned, to list the same witnesses in the same order.
-    ``mode="sampled"`` draws ``trials`` seeded random subset pairs.  In
-    both modes submodularity is additionally checked on every pair of
-    flats: those of negative defect in the pair table, which equals
-    r(A)+r(B)-r(A∪B)-r(A∩B) on pairs that are not nested.  At most a
-    handful of witnesses per axiom are reported.
+    Submodularity is checked on every pair of flats: those of negative
+    defect in the pair table, which equals r(A)+r(B)-r(A∪B)-r(A∩B) on
+    pairs that are not nested.  ``mode="exhaustive"`` then checks R1 on
+    every subset and R3 on every pair of subsets (only for ground sizes up
+    to ``EXHAUSTIVE_LIMIT``), and ``mode="sampled"`` both on ``trials``
+    seeded random subset pairs.  At most a handful of witnesses per axiom
+    are reported.  R2 always holds: r(A) is the lowest grade of a stored
+    flat holding A, and fewer flats hold a superset.
+
+    The subset passes run only when they can report.  Subset R3 fails iff
+    the flat-pair check fails on two flats that are their own closures.
+    R1 can fail only if some flat F that is its own closure has an element
+    outside every flat above it of grade at most grade(F)+1.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n = M.ground_size
     if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT:
         raise ValueError(
@@ -589,18 +593,22 @@ def verify_rank_axioms(
         )
     violations: list[Violation] = []
 
-    # Submodularity over all pairs of flats, in every mode.
+    # Submodularity over all pairs of flats.  The pass lists every violation
+    # unless it fills the cap, so it sees each failing pair of closed flats.
     grades = M._grade_of_index
+    closed = [_lsb_index(up) == i for i, up in enumerate(M._sup_bits)]
+    r3_fails = False
     negative = _upper_cells(M, 0, len(grades), lambda *span: np.minimum(_defect_block(*span), 0))
     for i, j, d in itertools.islice(negative, _VIOLATION_CAP):
         bound = grades[i] + grades[j]
         detail = f"r(A∪B)+r(A∩B)={bound - d} exceeds r(A)+r(B)={bound}"
         violations.append(Violation("R3", (M._flat_list[i], M._flat_list[j]), detail))
-    if len(violations) >= _VIOLATION_CAP:
+        r3_fails |= closed[i] and closed[j]
+    if len(violations) >= _VIOLATION_CAP or not (r3_fails or _has_rank_jump(M, closed)):
         return AxiomReport.from_violations(violations)
 
     if mode == "exhaustive":
-        violations.extend(_exhaustive_rank_violations(M))
+        violations.extend(_exhaustive_rank_violations(M, r3_fails))
     else:
         rng = random.Random(seed)
         for _ in range(trials):
@@ -616,14 +624,6 @@ def verify_rank_axioms(
                     violations.append(
                         Violation("R1", (_members_of(m),), f"rank {r} exceeds cardinality")
                     )
-            if ra > ru or rb > ru:
-                violations.append(
-                    Violation(
-                        "R2",
-                        (_members_of(a), _members_of(b)),
-                        "rank decreases on a superset",
-                    )
-                )
             if ru + ri > ra + rb:
                 violations.append(
                     Violation(
@@ -638,7 +638,23 @@ def verify_rank_axioms(
     return AxiomReport.from_violations(violations)
 
 
-def _exhaustive_rank_violations(M: Matroid) -> list[Violation]:
+def _has_rank_jump(M: Matroid, closed: list[bool]) -> bool:
+    """Whether r(A+e) >= r(A)+2 for some set A and element e.
+
+    Then F = cl(A) is its own closure and r(F+e) >= r(A+e), so the flats
+    above F of grade at most grade(F)+1 miss e; the converse takes A = F.
+    """
+    starts, grades = M._grade_starts, M._grade_of_index
+    for i in itertools.compress(range(len(closed)), closed):
+        held = 0
+        for j in _bits(M._sup_bits[i] & ((1 << starts[min(grades[i] + 2, M.rank + 1)]) - 1)):
+            held |= M._flat_masks[j]
+        if held != _ground_mask(M):
+            return True
+    return False
+
+
+def _exhaustive_rank_violations(M: Matroid, r3_fails: bool) -> list[Violation]:
     n = M.ground_size
     size = 1 << n
     grades = M._grade_of_index
@@ -665,33 +681,10 @@ def _exhaustive_rank_violations(M: Matroid) -> list[Violation]:
         violations.append(
             Violation("R1", (_members_of(int(m)),), f"rank {rank_tbl[m]} exceeds cardinality")
         )
-
-    for e in range(n):
-        up = rank_tbl[all_masks | (1 << e)]
-        bad = np.nonzero(rank_tbl > up)[0]
-        for m in bad[:_VIOLATION_CAP]:
-            violations.append(
-                Violation(
-                    "R2",
-                    (_members_of(int(m)), frozenset([e])),
-                    "rank decreases when adding an element",
-                )
-            )
-        if len(violations) >= _VIOLATION_CAP:
-            return violations
-
-    # A set function is submodular iff r(A+e) + r(A+f) >= r(A+e+f) + r(A) for
-    # every A and every e, f outside A (Schrijver, Combinatorial Optimization,
-    # §44.1).  That local form decides R3 in n(n-1)/2 passes over 2^(n-2)
-    # masks; only a failure runs the scan over all subset pairs, which lists
-    # the witnesses.
-    rank16 = rank_tbl.astype(np.int16)
-    for x, y in itertools.combinations([1 << e for e in range(n)], 2):
-        a = all_masks[all_masks & (x | y) == 0]
-        if np.any(rank16[a | x] + rank16[a | y] < rank16[a | x | y] + rank16[a]):
-            break
-    else:
+    if len(violations) >= _VIOLATION_CAP or not r3_fails:
         return violations
+
+    rank16 = rank_tbl.astype(np.int16)
     for a in range(size):
         lhs = rank16[all_masks | a] + rank16[all_masks & a]
         rhs = int(rank_tbl[a]) + rank16

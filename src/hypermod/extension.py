@@ -261,14 +261,15 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
         )
 
     star_line_set = set(lines)
-    for x in M.flats_by_rank[2]:
-        if x in star_line_set:
+    traces = [M._flat_index(t) for t in ctx.traces]
+    for x in range(*M._grade_starts[2:4]):
+        if M._flat_list[x] in star_line_set:
             continue
-        spectrum = join_spectrum(M, x, ctx.traces, 3)
-        if len(spectrum) != 1:
+        size = len({j for j in (_join_index(M, x, t) for t in traces) if M._grade_of_index[j] == 3})
+        if size != 1:
             violations.append(
-                Violation("outside-line-unique-join", (x,),
-                          f"rank-3 join spectrum has size {len(spectrum)}, expected 1")
+                Violation("outside-line-unique-join", (M._flat_list[x],),
+                          f"rank-3 join spectrum has size {size}, expected 1")
             )
 
     for x in ctx.star_planes:

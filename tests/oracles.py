@@ -358,6 +358,71 @@ def brute_rank_violations(M, mode: str, seed: int = 0, trials: int = 10000, cap:
     return violations + found
 
 
+def brute_rank_table(M) -> list[int]:
+    """``brute_rank`` of every subset, indexed by its mask."""
+    return [brute_rank(M, _members_of(m)) for m in range(1 << M.ground_size)]
+
+
+def brute_closed_flats(M) -> list[frozenset[int]]:
+    """Stored flats that are their own closure: no flat of lower grade holds them."""
+    return [f for k, grade in enumerate(M.flats_by_rank) for f in grade if brute_rank(M, f) == k]
+
+
+def brute_subset_r3_fails(M) -> bool:
+    """Whether r(A∪B)+r(A∩B) > r(A)+r(B) for some pair of subsets."""
+    rank = brute_rank_table(M)
+    masks = range(len(rank))
+    return any(rank[a | b] + rank[a & b] > rank[a] + rank[b] for a in masks for b in masks)
+
+
+def brute_closed_pair_r3_fails(M) -> bool:
+    """Whether submodularity fails on a pair of closed flats, neither inside the other."""
+    return any(
+        brute_rank(M, f | g) + brute_rank(M, f & g) > brute_rank(M, f) + brute_rank(M, g)
+        for f, g in itertools.combinations(brute_closed_flats(M), 2)
+        if not (f <= g or g <= f)
+    )
+
+
+def brute_subset_r1_fails(M) -> bool:
+    """Whether r(A) > |A| for some subset A."""
+    return any(r > bin(m).count("1") for m, r in enumerate(brute_rank_table(M)))
+
+
+def brute_flat_jumps(M) -> list[tuple[frozenset[int], int]]:
+    """Each closed flat F with an element e such that r(F+e) >= r(F)+2."""
+    return [
+        (f, e)
+        for f in brute_closed_flats(M)
+        for e in sorted(M.ground_set - f)
+        if brute_rank(M, f | {e}) >= brute_rank(M, f) + 2
+    ]
+
+
+def brute_unit_increase(M) -> bool:
+    """Whether r(A+e) <= r(A)+1 for every subset A and element e."""
+    rank = brute_rank_table(M)
+    return all(rank[m | 1 << e] <= rank[m] + 1 for m in range(len(rank)) for e in range(M.ground_size))
+
+
+def brute_defect_identity(M) -> tuple[int, int]:
+    """``(disjoint flags, disjoint coplanar line pairs)`` of a loopless rank-4 matroid.
+
+    Flags are (plane, line) pairs with no common element.  Two distinct
+    lines of a plane meet in at most one point, so the disjoint pairs of
+    a plane are C(lines, 2) minus, per point, C(lines through it, 2).
+    Read off ``flats_by_rank`` with subset tests only.
+    """
+    points, lines, planes = M.flats_by_rank[1:4]
+    flags = sum(not plane & line for plane in planes for line in lines)
+    coplanar = 0
+    for plane in planes:
+        inside = [line for line in lines if line <= plane]
+        through = [sum(point <= line for line in inside) for point in points if point <= plane]
+        coplanar += len(inside) * (len(inside) - 1) // 2 - sum(c * (c - 1) // 2 for c in through)
+    return flags, coplanar
+
+
 def brute_join_spectrum(M, flat, family, k: int) -> set[frozenset[int]]:
     """Closures of ``flat`` with each member of ``family`` whose union has rank ``k``."""
     joins = {brute_closure(M, frozenset(flat) | frozenset(t)) for t in family}

@@ -207,6 +207,12 @@ def test_rank_axioms_exhaustive_rejects_large(pg32):
         verify_rank_axioms(pg32, mode="everything")
 
 
+def test_rank_axioms_reject_negative_trials(pg32):
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
+        verify_rank_axioms(pg32, trials=-5)
+    assert verify_rank_axioms(pg32, trials=0).passed
+
+
 # ---------------------------------------------------------------------------
 # surgery
 # ---------------------------------------------------------------------------

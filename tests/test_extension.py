@@ -227,6 +227,16 @@ def test_extension_layer_matches_the_frozenset_oracle(name, request, monkeypatch
     assert failed_verdicts == 2 * len(flags)
 
 
+def test_star_structure_rejects_a_trace_that_is_no_flat(del32, del32_context):
+    # The criterion reads only star lines and planes, so the bad trace reaches the outside-line check.
+    three_line = next(l for l in flats_of_rank(del32, 2) if len(l) == 3)
+    nonflat = frozenset(sorted(three_line)[:2])
+    ctx = dataclasses.replace(del32_context, traces=del32_context.traces + (nonflat,))
+    assert criterion_holds(del32, ctx).holds
+    with pytest.raises(ValueError, match="not a flat"):
+        verify_star_structure(del32, ctx)
+
+
 def test_context_of_another_matroid_is_rejected(pg32):
     built_on = delete(pg32, {0})
     other = delete(pg32, {1})

@@ -23,6 +23,7 @@ from hypermod import (
     is_modular_pair,
     modular_defect,
     pair_key,
+    pg3,
     restrict,
     total_modular_defect,
     uniform,
@@ -34,12 +35,18 @@ from hypermod import core
 from hypermod.core import _defect_block, _defect_by_index, _pair_table
 from hypermod.modularity import _defective_pairs
 from oracles import (
+    brute_closed_pair_r3_fails,
     brute_defect,
+    brute_defect_identity,
     brute_f1,
     brute_f2,
+    brute_flat_jumps,
     brute_flat_r3,
     brute_flat_verdict,
     brute_rank_violations,
+    brute_subset_r1_fails,
+    brute_subset_r3_fails,
+    brute_unit_increase,
 )
 
 # Pinned by the brute-force defect oracle over all flat pairs of the
@@ -146,6 +153,30 @@ def test_total_defect_flag_invariants(del32):
         assert not (f3 & f2)
         assert rank_of(del32, f3) == 3
         assert rank_of(del32, f2) == 2
+
+
+def _assert_defect_identity(M):
+    """Loopless rank-4 hypermodular: unit defects, totalling flags plus disjoint coplanar lines."""
+    report = total_modular_defect(M)
+    flags, coplanar = brute_defect_identity(M)
+    assert set(report.pair_defects.values()) <= {1}
+    assert report.total == flags + coplanar
+    assert len(report.disjoint_flags) == flags
+    return report.total, flags, coplanar
+
+
+@pytest.mark.parametrize(
+    "q,removed,expected",
+    [
+        (3, {0}, (195, 117, 78)),
+        (5, {0, 1}, (2480, 1550, 930)),
+        (5, {0, 7, 30}, (3720, 2325, 1395)),
+    ],
+)
+def test_total_defect_is_flags_plus_disjoint_coplanar_lines(q, removed, expected):
+    M = delete(pg3(q), removed)
+    assert is_hypermodular(M)
+    assert _assert_defect_identity(M) == expected
 
 
 def test_disjoint_pairs(pg32, del32):
@@ -473,41 +504,109 @@ def test_rank_axioms_match_the_oracle_on_any_accepted_family(M, seed, trials):
 def test_rank_axioms_match_the_oracle_on_the_zoo(
     pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture, data, seed, trials
 ):
+    zoo = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
+    corrupt = _corrupt_families(pg32)
+    M = data.draw(st.sampled_from(zoo + [uniform(3, 6), uniform(4, 8), uniform(0, 2)] + corrupt))
+    _assert_rank_axioms_match_the_oracle(M, seed, trials)
+
+
+def _corrupt_families(pg32):
     grades = [list(g) for g in pg32.flats_by_rank]
     grades[2].pop(0)
-    corrupt = [
+    return [
         Matroid(15, grades),  # a missing line
         Matroid(3, [[frozenset()], [{2}], [], [{0, 1}], [{0, 1, 2}]]),  # rank beyond size
         Matroid(8, [[()], [{e} for e in range(8)], [], [], [range(8)]]),  # 28 bad flat pairs
     ]
-    zoo = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
-    M = data.draw(st.sampled_from(zoo + [uniform(3, 6), uniform(4, 8), uniform(0, 2)] + corrupt))
-    _assert_rank_axioms_match_the_oracle(M, seed, trials)
+
+
+@st.composite
+def _mutated(draw, bases):
+    """One flat of a known lattice dropped, moved to another grade, or with one element toggled.
+
+    Only grades strictly between the bottom and the top change, since the
+    constructor pins those two to one flat each.
+    """
+    base = draw(st.sampled_from(bases))
+    grades = [list(g) for g in base.flats_by_rank]
+    k = draw(st.integers(1, base.rank - 1))
+    flat = draw(st.sampled_from(grades[k]))
+    kind = draw(st.sampled_from(["drop", "move", "toggle"]))
+    grades[k].remove(flat)
+    if kind == "move":
+        grades[draw(st.integers(1, base.rank - 1).filter(lambda g: g != k))].append(flat)
+    elif kind == "toggle":
+        grades[k].append(flat ^ {draw(st.integers(0, base.ground_size - 1))})
+    try:
+        return Matroid(base.ground_size, grades)
+    except ValueError:
+        assume(False)
+
+
+def _assert_the_rank_axioms_reduce_to_the_lattice(M):
+    """R2 never fails, subset R3 is flat-pair R3 on closed flats, R1 needs a unit jump."""
+    assert not [v for v in brute_rank_violations(M, "exhaustive") if v.axiom == "R2"]
+    assert brute_subset_r3_fails(M) == brute_closed_pair_r3_fails(M)
+    jumps = brute_flat_jumps(M)
+    assert jumps or not brute_subset_r1_fails(M)
+    assert (not jumps) == brute_unit_increase(M)
+    closed = [core._lsb_index(up) == i for i, up in enumerate(M._sup_bits)]
+    assert core._has_rank_jump(M, closed) == bool(jumps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_small_families())
+@example(M=Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]]))
+def test_the_rank_axioms_reduce_to_the_lattice_on_any_accepted_family(M):
+    _assert_the_rank_axioms_reduce_to_the_lattice(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_rank_axioms_reduce_to_the_lattice_on_corrupt_and_mutated_lattices(
+    pg32, vamos_m, data
+):
+    small = [M for M in _corrupt_families(pg32) if M.ground_size <= 8]
+    fano = restrict(pg32, pg32.flats_by_rank[3][0])
+    mutated = _mutated([fano, vamos_m, uniform(3, 6), uniform(4, 7), uniform(4, 8)])
+    M = data.draw(st.one_of(st.sampled_from(small), mutated))
+    _assert_the_rank_axioms_reduce_to_the_lattice(M)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_rank_axioms_skip_the_subset_passes_that_cannot_report(monkeypatch, pg33, vamos_m):
+    closures = _count_calls(monkeypatch, Matroid, "_closure_bits")
+    tables = _count_calls(monkeypatch, core, "_exhaustive_rank_violations")
+    assert verify_rank_axioms(pg33, "sampled", trials=10000).passed
+    for M in (uniform(4, 14), vamos_m):
+        assert verify_rank_axioms(M, "exhaustive").passed
+    assert not closures and not tables
+
+    # The golden lattice of tests/test_cli.py fails R1 and R3 on subsets, so
+    # both subset passes run and list witnesses past the flat pairs.
+    nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
+    for mode, calls in (("sampled", closures), ("exhaustive", tables)):
+        report = verify_rank_axioms(nested, mode, trials=20)
+        assert calls and len(report.violations) > len(brute_flat_r3(nested))
+        assert list(report.violations) == brute_rank_violations(nested, mode, trials=20)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flat_axioms_match_the_walk_on_mutated_lattices(pg32, del32, vamos_m, data):
-    """One flat of a known lattice dropped, moved to another grade, or with one element toggled.
-
-    Only grades strictly between the bottom and the top change, since the
-    constructor pins those two to one flat each.  About 30 % of the
-    families it accepts pass F1 but fail F2.
-    """
-    base = data.draw(st.sampled_from([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
-    grades = [list(g) for g in base.flats_by_rank]
-    k = data.draw(st.integers(1, base.rank - 1))
-    flat = data.draw(st.sampled_from(grades[k]))
-    kind = data.draw(st.sampled_from(["drop", "move", "toggle"]))
-    grades[k].remove(flat)
-    if kind == "move":
-        grades[data.draw(st.integers(1, base.rank - 1).filter(lambda g: g != k))].append(flat)
-    elif kind == "toggle":
-        grades[k].append(flat ^ {data.draw(st.integers(0, base.ground_size - 1))})
-    try:
-        M = Matroid(base.ground_size, grades)
-    except ValueError:
-        assume(False)
+    """About 30 % of the mutated families the constructor accepts pass F1 but fail F2."""
+    M = data.draw(_mutated([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
     _assert_flat_axioms_match_the_walk(M)
 
 

@@ -3,7 +3,9 @@
 Two planes of PG(3,q) meet in a line, so PG(3,q)∖S is hypermodular
 exactly when every line keeps at least two points.  For such S the
 completion must take |S| steps, with a strictly decreasing defect
-trajectory, and end with the profile of PG(3,q).  For every other S,
+trajectory, and end with the profile of PG(3,q); every matroid it visits
+has unit pair defects totalling its disjoint flags plus its pairs of
+disjoint coplanar lines (``oracles.brute_defect_identity``).  For every other S,
 ``hypermod complete`` must refuse the input with exit code 2.
 
 Corpus (20 deletions): for q = 2 and q = 3 and each seed 0..7, S is
@@ -29,9 +31,11 @@ from hypermod import (
     pg3_points,
     profile,
     serialize_matroid,
+    total_modular_defect,
 )
+from hypermod import extension
 from hypermod.cli import main
-from oracles import modp_span_members, pg_point_list
+from oracles import brute_defect_identity, modp_span_members, pg_point_list
 
 PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1)}
 SEEDS = range(8)
@@ -79,7 +83,9 @@ def test_corpus_has_both_kinds():
 
 
 @pytest.mark.parametrize("q,S", CASES, ids=IDS)
-def test_deletion_completes_exactly_when_every_line_keeps_two_points(q, S, spaces, tmp_path):
+def test_deletion_completes_exactly_when_every_line_keeps_two_points(
+    q, S, spaces, tmp_path, monkeypatch
+):
     D = delete(spaces[q], S)
     keeps_lines = all(len(line - S) >= 2 for line in _lines(q))
     assert is_hypermodular(D) == keeps_lines
@@ -88,8 +94,21 @@ def test_deletion_completes_exactly_when_every_line_keeps_two_points(q, S, space
         path.write_text(serialize_matroid(D, name="deletion"))
         assert main(["complete", str(path), "--machine"]) == 2
         return
+    visited = []
+    original = extension.first_extendable_flag
+
+    def recording(M):
+        visited.append(M)
+        return original(M)
+
+    monkeypatch.setattr(extension, "first_extendable_flag", recording)
     outcome = complete_to_modular(D)
     assert outcome.ok
+    assert visited[0] is D and len(visited) == len(S)
+    for M in visited + [outcome.matroid]:
+        report = total_modular_defect(M)
+        assert set(report.pair_defects.values()) <= {1}
+        assert report.total == sum(brute_defect_identity(M))
     assert len(outcome.steps) == len(S)
     trajectory = [s.defect_before for s in outcome.steps] + [outcome.steps[-1].defect_after]
     assert all(a > b for a, b in zip(trajectory, trajectory[1:]))
