@@ -23,8 +23,10 @@ enumerates no circuits.
 
 One packed pair table, exact on any family the constructor accepts,
 answers every all-pairs question in row blocks: F1 reads its meets
-(:func:`_meet_block`), and the flat-pair R3 check and the defect scans
-of :mod:`hypermod.modularity` its defects (:func:`_defect_block`).
+(:func:`_meet_block`) against the flats that are not the intersection of
+their covers, and lists witnesses from all pairs only when it fails, and
+the flat-pair R3 check and the defect scans of :mod:`hypermod.modularity`
+read its defects (:func:`_defect_block`).
 The flat-pair R3 check also decides R3 on subsets, and one OR per flat
 decides whether R1 can fail anywhere, so the subset passes of
 :func:`verify_rank_axioms` run only when they have witnesses to list.
@@ -404,15 +406,15 @@ def _pair_table(M: Matroid) -> tuple:
     return table
 
 
-def _meet_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Intersections of flats ``r0..r1-1`` (rows) with flats ``c0..c1-1`` (columns).
+def _meet_block(M: Matroid, rows: slice, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections of the flats ``rows`` with the flats ``cols``, a slice or an index array.
 
     Returns ``(meet, found)``: where ``found``, the intersection is the
     stored flat ``meet``, looked up by hash and confirmed word by word.
     A cell not found has no stored intersection, or lost a hash collision.
     """
     words, keys, order = _pair_table(M)[:3]
-    inter = [words[r0:r1, w, None] & words[None, c0:c1, w] for w in range(words.shape[1])]
+    inter = [words[rows, w][:, None] & words[cols, w][None, :] for w in range(words.shape[1])]
     meet = order[np.minimum(np.searchsorted(keys, _hash(inter)), len(keys) - 1)]
     found = np.ones(meet.shape, dtype=bool)
     for w, x in enumerate(inter):
@@ -430,7 +432,7 @@ def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     whose meet is not found fall back to :func:`_defect_by_index`.
     """
     grade, rank, up_sets, prefix = _pair_table(M)[3:]
-    meet, found = _meet_block(M, r0, r1, c0, c1)
+    meet, found = _meet_block(M, slice(r0, r1), slice(c0, c1))
     # The top flat lies above every pair.  Up-sets of grade k meet only
     # below ``prefix[k]``, or at a grade-k flat of the pair, which is then
     # nested with the other and has defect zero.
@@ -497,16 +499,23 @@ def flats_of_rank(M: Matroid, k: int) -> tuple[ElementSet, ...]:
 def verify_flat_axioms(M: Matroid) -> AxiomReport:
     """Check the lattice axioms on the stored flats.
 
-    F1: the intersection of two flats is a flat.  It reads the meets of
-    the pair table; a meet not confirmed there is looked up among the
-    stored masks before it is reported.
+    F1: the intersection of two flats is a flat.  Call a flat
+    *irreducible* when it is not the intersection of its covers, its
+    minimal flats strictly above.  F1 holds iff every flat meets every
+    irreducible flat in a flat, since every flat is the intersection of
+    the irreducible flats at or above it (induction from the top flat,
+    the intersection of none), so any meet is a chain of meets with
+    irreducible flats.  This needs no axiom, only distinct subsets of a
+    top set.  F1 is decided on those cells of the pair table, the
+    hyperplanes of a geometric lattice; only when it fails are all pairs
+    scanned to list the witnesses.  A meet not confirmed in the table is
+    looked up among the stored masks before it counts.
 
     F2, the cover axiom (Oxley, *Matroid Theory*, 2nd ed., §1.4, F3):
-    the covers of each flat F, its minimal flats strictly above, hold
-    every element outside F.  Each element s that none holds is reported
-    as (F, {s}), in flat order and then element order.  No overlap test
-    is needed: given F1, two covers G1 != G2 holding s would meet in a
-    flat strictly between F and G1.
+    the covers of each flat F hold every element outside F.  Each element
+    s that none holds is reported as (F, {s}), in flat order and then
+    element order.  No overlap test is needed: given F1, two covers
+    G1 != G2 holding s would meet in a flat strictly between F and G1.
 
     Grading: every declared grade equals the longest chain length from
     the bottom flat.  Violations are reported, never thrown.
@@ -514,28 +523,39 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     violations: list[Violation] = []
     masks = M._flat_masks
     flats = M._flat_list
-
-    # F1: a cell whose meet is not confirmed may have lost a hash collision.
-    for i, j, _ in _upper_cells(M, 0, len(masks), lambda *span: ~_meet_block(*span)[1]):
-        inter = masks[i] & masks[j]
-        if inter not in M._index_of_mask:
-            detail = f"intersection {sorted(_members_of(inter))} is not a flat"
-            violations.append(Violation("F1", (flats[i], flats[j]), detail))
+    ground = _ground_mask(M)
 
     # F2: a flat strictly above F is a cover unless it is strictly above
     # another flat strictly above F.
     sup = M._sup_bits
     strictly_above = [up ^ (1 << i) for i, up in enumerate(sup)]
+    f2: list[Violation] = []
+    irreducible = []
     for i, above in enumerate(strictly_above):
         skipped = 0
         for j in _bits(above):
             skipped |= strictly_above[j]
-        held = masks[i]
+        held, meet = masks[i], ground
         for j in _bits(above & ~skipped):
             held |= masks[j]
-        for s in _bits(_ground_mask(M) & ~held):
+            meet &= masks[j]
+        if meet != masks[i]:
+            irreducible.append(i)
+        for s in _bits(ground & ~held):
             detail = "no cover of the flat holds the element"
-            violations.append(Violation("F2", (flats[i], frozenset([s])), detail))
+            f2.append(Violation("F2", (flats[i], frozenset([s])), detail))
+
+    # F1: a cell whose meet is not confirmed may have lost a hash collision.
+    if not _meets_are_flats(M, np.array(irreducible, dtype=np.intp)):
+        def unconfirmed(M, r0, r1, c0, c1):
+            return ~_meet_block(M, slice(r0, r1), slice(c0, c1))[1]
+
+        for i, j, _ in _upper_cells(M, 0, len(masks), unconfirmed):
+            inter = masks[i] & masks[j]
+            if inter not in M._index_of_mask:
+                detail = f"intersection {sorted(_members_of(inter))} is not a flat"
+                violations.append(Violation("F1", (flats[i], flats[j]), detail))
+    violations.extend(f2)
 
     # Declared grades vs longest chains from the bottom flat.
     chain = _chain_lengths(masks, sup)
@@ -550,6 +570,18 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
             )
 
     return AxiomReport.from_violations(violations)
+
+
+def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
+    """Whether every flat meets each flat of the index array ``cols`` in a stored flat."""
+    masks = M._flat_masks
+    step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    for r0 in range(0, len(masks), step):
+        _, found = _meet_block(M, slice(r0, r0 + step), cols)
+        for b, c in zip(*np.nonzero(~found)):
+            if masks[r0 + int(b)] & masks[cols[c]] not in M._index_of_mask:
+                return False
+    return True
 
 
 def _ground_mask(M: Matroid) -> int:

@@ -18,10 +18,14 @@ flat indices with joins read off the containment relation:
 The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
 new element to exactly the star lines and star planes, yielding a
-matroid whose lattice is re-verified from scratch and whose total
-modular defect strictly drops.  :func:`first_extendable_flag` picks
-the first flag whose criterion holds, and :func:`complete_to_modular`
-repeats the step until no disjoint flag is left.
+matroid whose lattice is checked against the flat axioms and whose
+total modular defect strictly drops.  Only the flats holding the new
+element change, so the new matroid's defects are its parent's with the
+rows of those flats rescanned, and only the first matroid of a
+completion has all its flat pairs scanned.  :func:`first_extendable_flag`
+picks the first flag whose criterion holds, and
+:func:`complete_to_modular` repeats the step until no disjoint flag is
+left.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .core import (
     restrict,
     verify_flat_axioms,
 )
-from .modularity import is_hypermodular, is_modular, total_modular_defect
+from .modularity import _extension_report, is_hypermodular, total_modular_defect
 
 
 class InternalConsistencyError(RuntimeError):
@@ -288,10 +292,13 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
 
     The new element (labelled with the next dense index) is added to
     every star line and star plane, and becomes a new rank-1 flat; all
-    other flats are untouched.  The resulting lattice is re-verified
-    against the flat axioms, must restrict back to the input, must stay
+    other flats are untouched.  The resulting lattice is checked against
+    the flat axioms, must restrict back to the input, must stay
     hypermodular and must strictly decrease the total modular defect —
     any failure is raised as an internal error rather than returned.
+    The new total comes from the defect report of the extension, built
+    from the input's report and the rows of the flats holding the new
+    element, and cached on the extension for the next step.
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
@@ -320,7 +327,7 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")
     before = total_modular_defect(M).total
-    after = total_modular_defect(extended).total
+    after = _extension_report(M, extended).total
     if not after < before:
         raise InternalConsistencyError(
             f"total modular defect did not decrease ({before} -> {after})"
@@ -360,8 +367,9 @@ def complete_to_modular(M: Matroid, max_steps: int | None = None) -> CompletionO
     """Repeatedly extend along disjoint flags until the matroid is modular.
 
     Each step extends along :func:`first_extendable_flag` and strictly
-    decreases the total modular defect, so ``max_steps`` defaults to
-    that initial total plus one; running out of steps raises
+    decreases the total modular defect, which the loop reads off each
+    matroid's cached defect report, so ``max_steps`` defaults to that
+    initial total plus one; running out of steps raises
     :class:`StepBudgetExhausted`.  If at some step no flag passes the
     criterion, the outcome carries one witness per failed flag instead
     of a matroid.
@@ -374,7 +382,7 @@ def complete_to_modular(M: Matroid, max_steps: int | None = None) -> CompletionO
 
     current = M
     steps: list[CompletionStep] = []
-    while not is_modular(current):
+    while total_modular_defect(current).total:
         if len(steps) >= max_steps:
             raise StepBudgetExhausted(f"no modular completion within {max_steps} steps")
         found = first_extendable_flag(current)

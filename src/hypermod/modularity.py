@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
 
 
@@ -88,14 +90,51 @@ def total_modular_defect(M: Matroid) -> DefectReport:
     """Sum of defects over all unordered pairs of distinct flats."""
     cached = M._cache.get("defect_report")
     if cached is None:
-        pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
-        total = sum(pairs.values())
-        flags: tuple = ()
-        if M.rank == 4 and M.is_loopless:
-            flags = tuple(disjoint_rank32_pairs(M))
-        cached = DefectReport(pair_defects=pairs, total=total, disjoint_flags=flags)
-        M._cache["defect_report"] = cached
+        cached = _cache_report(M, {pair_key(a, b): d for a, b, d in _defective_pairs(M)})
     return cached
+
+
+def _cache_report(M: Matroid, pairs: dict) -> DefectReport:
+    """The report of ``M`` with these positive pair defects, stored in its cache."""
+    flags: tuple = ()
+    if M.rank == 4 and M.is_loopless:
+        flags = tuple(disjoint_rank32_pairs(M))
+    report = DefectReport(pair_defects=pairs, total=sum(pairs.values()), disjoint_flags=flags)
+    M._cache["defect_report"] = report
+    return report
+
+
+def _extension_report(M: Matroid, N: Matroid) -> DefectReport:
+    """The defect report of ``N``, cached on ``N``, scanning only the flats that changed.
+
+    ``N`` is a one-element extension of ``M`` as :func:`hypermod.extension.extend_once`
+    builds it: M's flats, some with the new element m added, plus {m}.
+    The *changed* flats of N are those holding m.  Two flats of N that
+    both avoid m are flats of M, and the flats of N holding their union,
+    or their intersection, are the images of M's flats holding it, with
+    the same grades (and {m} if the intersection is empty, of grade 1,
+    where the bottom flat already has grade 0); so the pair keeps its
+    join grade, meet rank and nestedness, and hence its defect.  That
+    uses no lattice axiom.  So
+    M's pairs are kept unless they touch a changed flat with m removed,
+    and only the rows of the changed flats are read off the pair table.
+    """
+    m = M.ground_size
+    flats = N._flat_list
+    new = frozenset([m])
+    changed = _bits(N._elem_flatbits[m])
+    stale = {flats[i] - new for i in changed if flats[i] != new}
+    pairs = {
+        key: d for key, d in total_modular_defect(M).pair_defects.items() if stale.isdisjoint(key)
+    }
+    done = set()
+    for i in changed:
+        row = _defect_block(N, i, i + 1, 0, len(flats))[0]
+        for j in map(int, np.flatnonzero(row)):
+            if j not in done:
+                pairs[pair_key(flats[i], flats[j])] = int(row[j])
+        done.add(i)
+    return _cache_report(N, pairs)
 
 
 def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:

@@ -7,7 +7,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hypermod import Matroid, PointConfig, delete, matroid_from_points, pg3, uniform, vamos
+from hypermod import (
+    ExtensionResult,
+    Matroid,
+    PointConfig,
+    delete,
+    extend_once,
+    matroid_from_points,
+    pg3,
+    total_modular_defect,
+    uniform,
+    vamos,
+)
+from oracles import reverified_extension
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +30,16 @@ def pg32():
 @pytest.fixture(scope="session")
 def pg33():
     return pg3(3)
+
+
+@pytest.fixture(scope="session")
+def pg35():
+    return pg3(5)
+
+
+@pytest.fixture(scope="session")
+def pg37():
+    return pg3(7)
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +86,35 @@ def direct_sum_u12():
 def loop_fixture():
     # Rank 1 on three elements: 2 is a loop, 0 and 1 are parallel.
     return Matroid(3, [[{2}], [{0, 1, 2}]])
+
+
+def _outcome(step, M, ctx):
+    try:
+        return step(M, ctx)
+    except Exception as error:
+        return type(error), str(error)
+
+
+@pytest.fixture(scope="session")
+def check_local_step():
+    """``extend_once`` against the re-verified oracle on one context.
+
+    Both must return equal results or raise the same exception type
+    with the same message.  On success, the defect report seeded on the
+    extension must equal a full scan of the same lattice built afresh.
+    Returns what ``extend_once`` returned, or the ``(type, message)`` it raised.
+    """
+
+    def check(M, ctx):
+        got = _outcome(extend_once, M, ctx)
+        assert got == _outcome(reverified_extension, M, ctx)
+        if isinstance(got, ExtensionResult):
+            N = got.extended
+            seeded = N._cache["defect_report"]
+            fresh = total_modular_defect(Matroid(N.ground_size, N.flats_by_rank))
+            assert seeded.pair_defects == fresh.pair_defects
+            assert seeded.disjoint_flags == fresh.disjoint_flags
+            assert seeded.total == fresh.total
+        return got
+
+    return check

@@ -11,7 +11,9 @@ library's own closure, the reference the pair table must reproduce; and
 The extension oracles (``brute_context``, ``brute_criterion``,
 ``brute_star_violations``, ``brute_join_spectrum``) are the frozenset
 path the index-based extension layer replaced, with every join taken by
-``brute_closure``.
+``brute_closure``.  ``reverified_extension`` is ``extend_once`` as it
+was before it read the new defects off the changed flats: the extension
+re-verified in full, with a full pair scan of the new lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from hypermod.core import Violation, _mask_of, _members_of
+from hypermod.core import Matroid, Violation, _mask_of, _members_of, flat_key, restrict, verify_flat_axioms
+from hypermod.extension import ExtensionResult, InternalConsistencyError, criterion_holds
+from hypermod.modularity import is_hypermodular, total_modular_defect
 
 
 def modp_matrix_rank(rows, p: int) -> int:
@@ -187,6 +191,48 @@ def brute_f1(M) -> list:
                         f"intersection {sorted(_members_of(inter))} is not a flat",
                     )
                 )
+    return violations
+
+
+def brute_covers(M) -> list[list[frozenset[int]]]:
+    """Per stored flat in the global order, its minimal stored flats strictly above, by subset tests."""
+    out = []
+    for f in M._flat_list:
+        above = [g for g in M._flat_list if f < g]
+        out.append([g for g in above if not any(h < g for h in above)])
+    return out
+
+
+def brute_irreducible(M) -> list[int]:
+    """Indices of the stored flats that are not the intersection of their covers.
+
+    The top flat has no cover, and the intersection of none is the ground set.
+    """
+    ground = frozenset(range(M.ground_size))
+    return [
+        i
+        for i, (f, covers) in enumerate(zip(M._flat_list, brute_covers(M)))
+        if ground.intersection(*covers) != f
+    ]
+
+
+def brute_flat_report(M) -> list:
+    """The violations ``verify_flat_axioms`` lists, in its order, each axiom by brute force.
+
+    F1 from ``brute_f1``; F2 as every element outside a flat that none of
+    its covers holds; grading against ``brute_chain_lengths``, flats by size.
+    """
+    violations = brute_f1(M)
+    for f, covers in zip(M._flat_list, brute_covers(M)):
+        for s in sorted(set(range(M.ground_size)) - f.union(*covers)):
+            detail = "no cover of the flat holds the element"
+            violations.append(Violation("F2", (f, frozenset([s])), detail))
+    chain = brute_chain_lengths(M._flat_list)
+    graded = [(f, k) for k, grade in enumerate(M.flats_by_rank) for f in grade]
+    for f, grade in sorted(graded, key=lambda pair: len(pair[0])):
+        if chain[f] != grade:
+            detail = f"declared grade {grade} but longest chain has length {chain[f]}"
+            violations.append(Violation("grading", (f,), detail))
     return violations
 
 
@@ -504,3 +550,50 @@ def brute_star_violations(M, ctx) -> list:
                     )
                 )
     return violations
+
+
+def reverified_extension(M, ctx) -> ExtensionResult:
+    """``extend_once`` re-verified in full: flat axioms, restriction, full defect scan."""
+    verdict = criterion_holds(M, ctx)
+    if not verdict.holds:
+        a, b = verdict.witness
+        raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
+
+    m = M.ground_size
+    new = frozenset([m])
+    star_lines = set(ctx.star_lines)
+    star_planes = set(ctx.star_planes)
+    grades = [
+        [frozenset()],
+        list(M.flats_by_rank[1]) + [new],
+        [x | new if x in star_lines else x for x in M.flats_by_rank[2]],
+        [x | new if x in star_planes else x for x in M.flats_by_rank[3]],
+        [M.ground_set | new],
+    ]
+    extended = Matroid(m + 1, grades)
+
+    report = verify_flat_axioms(extended)
+    if not report.passed:
+        first = report.violations[0]
+        raise InternalConsistencyError(
+            f"extension lattice fails {first.axiom}: {first.detail}"
+        )
+    if restrict(extended, range(m)) != M:
+        raise InternalConsistencyError("extension does not restrict back to the input")
+    before = total_modular_defect(M).total
+    after = total_modular_defect(extended).total
+    if not after < before:
+        raise InternalConsistencyError(
+            f"total modular defect did not decrease ({before} -> {after})"
+        )
+    if not is_hypermodular(extended):
+        raise InternalConsistencyError("extension lost hypermodularity")
+
+    enlarged = tuple(sorted(star_lines | star_planes, key=flat_key))
+    return ExtensionResult(
+        extended=extended,
+        new_element=m,
+        enlarged=enlarged,
+        defect_before=before,
+        defect_after=after,
+    )

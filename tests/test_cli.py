@@ -132,9 +132,9 @@ def test_analyze_deletion(workdir, capsys):
 
 
 @pytest.fixture(scope="module")
-def pg35m01(tmp_path_factory):
+def pg35m01(pg35, tmp_path_factory):
     """PG(3,5) without two points, and the .mat file it serializes to."""
-    D = delete(pg3(5), {0, 1})
+    D = delete(pg35, {0, 1})
     path = tmp_path_factory.mktemp("scale") / "pg35m01.mat"
     path.write_text(serialize_matroid(D, name="pg35_minus01"))
     return D, path

@@ -31,6 +31,8 @@ from hypermod import (
     verify_flat_axioms,
     verify_star_structure,
 )
+from hypermod import extension
+from hypermod.core import flat_key
 import oracles
 from oracles import brute_context, brute_criterion, brute_join_spectrum, brute_star_violations
 
@@ -301,6 +303,52 @@ def test_extend_detects_corrupt_star(del32, del32_context):
     ctx = dataclasses.replace(del32_context, star_lines=del32_context.star_lines[1:])
     with pytest.raises((InternalConsistencyError, ValueError)):
         extend_once(del32, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the local step against full re-verification
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,steps", [("del32", 1), ("del33a", 1), ("del33ab", 2)])
+def test_every_completion_step_matches_the_reverified_extension(
+    name, steps, request, monkeypatch, check_local_step
+):
+    taken = []
+
+    def checked(M, ctx):
+        result = check_local_step(M, ctx)
+        assert isinstance(result, extension.ExtensionResult), result
+        taken.append(result)
+        return result
+
+    monkeypatch.setattr(extension, "extend_once", checked)
+    outcome = complete_to_modular(request.getfixturevalue(name))
+    assert outcome.ok and len(taken) == len(outcome.steps) == steps
+    assert taken[-1].extended is outcome.matroid
+
+
+def test_tampered_contexts_fail_as_the_reverified_extension_does(del33ab, check_local_step):
+    f3, f2 = disjoint_rank32_pairs(del33ab)[0]
+    ctx = build_context(del33ab, f3, f2)
+    line = next(x for x in flats_of_rank(del33ab, 2) if x not in ctx.star_lines)
+    plane = next(x for x in flats_of_rank(del33ab, 3) if x not in ctx.star_planes)
+    cross = ctx.cross_lines[0]
+    variants = [
+        dataclasses.replace(ctx, star_planes=ctx.star_planes[1:]),
+        dataclasses.replace(ctx, star_lines=tuple(sorted(ctx.star_lines + (line,), key=flat_key))),
+        dataclasses.replace(
+            ctx,
+            cross_lines=ctx.cross_lines[1:],
+            star_lines=tuple(x for x in ctx.star_lines if x != cross),
+        ),
+        # The criterion reads joins of star lines only, so a foreign plane reaches the lattice.
+        dataclasses.replace(ctx, star_planes=tuple(sorted(ctx.star_planes + (plane,), key=flat_key))),
+    ]
+    outcomes = [check_local_step(del33ab, variant) for variant in variants]
+    assert [kind for kind, _ in outcomes] == [
+        ValueError, ValueError, InternalConsistencyError, InternalConsistencyError
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from hypermod import (
     verify_flat_axioms,
     verify_rank_axioms,
 )
-from hypermod import core
+from hypermod import complete_to_modular, core, modularity
 from hypermod.core import _defect_block, _defect_by_index, _pair_table
 from hypermod.modularity import _defective_pairs
 from oracles import (
@@ -42,7 +42,9 @@ from oracles import (
     brute_f2,
     brute_flat_jumps,
     brute_flat_r3,
+    brute_flat_report,
     brute_flat_verdict,
+    brute_irreducible,
     brute_rank_violations,
     brute_subset_r1_fails,
     brute_subset_r3_fails,
@@ -608,6 +610,79 @@ def test_flat_axioms_match_the_walk_on_mutated_lattices(pg32, del32, vamos_m, da
     """About 30 % of the mutated families the constructor accepts pass F1 but fail F2."""
     M = data.draw(_mutated([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
     _assert_flat_axioms_match_the_walk(M)
+
+
+# -- F1 decided on the irreducible flats ----------------------------------
+
+
+def _assert_f1_is_decided_on_the_irreducible_flats(M):
+    """Every flat is the AND of the irreducible flats at or above it, so F1 is decided there.
+
+    ``verify_flat_axioms`` decides F1 on the oracle's irreducible flats,
+    with the all-pairs oracle's verdict, and lists the report of the
+    brute-force flat oracle.
+    """
+    flats = M._flat_list
+    irreducible = brute_irreducible(M)
+    ground = frozenset(range(M.ground_size))
+    for f in flats:
+        assert f == ground.intersection(*(flats[j] for j in irreducible if f <= flats[j]))
+    decided = []
+    original = core._meets_are_flats
+
+    def recording(M, cols):
+        decided.append((cols.tolist(), original(M, cols)))
+        return decided[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_meets_are_flats", recording)
+        report = verify_flat_axioms(M)
+    assert decided == [(irreducible, not brute_f1(M))]
+    assert list(report.violations) == brute_flat_report(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_small_families())
+@example(M=Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]]))
+@example(M=Matroid(3, [[()], [{0, 1}, {0, 2}], [{0, 1, 2}]]))
+def test_f1_is_decided_on_the_irreducible_flats_of_any_accepted_family(M):
+    _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+def test_f1_is_decided_on_the_irreducible_flats_of_the_zoo(
+    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture
+):
+    zoo = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, uniform(4, 8), uniform(0, 2)]
+    for M in zoo + _corrupt_families(pg32):
+        _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_f1_is_decided_on_the_irreducible_flats_of_mutated_lattices(pg32, del32, vamos_m, data):
+    M = data.draw(_mutated([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
+    _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+def test_flat_axioms_scan_all_pairs_only_when_f1_fails(monkeypatch, pg33, pg35, vamos_m):
+    scans = _count_calls(monkeypatch, core, "_upper_cells")
+    for M in (pg33, delete(pg35, {0, 1}), uniform(4, 8), vamos_m):
+        assert verify_flat_axioms(M).passed
+    assert not scans
+    # The golden lattice of tests/test_cli.py fails F1.
+    nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
+    f1 = [v for v in verify_flat_axioms(nested).violations if v.axiom == "F1"]
+    assert scans and f1 == brute_f1(nested)
+
+
+def test_completion_scans_all_flat_pairs_once(monkeypatch, pg33, pg35):
+    # Later matroids take their defects from their parent and the changed flats.
+    scans = _count_calls(monkeypatch, modularity, "_defective_pairs")
+    for space in (pg33, pg35):
+        scans.clear()
+        outcome = complete_to_modular(delete(space, {0, 1}))
+        assert outcome.ok and len(outcome.steps) == 2
+        assert [args[1:] for args in scans].count(()) == 1
 
 
 def test_flat_pair_r3_keeps_the_violation_cap():

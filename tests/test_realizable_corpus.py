@@ -5,7 +5,8 @@ exactly when every line keeps at least two points.  For such S the
 completion must take |S| steps, with a strictly decreasing defect
 trajectory, and end with the profile of PG(3,q); every matroid it visits
 has unit pair defects totalling its disjoint flags plus its pairs of
-disjoint coplanar lines (``oracles.brute_defect_identity``).  For every other S,
+disjoint coplanar lines (``oracles.brute_defect_identity``), and every
+step matches ``oracles.reverified_extension``.  For every other S,
 ``hypermod complete`` must refuse the input with exit code 2.
 
 Corpus (20 deletions): for q = 2 and q = 3 and each seed 0..7, S is
@@ -37,7 +38,7 @@ from hypermod import extension
 from hypermod.cli import main
 from oracles import brute_defect_identity, modp_span_members, pg_point_list
 
-PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1)}
+PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1), 7: (1, 400, 2850, 400, 1)}
 SEEDS = range(8)
 
 
@@ -82,9 +83,21 @@ def test_corpus_has_both_kinds():
     assert kinds == {(2, True), (2, False), (3, True), (3, False)}
 
 
+def _record_visits(monkeypatch) -> list:
+    visited = []
+    original = extension.first_extendable_flag
+
+    def recording(M):
+        visited.append(M)
+        return original(M)
+
+    monkeypatch.setattr(extension, "first_extendable_flag", recording)
+    return visited
+
+
 @pytest.mark.parametrize("q,S", CASES, ids=IDS)
 def test_deletion_completes_exactly_when_every_line_keeps_two_points(
-    q, S, spaces, tmp_path, monkeypatch
+    q, S, spaces, tmp_path, monkeypatch, check_local_step
 ):
     D = delete(spaces[q], S)
     keeps_lines = all(len(line - S) >= 2 for line in _lines(q))
@@ -94,14 +107,8 @@ def test_deletion_completes_exactly_when_every_line_keeps_two_points(
         path.write_text(serialize_matroid(D, name="deletion"))
         assert main(["complete", str(path), "--machine"]) == 2
         return
-    visited = []
-    original = extension.first_extendable_flag
-
-    def recording(M):
-        visited.append(M)
-        return original(M)
-
-    monkeypatch.setattr(extension, "first_extendable_flag", recording)
+    visited = _record_visits(monkeypatch)
+    monkeypatch.setattr(extension, "extend_once", check_local_step)
     outcome = complete_to_modular(D)
     assert outcome.ok
     assert visited[0] is D and len(visited) == len(S)
@@ -114,3 +121,18 @@ def test_deletion_completes_exactly_when_every_line_keeps_two_points(
     assert all(a > b for a, b in zip(trajectory, trajectory[1:]))
     assert trajectory[-1] == 0
     assert profile(outcome.matroid).counts == PG_PROFILE[q]
+
+
+def test_pg37_two_point_deletion_completes_to_pg37(pg37, monkeypatch):
+    # 8778 = 2 * 4389: a deleted point leaves 57 * 49 = 2793 disjoint flags
+    # (a plane through it and a line through it outside that plane) and
+    # C(57, 2) = 1596 disjoint coplanar pairs of lines through it.
+    visited = _record_visits(monkeypatch)
+    outcome = complete_to_modular(delete(pg37, {0, 1}))
+    assert outcome.ok
+    trajectory = [s.defect_before for s in outcome.steps] + [outcome.steps[-1].defect_after]
+    assert trajectory == [8778, 4389, 0]
+    assert profile(outcome.matroid) == profile(pg37)
+    assert profile(pg37).counts == PG_PROFILE[7]
+    for M in visited + [outcome.matroid]:
+        assert total_modular_defect(M).total == sum(brute_defect_identity(M))
