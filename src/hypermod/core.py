@@ -34,7 +34,11 @@ decides whether R1 can fail anywhere, so the subset passes of
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths (:func:`_chain_lengths`, the
 same routine that grades :func:`restrict`) so that corrupt input files
-are caught loudly instead of silently re-ranked.
+are caught loudly instead of silently re-ranked.  A matroid may carry
+its flat-axiom report: parsing stores the one it computes, and a
+one-element extension whose axioms follow from its parent's and a
+modular-cut check on its changed flats (:func:`_extension_passes_flat_axioms`)
+carries a passing one, which :func:`verify_flat_axioms` returns.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ class Matroid:
         self._grade_of_index = grade_of
         self._index_of_mask = {m: i for i, m in enumerate(self._flat_masks)}
         self._all_flat_bits = (1 << len(flat_list)) - 1
-        self._elem_flatbits, self._sup_bits = _flat_relation(n, self._flat_masks)
+        self._elem_flatbits, self._sup_bits = _flat_relation(n, flat_list)
         # A flat inside another of its own grade breaks the shape.  One inside
         # a flat of lower grade is left to verify_flat_axioms.
         starts = self._grade_starts
@@ -285,21 +289,20 @@ class Matroid:
         return tuple(starts)
 
 
-def _flat_relation(n: int, masks: list[int]) -> tuple[list[int], list[int]]:
-    """Element and containment bits of a family of subsets of ``0..n-1``.
+def _flat_relation(n: int, members: list[Iterable[int]]) -> tuple[list[int], list[int]]:
+    """Element and containment bits of a family of subsets of ``0..n-1``, given by their members.
 
     Bit i of ``elem_bits[e]`` says that set i holds element e.  Bit j of
     ``sup_bits[i]`` says that set i lies inside set j, itself included:
     the AND of ``elem_bits`` over the elements of set i, exact for any
     family, lattice or not.
     """
-    members = [_bits(m) for m in masks]
     elem_bits = [0] * n
     for i, elems in enumerate(members):
         bit = 1 << i
         for e in elems:
             elem_bits[e] |= bit
-    everything = (1 << len(masks)) - 1
+    everything = (1 << len(members)) - 1
     sup_bits = []
     for elems in members:
         up = everything
@@ -519,7 +522,17 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
 
     Grading: every declared grade equals the longest chain length from
     the bottom flat.  Violations are reported, never thrown.
+
+    A report stored in ``M._cache["flat_report"]`` is returned as it is.
+    Only two places store one: :func:`hypermod.matio.parse_matroid_document`
+    stores the report it has just computed on the matroid it parsed, and
+    :func:`hypermod.extension.extend_once` stores a passing report on an
+    extension that :func:`_extension_passes_flat_axioms` proves.  This
+    function never stores its own result.
     """
+    stored = M._cache.get("flat_report")
+    if stored is not None:
+        return stored
     violations: list[Violation] = []
     masks = M._flat_masks
     flats = M._flat_list
@@ -582,6 +595,66 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
             if masks[r0 + int(b)] & masks[cols[c]] not in M._index_of_mask:
                 return False
     return True
+
+
+def _extension_passes_flat_axioms(M: Matroid, N: Matroid) -> bool:
+    """Whether ``N`` passes F1, F2 and grading, proved from ``M``'s and the changed flats.
+
+    ``M`` must pass all three, and ``N`` must be ``M`` with a new element
+    m added to every flat of a family D, plus the grade-1 flat {m}, as
+    :func:`hypermod.extension.extend_once` builds it; D is read off the
+    flats of N holding m.  A single-element extension is fixed by a
+    modular cut, an up-closed family of flats closed under meets
+    (Crapo 1965; Oxley, *Matroid Theory*, §7.2), so only D is checked.
+    N passes if M's bottom flat is empty and:
+
+    (i) D is up-closed in M;
+    (iii) any two flats of D meet in a flat of D or in the bottom flat;
+    (v) the grade-2 flats of D cover the ground set.
+
+    The other conditions follow, so they are not checked.  D holds the
+    top flat, since N's top flat is its ground set.  And:
+
+    (ii) D has no flat of grade 0 or 1, or the constructor would have
+         refused N: {m} would equal the enlarged bottom flat, or lie
+         inside an enlarged flat of its own grade;
+    (iv) every flat G outside D but the bottom lies under a flat of D one
+         grade higher: by (v) a grade-2 flat L of D holds an element of
+         G, L is not inside G by (i), so L meets G in a grade-1 flat and
+         G ∨ L, in D by (i), is one grade above G by semimodularity.
+
+    By (i) no containment among M's flats is lost, so F2 for M's flats in
+    D and every chain length carry over from M; with (ii) a chain through
+    {m} is no longer than grade(F) for F above it.  (i) and (iii) give F1;
+    the bottom flat is empty, so {m} meets every flat outside D in a flat.
+    A flat one grade higher covers, so (iv) puts m in a cover of every
+    flat outside D, and by (v) the covers of {m} hold every other element.
+    False means no proof, not a failure.
+    """
+    m = M.ground_size
+    masks, index, grade, sup = M._flat_masks, M._index_of_mask, M._grade_of_index, M._sup_bits
+    bit = 1 << m
+    cut, members = 0, []
+    for i in _bits(N._elem_flatbits[m]):
+        mask = N._flat_masks[i] ^ bit
+        if not mask:
+            continue  # the new flat {m}
+        j = index.get(mask)
+        if j is None:
+            return False
+        cut |= 1 << j
+        members.append(j)
+    if masks[0] or any(sup[j] & ~cut for j in members):
+        return False
+    for a, b in itertools.combinations(members, 2):
+        meet = index.get(masks[a] & masks[b])
+        if meet is None or (meet and not cut >> meet & 1):
+            return False
+    covered = 0
+    for j in members:
+        if grade[j] == 2:
+            covered |= masks[j]
+    return covered == _ground_mask(M)
 
 
 def _ground_mask(M: Matroid) -> int:
@@ -754,10 +827,11 @@ def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     reindex = {old: new for new, old in enumerate(elems)}
 
     inter_masks = list({fm & mask for fm in M._flat_masks})
-    chain = _chain_lengths(inter_masks, _flat_relation(M.ground_size, inter_masks)[1])
+    members = [_bits(m) for m in inter_masks]
+    chain = _chain_lengths(inter_masks, _flat_relation(M.ground_size, members)[1])
     grades: list[list[ElementSet]] = [[] for _ in range(max(chain) + 1)]
-    for m, c in zip(inter_masks, chain):
-        grades[c].append(frozenset(reindex[e] for e in _bits(m)))
+    for kept, c in zip(members, chain):
+        grades[c].append(frozenset(reindex[e] for e in kept))
     return Matroid(len(elems), grades, element_map=tuple(elems))
 
 

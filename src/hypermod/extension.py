@@ -18,11 +18,14 @@ flat indices with joins read off the containment relation:
 The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
 new element to exactly the star lines and star planes, yielding a
-matroid whose lattice is checked against the flat axioms and whose
-total modular defect strictly drops.  Only the flats holding the new
-element change, so the new matroid's defects are its parent's with the
-rows of those flats rescanned, and only the first matroid of a
-completion has all its flat pairs scanned.  :func:`first_extendable_flag`
+matroid whose total modular defect strictly drops.  Only the flats
+holding the new element change.  So the new lattice's flat axioms follow
+from its parent's and a modular-cut check on those flats
+(:func:`hypermod.core._extension_passes_flat_axioms`), with the full
+check run only when that proof does not hold, and its defects are its
+parent's with the rows of those flats rescanned.  Only the first matroid
+of a completion has its flat axioms checked and all its flat pairs
+scanned.  :func:`first_extendable_flag`
 picks the first flag whose criterion holds, and
 :func:`complete_to_modular` repeats the step until no disjoint flag is
 left.
@@ -39,6 +42,7 @@ from .core import (
     ElementSet,
     Matroid,
     Violation,
+    _extension_passes_flat_axioms,
     _join_index,
     flat_key,
     restrict,
@@ -290,20 +294,35 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
 def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     """Adjoin one element through the context's star.
 
+    The input must satisfy the flat axioms: its stored report is read
+    (parsing stores one), or else the full check runs, and a failure is
+    a ValueError raised before anything is built.
     The new element (labelled with the next dense index) is added to
     every star line and star plane, and becomes a new rank-1 flat; all
-    other flats are untouched.  The resulting lattice is checked against
-    the flat axioms, must restrict back to the input, must stay
-    hypermodular and must strictly decrease the total modular defect —
-    any failure is raised as an internal error rather than returned.
-    The new total comes from the defect report of the extension, built
-    from the input's report and the rows of the flats holding the new
-    element, and cached on the extension for the next step.
+    other flats are untouched.  The resulting lattice must satisfy the
+    flat axioms, proved from the input's and a check on the flats holding
+    the new element, with the full check run only when that proof does
+    not hold; it must also restrict back to the input, stay hypermodular
+    and strictly decrease the total modular defect — any failure is
+    raised as an internal error rather than returned.
+    The new total and the hypermodularity witness come from the defect
+    report of the extension, built from the input's report and the rows
+    of the flats holding the new element, and cached on the extension
+    for the next step, as is the proved flat report.
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
         a, b = verdict.witness
         raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
+    given = M._cache.get("flat_report")
+    if given is None:
+        given = verify_flat_axioms(M)
+    if not given.passed:
+        first = given.violations[0]
+        raise ValueError(
+            "extension requires a matroid that satisfies the flat axioms; "
+            f"it fails {first.axiom}: {first.detail}"
+        )
 
     m = M.ground_size
     new = frozenset([m])
@@ -318,6 +337,8 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     ]
     extended = Matroid(m + 1, grades)
 
+    if _extension_passes_flat_axioms(M, extended):
+        extended._cache["flat_report"] = AxiomReport(True, ())
     report = verify_flat_axioms(extended)
     if not report.passed:
         first = report.violations[0]

@@ -10,8 +10,11 @@ Matroid documents (``.mat``)::
 
 Every flat of every grade must be listed — the lattice IS the
 representation.  Parsing verifies the flat axioms by default, so garbage
-is rejected at the boundary; serialization is canonical (grade
-ascending, flats lexicographic) and byte-stable across runs.
+is rejected at the boundary, and stores the report on the matroid for
+:func:`hypermod.core.verify_flat_axioms` and
+:func:`hypermod.extension.extend_once` to read; serialization is
+canonical (grade ascending, flats lexicographic) and byte-stable across
+runs.
 
 Point documents (``.pts``)::
 
@@ -118,6 +121,7 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
         raise ParseError(str(exc)) from None
     if verify:
         report = verify_flat_axioms(matroid)
+        matroid._cache["flat_report"] = report
         if not report.passed:
             first = report.violations[0]
             raise ParseError(

@@ -118,6 +118,10 @@ def _extension_report(M: Matroid, N: Matroid) -> DefectReport:
     uses no lattice axiom.  So
     M's pairs are kept unless they touch a changed flat with m removed,
     and only the rows of the changed flats are read off the pair table.
+
+    The report lists every nonzero pair, so N's hypermodularity witness,
+    the first corank-1 pair among them in row-major flat order, is
+    cached too.
     """
     m = M.ground_size
     flats = N._flat_list
@@ -134,6 +138,13 @@ def _extension_report(M: Matroid, N: Matroid) -> DefectReport:
             if j not in done:
                 pairs[pair_key(flats[i], flats[j])] = int(row[j])
         done.add(i)
+    if N.rank >= 3:
+        starts = N._grade_starts
+        corank = {flats[i]: i for i in range(starts[-3], starts[-2])}
+        # Inside a grade, flat order is the canonical order of pair keys.
+        cells = ((corank[a], corank[b]) for a, b in pairs if a in corank and b in corank)
+        first = min(cells, default=None)
+        N._cache["hm_witness"] = None if first is None else (flats[first[0]], flats[first[1]])
     return _cache_report(N, pairs)
 
 

@@ -13,11 +13,13 @@ from hypermod import (
     PointConfig,
     delete,
     extend_once,
+    hypermodularity_witness,
     matroid_from_points,
     pg3,
     total_modular_defect,
     uniform,
     vamos,
+    verify_flat_axioms,
 )
 from oracles import reverified_extension
 
@@ -101,7 +103,8 @@ def check_local_step():
 
     Both must return equal results or raise the same exception type
     with the same message.  On success, the defect report seeded on the
-    extension must equal a full scan of the same lattice built afresh.
+    extension, its flat-axiom report and its hypermodularity witness must
+    equal those of the same lattice built afresh.
     Returns what ``extend_once`` returned, or the ``(type, message)`` it raised.
     """
 
@@ -110,11 +113,13 @@ def check_local_step():
         assert got == _outcome(reverified_extension, M, ctx)
         if isinstance(got, ExtensionResult):
             N = got.extended
-            seeded = N._cache["defect_report"]
-            fresh = total_modular_defect(Matroid(N.ground_size, N.flats_by_rank))
-            assert seeded.pair_defects == fresh.pair_defects
-            assert seeded.disjoint_flags == fresh.disjoint_flags
-            assert seeded.total == fresh.total
+            fresh = Matroid(N.ground_size, N.flats_by_rank)
+            seeded, scanned = N._cache["defect_report"], total_modular_defect(fresh)
+            assert seeded.pair_defects == scanned.pair_defects
+            assert seeded.disjoint_flags == scanned.disjoint_flags
+            assert seeded.total == scanned.total
+            assert verify_flat_axioms(N) == verify_flat_axioms(fresh)
+            assert hypermodularity_witness(N) == hypermodularity_witness(fresh)
         return got
 
     return check

@@ -61,6 +61,28 @@ def modp_span_members(points, subset, p: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def modp_line_plane_meet(points, plane, line, p: int) -> tuple[int, ...]:
+    """The projective point where the spans of a plane and a disjoint line meet.
+
+    ``plane`` and ``line`` index spans of ``points`` in GF(p)^4 of rank 3
+    and 2 that share no point; so their spans meet in exactly one
+    projective point (2 + 3 - 4 = 1), which is none of ``points``.  The
+    line's projective points are v and u + t v for its first two points
+    u, v and every t; the one the plane's span holds is returned with its
+    first nonzero coordinate scaled to 1.
+    """
+    rows = [points[i] for i in sorted(plane)]
+    u, v = (points[i] for i in sorted(line)[:2])
+    assert modp_span_members(points, plane, p) == frozenset(plane)
+    assert modp_span_members(points, line, p) == frozenset(line)
+    assert modp_matrix_rank(rows, p) == 3 and modp_matrix_rank([u, v], p) == 2
+    assert not frozenset(plane) & frozenset(line)
+    on_line = [v] + [tuple((a + t * b) % p for a, b in zip(u, v)) for t in range(p)]
+    (meet,) = [w for w in on_line if modp_matrix_rank(rows + [w], p) == 3]
+    lead = next(c for c in meet if c)
+    return tuple(c * pow(lead, p - 2, p) % p for c in meet)
+
+
 def modp_flats(points, p: int) -> list[set[frozenset[int]]]:
     """Flats of the GF(p) point configuration, grade by grade.
 

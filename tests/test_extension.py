@@ -4,9 +4,12 @@ import dataclasses
 import functools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hypermod import (
+    ExtensionContext,
     InternalConsistencyError,
+    Matroid,
     build_context,
     complete_to_modular,
     components,
@@ -15,6 +18,7 @@ from hypermod import (
     delete,
     disjoint_rank32_pairs,
     extend_once,
+    first_extendable_flag,
     flats_of_rank,
     is_hypermodular,
     is_inseparable,
@@ -22,19 +26,28 @@ from hypermod import (
     is_modular,
     join_spectrum,
     modular_defect,
+    parse_matroid,
     pg3,
     profile,
     rank_of,
     restrict,
+    serialize_matroid,
     total_modular_defect,
     uniform,
     verify_flat_axioms,
     verify_star_structure,
 )
-from hypermod import extension
+from hypermod import core, extension
 from hypermod.core import flat_key
 import oracles
-from oracles import brute_context, brute_criterion, brute_join_spectrum, brute_star_violations
+from oracles import (
+    brute_context,
+    brute_criterion,
+    brute_flat_verdict,
+    brute_join_spectrum,
+    brute_star_violations,
+)
+from test_modularity import _small_families
 
 # Pinned by the defect oracle: deleting two points of PG(3,3) costs 195
 # per point (117 plane/line pairs plus 78 line pairs through it).
@@ -349,6 +362,138 @@ def test_tampered_contexts_fail_as_the_reverified_extension_does(del33ab, check_
     assert [kind for kind, _ in outcomes] == [
         ValueError, ValueError, InternalConsistencyError, InternalConsistencyError
     ]
+
+
+def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, pg35):
+    # Every extension's flat axioms are proved on its star.  A parsed input
+    # was checked when it was parsed; a built one is checked by the first step.
+    passes = []
+    original = core._meets_are_flats
+
+    def counted(M, cols):
+        passes.append(M)
+        return original(M, cols)
+
+    monkeypatch.setattr(core, "_meets_are_flats", counted)
+    for space in (pg33, pg35):
+        built = delete(space, {0, 1})
+        passes.clear()
+        parsed = parse_matroid(serialize_matroid(built))
+        assert complete_to_modular(parsed).ok
+        assert len(passes) == 1 and passes[0] is parsed
+        passes.clear()
+        assert complete_to_modular(built).ok
+        assert len(passes) == 1 and passes[0] is built
+        assert "flat_report" not in built._cache
+
+
+def test_extension_refuses_input_that_fails_the_flat_axioms(del32):
+    # PG(3,2)∖{0} with one plane left out fails F2.  Parsed unverified, 8 of
+    # the 15 such lattices still have an extendable flag (the other 7 leave
+    # a pencil of two planes), and each must be refused before anything is built.
+    lines = serialize_matroid(del32, name="holed").splitlines(keepends=True)
+    refused = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("flat 3:"):
+            continue
+        M = parse_matroid("".join(lines[:i] + lines[i + 1 :]), verify=False)
+        try:
+            ctx = first_extendable_flag(M)
+        except InternalConsistencyError:
+            continue
+        assert isinstance(ctx, ExtensionContext)
+        with pytest.raises(ValueError) as error:
+            extend_once(M, ctx)
+        assert str(error.value) == (
+            "extension requires a matroid that satisfies the flat axioms; "
+            "it fails F2: no cover of the flat holds the element"
+        )
+        refused += 1
+    assert refused == 8
+
+
+# ---------------------------------------------------------------------------
+# the extension's flat axioms, proved on the changed flats
+# ---------------------------------------------------------------------------
+
+
+def _extension_of(M, cut):
+    """M with a new element m added to every flat of ``cut``, plus the grade-1 flat {m}.
+
+    ``extend_once`` builds its extension this way.  None if the constructor refuses it.
+    """
+    m = M.ground_size
+    new = frozenset([m])
+    grades = [[x | new if x in cut else x for x in grade] for grade in M.flats_by_rank]
+    grades[1].append(new)
+    try:
+        return Matroid(m + 1, grades)
+    except ValueError:
+        return None
+
+
+def _star(M) -> set:
+    """The star lines and planes of M's first extendable flag; empty if it has none."""
+    try:
+        found = first_extendable_flag(M)
+    except ValueError:  # not a loopless hypermodular rank-4 matroid
+        return set()
+    return set(found.star_lines) | set(found.star_planes) if isinstance(found, ExtensionContext) else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_extension_proof_is_sound(
+    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, data
+):
+    """Whenever the proof holds, the extension built afresh passes the flat axioms.
+
+    M is a small accepted family that passes them, or a deletion of a zoo
+    lattice.  The enlarged flats are the star of M's first extendable flag
+    with up to two flats dropped and two added, lines kept greedily
+    disjoint in a random order, or up to four random flats; they are then
+    closed upward or not, and hold the top flat.  On an unchanged star
+    the proof must hold.
+    """
+    if data.draw(st.booleans()):
+        M = data.draw(_small_families())
+        assume(verify_flat_axioms(M).passed)
+    else:
+        looped = Matroid(4, [[{3}], [{0, 3}, {1, 3}, {2, 3}], [range(4)]])  # U(2,3) and a loop
+        zoo = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, looped]
+        base = data.draw(st.sampled_from(zoo + [uniform(3, 5), uniform(4, 6)]))
+        removed = data.draw(
+            st.sets(st.integers(0, base.ground_size - 1), max_size=min(3, base.ground_size - 1))
+        )
+        M = delete(base, removed) if removed else base
+    assume(M.rank >= 2)  # below, grade 1 is the top and has no room for {m}
+    flats = M._flat_list
+    star = _star(M)
+    kind = data.draw(st.sampled_from(["star", "spread", "random"] if star else ["spread", "random"]))
+    if kind == "star":
+        drop = data.draw(st.sets(st.sampled_from(sorted(star, key=flat_key)), max_size=2))
+        add = data.draw(st.sets(st.sampled_from(flats), max_size=2))
+        cut = (star - drop) | add
+    elif kind == "spread":
+        cut = set()
+        for line in data.draw(st.permutations(M.flats_by_rank[2])):
+            if not any(line & x for x in cut):
+                cut.add(line)
+    else:
+        cut = data.draw(st.sets(st.sampled_from(flats), max_size=4))
+    if data.draw(st.booleans()):
+        cut = {g for g in flats if any(f <= g for f in cut)}
+    cut = cut | {M.ground_set}
+    N = _extension_of(M, cut)
+    if N is None:
+        return
+    proved = core._extension_passes_flat_axioms(M, N)
+    if star and cut == star | {M.ground_set}:
+        assert proved
+    if proved:
+        fresh = Matroid(N.ground_size, N.flats_by_rank)
+        assert verify_flat_axioms(fresh).passed
+        assert brute_flat_verdict(fresh)
 
 
 # ---------------------------------------------------------------------------

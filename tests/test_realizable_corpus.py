@@ -6,8 +6,12 @@ completion must take |S| steps, with a strictly decreasing defect
 trajectory, and end with the profile of PG(3,q); every matroid it visits
 has unit pair defects totalling its disjoint flags plus its pairs of
 disjoint coplanar lines (``oracles.brute_defect_identity``), and every
-step matches ``oracles.reverified_extension``.  For every other S,
-``hypermod complete`` must refuse the input with exit code 2.
+step matches ``oracles.reverified_extension``.  In coordinates, each step
+adds the GF(q) point where its flag's plane meets its line
+(``oracles.modp_line_plane_meet``), and the completed lattice must be the
+matroid of the remaining points and those, flat for flat and label for
+label.  For every other S, ``hypermod complete`` must refuse the input
+with exit code 2.
 
 Corpus (20 deletions): for q = 2 and q = 3 and each seed 0..7, S is
 ``random.Random(100 * q + seed).sample(points, 1 + seed % (q + 2))``.
@@ -25,9 +29,11 @@ import random
 import pytest
 
 from hypermod import (
+    PointConfig,
     complete_to_modular,
     delete,
     is_hypermodular,
+    matroid_from_points,
     pg3,
     pg3_points,
     profile,
@@ -36,7 +42,7 @@ from hypermod import (
 )
 from hypermod import extension
 from hypermod.cli import main
-from oracles import brute_defect_identity, modp_span_members, pg_point_list
+from oracles import brute_defect_identity, modp_line_plane_meet, modp_span_members, pg_point_list
 
 PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1), 7: (1, 400, 2850, 400, 1)}
 SEEDS = range(8)
@@ -83,6 +89,15 @@ def test_corpus_has_both_kinds():
     assert kinds == {(2, True), (2, False), (3, True), (3, False)}
 
 
+def _assert_completed_in_coordinates(q: int, S, outcome) -> None:
+    """Each step adds the point where its flag's plane meets its line; the result is their matroid."""
+    points = [x for i, x in enumerate(pg_point_list(q)) if i not in S]
+    for step in outcome.steps:
+        assert step.new_element == len(points)
+        points.append(modp_line_plane_meet(points, step.flat3, step.flat2, q))
+    assert outcome.matroid == matroid_from_points(PointConfig(q, 4, tuple(points)))
+
+
 def _record_visits(monkeypatch) -> list:
     visited = []
     original = extension.first_extendable_flag
@@ -121,6 +136,7 @@ def test_deletion_completes_exactly_when_every_line_keeps_two_points(
     assert all(a > b for a, b in zip(trajectory, trajectory[1:]))
     assert trajectory[-1] == 0
     assert profile(outcome.matroid).counts == PG_PROFILE[q]
+    _assert_completed_in_coordinates(q, S, outcome)
 
 
 def test_pg37_two_point_deletion_completes_to_pg37(pg37, monkeypatch):
@@ -136,3 +152,4 @@ def test_pg37_two_point_deletion_completes_to_pg37(pg37, monkeypatch):
     assert profile(pg37).counts == PG_PROFILE[7]
     for M in visited + [outcome.matroid]:
         assert total_modular_defect(M).total == sum(brute_defect_identity(M))
+    _assert_completed_in_coordinates(7, {0, 1}, outcome)
