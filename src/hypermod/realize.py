@@ -1,13 +1,32 @@
 """Matroids from point configurations over prime fields, plus named fixtures.
 
 A :class:`PointConfig` holds homogeneous coordinate vectors over GF(p).
-Its matroid is built bottom-up.  A flat F is the set of points inside
-span(F), so the covers of F are the projective classes of the residues
-of the other points modulo span(F): each flat reduces every point once
-by its echelon rows, scales each nonzero residue to a leading 1 and
-groups the points by residue, and each class together with F is one
-cover.  Arithmetic is mod p in int64, where every product is of two
-residues below p.  That is exact while (p - 1)^2 < 2^63, so
+Its matroid is built a grade at a time.  A flat F is the set of points
+inside span(F), so the covers of F are F + C for the projective classes C
+of the residues of the other points modulo span(F).
+
+Each grade keeps, for all its flats, their pivot columns and echelon
+rows (pivot entry 1, zeros at every earlier pivot).  Blocks of at most
+``core._BLOCK_CELLS`` int64 cells (flats x points x dim; a single flat
+may exceed it) reduce every point modulo every flat of the block, scale
+each nonzero residue to a leading 1 with one inverse per distinct
+leading value, and sort the rows by (flat, residue) once; each run of
+equal rows is one class, and its first row holds its smallest point.
+
+Reverse search (Avis and Fukuda, 1996) gives each flat one parent, so
+no cover is built twice.  Let top(F) be the last point of F's greedy
+basis, scanning points in index order, with top(empty) = -1.  F emits
+F + C only when min(C) > top(F), and top(F + C) = min(C):
+
+* every point of G = F + C below min(C) lies in F, which top(F) < min(C)
+  already spans, so G's greedy basis is F's followed by min(C);
+* if G's greedy basis is b_1 < ... < b_(k+1), its one parent is
+  cl(b_1, ..., b_k), with top b_k < b_(k+1) = min of the rest of G; any
+  parent that emits G has, by the line above, that same basis.
+
+The new flat's rows are its parent's plus the class residue.
+Arithmetic is mod p in int64, where every product is of two residues
+below p.  That is exact while (p - 1)^2 < 2^63, so
 :func:`matroid_from_points` rejects primes above
 ``_EXACT_PRIME_LIMIT`` = 3037000500.
 
@@ -22,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElementSet, Matroid
+from .core import _BLOCK_CELLS, ElementSet, Matroid
 
 
 # Miller-Rabin with every prime base up to 41 decides primality exactly
@@ -101,57 +120,94 @@ class PointConfig:
         return tuple(tuple(g) for g in seen.values() if len(g) > 1)
 
 
+def _next_grade(
+    pts: np.ndarray,
+    p: int,
+    flats: list[ElementSet],
+    tops: np.ndarray,
+    pivots: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[list[ElementSet], np.ndarray, np.ndarray, np.ndarray]:
+    """Every cover of one grade's flats, each emitted once, by its parent.
+
+    ``tops``, ``pivots`` and ``rows`` hold, per flat, the last point of its
+    greedy basis, its pivot columns (F x k) and its echelon rows (F x k x d).
+    Blocks of flats reduce every point at once; the flat F emits the cover
+    F + C of a residue class C only when min(C) > top(F).  Returns the
+    covers with the same three arrays for them.
+    """
+    n, d = pts.shape
+    step = max(1, _BLOCK_CELLS // (n * d))
+    covers: list[ElementSet] = []
+    parts = []
+    for lo in range(0, len(flats), step):
+        piv, ech = pivots[lo : lo + step], rows[lo : lo + step]
+        b = len(piv)
+        res = np.broadcast_to(pts, (b, n, d))
+        for j in range(piv.shape[1]):
+            res = (res - res[np.arange(b), :, piv[:, j]][:, :, None] * ech[:, None, j]) % p
+        own, pt = np.nonzero(res.any(axis=2))
+        res = res[own, pt]
+        lead = res[np.arange(len(res)), (res != 0).argmax(axis=1)]
+        values, which = np.unique(lead, return_inverse=True)
+        inverses = np.array([pow(int(c), -1, p) for c in values], dtype=np.int64)
+        res = res * inverses[which][:, None] % p
+        # The rows arrive by (flat, point) and lexsort is stable, so each
+        # class lists its points ascending: its first row holds min(C).
+        order = np.lexsort((*res.T[::-1], own))
+        own, pt, res = own[order] + lo, pt[order], res[order]
+        split = np.ones(len(own), dtype=bool)
+        split[1:] = (own[1:] != own[:-1]) | (res[1:] != res[:-1]).any(axis=1)
+        starts = np.flatnonzero(split)
+        ends = np.append(starts[1:], len(own))
+        keep = pt[starts] > tops[own[starts]]
+        starts, ends = starts[keep], ends[keep]
+        members = pt.tolist()
+        for f, s, e in zip(own[starts].tolist(), starts.tolist(), ends.tolist()):
+            covers.append(flats[f].union(members[s:e]))
+        parts.append((own[starts], pt[starts], res[starts]))
+    owner, tops, residues = (np.concatenate(arrays) for arrays in zip(*parts))
+    pivots = np.concatenate([pivots[owner], (residues != 0).argmax(axis=1)[:, None]], axis=1)
+    rows = np.concatenate([rows[owner], residues[:, None]], axis=1)
+    return covers, tops, pivots, rows
+
+
 def matroid_from_points(cfg: PointConfig) -> Matroid:
     """The linear matroid of the configuration, as a lattice of flats.
 
     Grade k holds the rank-k flats; the grading is the span dimension of
-    the flat's coordinate vectors.
+    the flat's coordinate vectors.  Grade k + 1 is built from grade k in
+    blocks of flats, each cover once, by the flat spanned by all but the
+    last point of its greedy basis (see the module docstring).
     """
-    n = len(cfg.points)
-    p = cfg.prime
+    n, d, p = len(cfg.points), cfg.dim, cfg.prime
     if p > _EXACT_PRIME_LIMIT:
         raise ValueError(f"field order {p} exceeds {_EXACT_PRIME_LIMIT}, the int64-exact bound")
-    pts = np.array(cfg.points, dtype=np.int64).reshape(n, cfg.dim)
-    full = frozenset(range(n))
-    grades: list[list[ElementSet]] = [[frozenset()]]
-    # Each flat keeps the echelon rows it was reached with, as (pivot, row):
-    # pivot entry 1 and zeros at every earlier pivot.
-    current: dict[ElementSet, list[tuple[int, np.ndarray]]] = {frozenset(): []}
-    while full not in current:
-        nxt: dict[ElementSet, list[tuple[int, np.ndarray]]] = {}
-        for flat, rows in current.items():
-            res = pts
-            for piv, row in rows:
-                res = (res - np.outer(res[:, piv], row)) % p
-            outside = np.flatnonzero(res.any(axis=1))
-            res = res[outside]
-            lead = res[np.arange(outside.size), (res != 0).argmax(axis=1)]
-            values, which = np.unique(lead, return_inverse=True)
-            inverses = np.array([pow(int(c), -1, p) for c in values], dtype=np.int64)
-            res = res * inverses[which][:, None] % p
-            keys = res.view(np.dtype((np.void, res.itemsize * cfg.dim))).ravel().tolist()
-            classes: dict[bytes, list[int]] = {}
-            for e, key in zip(outside.tolist(), keys):
-                classes.setdefault(key, []).append(e)
-            for key, members in classes.items():
-                cover = flat.union(members)
-                if cover not in nxt:
-                    row = np.frombuffer(key, dtype=np.int64)
-                    nxt[cover] = rows + [(int((row != 0).argmax()), row)]
-        grades.append(sorted(nxt, key=lambda f: tuple(sorted(f))))
-        current = nxt
+    pts = np.array(cfg.points, dtype=np.int64).reshape(n, d)
+    flats: list[ElementSet] = [frozenset()]
+    tops = np.array([-1])
+    pivots = np.zeros((1, 0), dtype=np.int64)
+    rows = np.zeros((1, 0, d), dtype=np.int64)
+    grades = [flats]
+    # The flats of a grade are incomparable, so the ground set comes alone.
+    while len(flats[0]) < n:
+        flats, tops, pivots, rows = _next_grade(pts, p, flats, tops, pivots, rows)
+        grades.append(flats)
     return Matroid(n, grades, name=cfg.name)
 
 
 def pg3_points(q: int) -> PointConfig:
-    """All points of projective 3-space over GF(q), in lexicographic order."""
+    """All points of projective 3-space over GF(q), in lexicographic order.
+
+    Each point is listed once, as the vector whose first nonzero coordinate is 1.
+    """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    reps = {
-        _normalize(vec, q)
-        for vec in itertools.product(range(q), repeat=4)
-        if any(vec)
-    }
+    reps = [
+        (0,) * i + (1,) + tail
+        for i in range(4)
+        for tail in itertools.product(range(q), repeat=3 - i)
+    ]
     return PointConfig(prime=q, dim=4, points=tuple(sorted(reps)), name=f"pg3_{q}")
 
 

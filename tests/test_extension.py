@@ -10,6 +10,7 @@ from hypermod import (
     ExtensionContext,
     InternalConsistencyError,
     Matroid,
+    PointConfig,
     build_context,
     complete_to_modular,
     components,
@@ -25,6 +26,7 @@ from hypermod import (
     is_isomorphic,
     is_modular,
     join_spectrum,
+    matroid_from_points,
     modular_defect,
     parse_matroid,
     pg3,
@@ -441,6 +443,16 @@ def _star(M) -> set:
     return set(found.star_lines) | set(found.star_planes) if isinstance(found, ExtensionContext) else set()
 
 
+@st.composite
+def _realized_families(draw):
+    """Matroids of 3-9 points over GF(2) or GF(3) in dimension 2-4, repeats allowed."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(0, p - 1)] * dim).filter(any)
+    points = draw(st.lists(vector, min_size=3, max_size=9))
+    return matroid_from_points(PointConfig(prime=p, dim=dim, points=tuple(points)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_the_extension_proof_is_sound(
@@ -448,16 +460,19 @@ def test_the_extension_proof_is_sound(
 ):
     """Whenever the proof holds, the extension built afresh passes the flat axioms.
 
-    M is a small accepted family that passes them, or a deletion of a zoo
-    lattice.  The enlarged flats are the star of M's first extendable flag
-    with up to two flats dropped and two added, lines kept greedily
-    disjoint in a random order, or up to four random flats; they are then
-    closed upward or not, and hold the top flat.  On an unchanged star
-    the proof must hold.
+    M is a small accepted family that passes them, a realized point
+    configuration, or a deletion of a zoo lattice.  The enlarged flats are
+    the star of M's first extendable flag with up to two flats dropped and
+    two added, lines kept greedily disjoint in a random order, or up to
+    four random flats; they are then closed upward or not, and hold the
+    top flat.  On an unchanged star the proof must hold.
     """
-    if data.draw(st.booleans()):
+    source = data.draw(st.sampled_from(["small", "realized", "zoo"]))
+    if source == "small":
         M = data.draw(_small_families())
         assume(verify_flat_axioms(M).passed)
+    elif source == "realized":
+        M = data.draw(_realized_families())
     else:
         looped = Matroid(4, [[{3}], [{0, 3}, {1, 3}, {2, 3}], [range(4)]])  # U(2,3) and a loop
         zoo = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, looped]

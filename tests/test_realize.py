@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from hypermod import (
+    Matroid,
     PointConfig,
     delete,
     flats_of_rank,
@@ -24,7 +26,8 @@ from hypermod import (
     verify_flat_axioms,
     verify_rank_axioms,
 )
-from oracles import modp_matrix_rank, pg_point_list
+from hypermod import realize
+from oracles import modp_flats, modp_matrix_rank, pg_point_list
 
 
 def test_is_prime_matches_trial_division():
@@ -87,6 +90,11 @@ def test_pg33(pg33):
     assert is_modular(pg33)
     assert all(len(l) == 4 for l in flats_of_rank(pg33, 2))
     assert all(len(p) == 13 for p in flats_of_rank(pg33, 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_pg3_points_are_the_normalized_vectors(q):
+    assert pg3_points(q).points == tuple(pg_point_list(q))
 
 
 def test_pg3_rejects_nonprime():
@@ -171,3 +179,73 @@ def test_generated_matroids_pass_axioms(pg32, two_cover):
         assert verify_flat_axioms(M).passed
         mode = "exhaustive" if M.ground_size <= 14 else "sampled"
         assert verify_rank_axioms(M, mode=mode, seed=0).passed
+
+
+# Each flat is emitted once, by the flat spanned by all but the last point of
+# its greedy basis.  The greedy basis of the first example skips 2e; the
+# second repeats points and has e + f on the line of e and f; the last skips
+# a sum and a multiple of two points, over the largest int64-exact prime.
+_PARENT_RULE_CASES = {
+    "skips a dependent point": PointConfig(
+        prime=5, dim=3, points=((1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0))
+    ),
+    "parallel repeats": PointConfig(
+        prime=3,
+        dim=3,
+        points=((0, 1, 0), (1, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ),
+    "all parallel": PointConfig(prime=7, dim=2, points=((1, 3), (2, 6), (1, 3))),
+    "dim 1": PointConfig(prime=2, dim=1, points=((1,), (1,))),
+    "dim 5 near the exact bound": PointConfig(
+        prime=3037000493,
+        dim=5,
+        points=(
+            (3, 1, 0, 0, 7),
+            (1, 4, 1, 5, 9),
+            (4, 5, 1, 5, 16),
+            (0, 0, 0, 1, 3037000492),
+            (2, 6, 2, 10, 18),
+            (5, 3, 5, 8, 9),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg", _PARENT_RULE_CASES.values(), ids=_PARENT_RULE_CASES)
+def test_each_flat_is_built_once_from_its_parent(cfg):
+    M = matroid_from_points(cfg)
+    assert [set(grade) for grade in M.flats_by_rank] == modp_flats(cfg.points, cfg.prime)
+
+
+def test_no_points_give_the_empty_matroid():
+    assert matroid_from_points(PointConfig(prime=2, dim=3, points=())) == Matroid(0, [[()]])
+
+
+def test_realization_inverts_once_per_leading_value_and_block(monkeypatch):
+    # One inverse per distinct leading coefficient in a block of flats: 173
+    # at q = 5.  One set of inverses per flat took 4464.
+    cfg = pg3_points(5)
+    calls = []
+
+    def counted_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(realize, "pow", counted_pow, raising=False)
+    M = matroid_from_points(cfg)
+    assert profile(M).counts == (1, 156, 806, 156, 1)
+    assert len(calls) < 300
+
+
+def test_realization_transients_stay_within_a_megabyte():
+    # The residue blocks are bounded by core._BLOCK_CELLS int64 cells; one
+    # block per grade peaked about 15 MB above the result at q = 5.
+    cfg = pg3_points(5)
+    tracemalloc.start()
+    try:
+        M = matroid_from_points(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert M.ground_size == 156
+    assert peak - kept <= 1 << 20
