@@ -417,10 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (matio.ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # matio.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalConsistencyError as exc:

@@ -36,9 +36,11 @@ checks them against longest-chain lengths (:func:`_chain_lengths`, the
 same routine that grades :func:`restrict`) so that corrupt input files
 are caught loudly instead of silently re-ranked.  A matroid may carry
 its flat-axiom report: parsing stores the one it computes, and a
-one-element extension whose axioms follow from its parent's and a
-modular-cut check on its changed flats (:func:`_extension_passes_flat_axioms`)
-carries a passing one, which :func:`verify_flat_axioms` returns.
+one-element extension whose axioms follow from its parent's and a check
+on its modular cut, the parent's flats that gain the new element
+(:func:`_extension_passes_flat_axioms`), carries a passing one, which
+:func:`verify_flat_axioms` returns; its defects are read off its
+parent's report and that cut, so it builds no pair table.
 """
 
 from __future__ import annotations
@@ -597,16 +599,17 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
     return True
 
 
-def _extension_passes_flat_axioms(M: Matroid, N: Matroid) -> bool:
-    """Whether ``N`` passes F1, F2 and grading, proved from ``M``'s and the changed flats.
+def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
+    """Whether N passes F1, F2 and grading, proved from ``M``'s and the cut ``cut``.
 
-    ``M`` must pass all three, and ``N`` must be ``M`` with a new element
-    m added to every flat of a family D, plus the grade-1 flat {m}, as
-    :func:`hypermod.extension.extend_once` builds it; D is read off the
-    flats of N holding m.  A single-element extension is fixed by a
-    modular cut, an up-closed family of flats closed under meets
-    (Crapo 1965; Oxley, *Matroid Theory*, §7.2), so only D is checked.
-    N passes if M's bottom flat is empty and:
+    ``M`` must pass all three.  ``cut`` lists the indices of a family D of
+    M's flats, and N is ``M`` with a new element m added to every flat of
+    D, plus the grade-1 flat {m}, built as
+    :func:`hypermod.extension.extend_once` builds it and accepted by the
+    constructor.  A single-element extension is fixed by a modular cut, an
+    up-closed family of flats closed under meets (Crapo 1965; Oxley,
+    *Matroid Theory*, §7.2), so only D is checked.  N passes if M's bottom
+    flat is empty and:
 
     (i) D is up-closed in M;
     (iii) any two flats of D meet in a flat of D or in the bottom flat;
@@ -631,27 +634,16 @@ def _extension_passes_flat_axioms(M: Matroid, N: Matroid) -> bool:
     flat outside D, and by (v) the covers of {m} hold every other element.
     False means no proof, not a failure.
     """
-    m = M.ground_size
     masks, index, grade, sup = M._flat_masks, M._index_of_mask, M._grade_of_index, M._sup_bits
-    bit = 1 << m
-    cut, members = 0, []
-    for i in _bits(N._elem_flatbits[m]):
-        mask = N._flat_masks[i] ^ bit
-        if not mask:
-            continue  # the new flat {m}
-        j = index.get(mask)
-        if j is None:
-            return False
-        cut |= 1 << j
-        members.append(j)
-    if masks[0] or any(sup[j] & ~cut for j in members):
+    in_cut = sum(1 << j for j in set(cut))
+    if masks[0] or any(sup[j] & ~in_cut for j in cut):
         return False
-    for a, b in itertools.combinations(members, 2):
+    for a, b in itertools.combinations(cut, 2):
         meet = index.get(masks[a] & masks[b])
-        if meet is None or (meet and not cut >> meet & 1):
+        if meet is None or (meet and not in_cut >> meet & 1):
             return False
     covered = 0
-    for j in members:
+    for j in cut:
         if grade[j] == 2:
             covered |= masks[j]
     return covered == _ground_mask(M)
@@ -717,8 +709,8 @@ def verify_rank_axioms(
     else:
         rng = random.Random(seed)
         for _ in range(trials):
-            a = rng.getrandbits(n) if n else 0
-            b = rng.getrandbits(n) if n else 0
+            a = rng.getrandbits(n)
+            b = rng.getrandbits(n)
             ca, cb = M._closure_bits(a), M._closure_bits(b)
             ra, rb = grades[_lsb_index(ca)], grades[_lsb_index(cb)]
             # The flats holding A∪B are the flats holding both A and B.

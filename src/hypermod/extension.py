@@ -18,14 +18,16 @@ flat indices with joins read off the containment relation:
 The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
 new element to exactly the star lines and star planes, yielding a
-matroid whose total modular defect strictly drops.  Only the flats
-holding the new element change.  So the new lattice's flat axioms follow
-from its parent's and a modular-cut check on those flats
+matroid whose total modular defect strictly drops.  Those flats, the
+*cut*, fix the extension (a modular cut, Crapo 1965).  The new lattice's
+flat axioms follow from its parent's and a check on the cut
 (:func:`hypermod.core._extension_passes_flat_axioms`), with the full
-check run only when that proof does not hold, and its defects are its
-parent's with the rows of those flats rescanned.  Only the first matroid
-of a completion has its flat axioms checked and all its flat pairs
-scanned.  :func:`first_extendable_flag`
+check run only when that proof does not hold, and its defects are read
+off its parent's report: each pair keeps its defect, but a pair of cut
+flats whose meet is outside the cut loses one
+(:func:`hypermod.modularity._extension_report`).  So only the first
+matroid of a completion has its flat axioms checked, builds a pair
+table and has its flat pairs scanned.  :func:`first_extendable_flag`
 picks the first flag whose criterion holds, and
 :func:`complete_to_modular` repeats the step until no disjoint flag is
 left.
@@ -298,17 +300,17 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     (parsing stores one), or else the full check runs, and a failure is
     a ValueError raised before anything is built.
     The new element (labelled with the next dense index) is added to
-    every star line and star plane, and becomes a new rank-1 flat; all
-    other flats are untouched.  The resulting lattice must satisfy the
-    flat axioms, proved from the input's and a check on the flats holding
-    the new element, with the full check run only when that proof does
-    not hold; it must also restrict back to the input, stay hypermodular
-    and strictly decrease the total modular defect — any failure is
-    raised as an internal error rather than returned.
-    The new total and the hypermodularity witness come from the defect
-    report of the extension, built from the input's report and the rows
-    of the flats holding the new element, and cached on the extension
-    for the next step, as is the proved flat report.
+    every flat of the cut: the input's star lines and star planes and its
+    top flat.  It also becomes a new rank-1 flat; all other flats are
+    untouched.  The resulting lattice must satisfy the flat axioms,
+    proved from the input's and a check on the cut, with the full check
+    run only when that proof does not hold; it must also restrict back to
+    the input, stay hypermodular and strictly decrease the total modular
+    defect — any failure is raised as an internal error rather than
+    returned.  The new total and the hypermodularity witness come from the
+    defect report of the extension, read off the input's report and the
+    cut, and cached on the extension for the next step, as is the proved
+    flat report.
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
@@ -328,16 +330,18 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     new = frozenset([m])
     star_lines = set(ctx.star_lines)
     star_planes = set(ctx.star_planes)
-    grades = [
-        [frozenset()],
-        list(M.flats_by_rank[1]) + [new],
-        [x | new if x in star_lines else x for x in M.flats_by_rank[2]],
-        [x | new if x in star_planes else x for x in M.flats_by_rank[3]],
-        [M.ground_set | new],
-    ]
+    # The cut: M's star lines, its star planes and its top flat.
+    flats, starts = M._flat_list, M._grade_starts
+    cut = [i for i in range(*starts[2:4]) if flats[i] in star_lines]
+    cut += [i for i in range(*starts[3:5]) if flats[i] in star_planes] + [starts[4]]
+    images = list(flats)
+    for i in cut:
+        images[i] = flats[i] | new
+    grades = [[frozenset()], list(M.flats_by_rank[1]) + [new]]
+    grades += (images[a:b] for a, b in zip(starts[2:], starts[3:]))
     extended = Matroid(m + 1, grades)
 
-    if _extension_passes_flat_axioms(M, extended):
+    if _extension_passes_flat_axioms(M, cut):
         extended._cache["flat_report"] = AxiomReport(True, ())
     report = verify_flat_axioms(extended)
     if not report.passed:
@@ -348,7 +352,7 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")
     before = total_modular_defect(M).total
-    after = _extension_report(M, extended).total
+    after = _extension_report(M, extended, cut).total
     if not after < before:
         raise InternalConsistencyError(
             f"total modular defect did not decrease ({before} -> {after})"
@@ -389,22 +393,21 @@ def complete_to_modular(M: Matroid, max_steps: int | None = None) -> CompletionO
 
     Each step extends along :func:`first_extendable_flag` and strictly
     decreases the total modular defect, which the loop reads off each
-    matroid's cached defect report, so ``max_steps`` defaults to that
-    initial total plus one; running out of steps raises
-    :class:`StepBudgetExhausted`.  If at some step no flag passes the
-    criterion, the outcome carries one witness per failed flag instead
-    of a matroid.
+    matroid's cached defect report, or raises
+    :class:`InternalConsistencyError`; so the loop ends after at most the
+    initial total steps.  A caller may cap the steps with ``max_steps``;
+    running out raises :class:`StepBudgetExhausted`.  If at some step no
+    flag passes the criterion, the outcome carries one witness per failed
+    flag instead of a matroid.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     _require_extendable(M)
-    if max_steps is None:
-        max_steps = total_modular_defect(M).total + 1
 
     current = M
     steps: list[CompletionStep] = []
     while total_modular_defect(current).total:
-        if len(steps) >= max_steps:
+        if max_steps is not None and len(steps) >= max_steps:
             raise StepBudgetExhausted(f"no modular completion within {max_steps} steps")
         found = first_extendable_flag(current)
         if not isinstance(found, ExtensionContext):

@@ -9,6 +9,10 @@ gap between the two notions is witnessed exactly by disjoint
 enumerates and the extension machinery repairs.
 
 Defects are defined only between flats; close arbitrary sets first.
+
+The report of a one-element extension is not scanned: given the modular
+cut that fixes it, its defects are its parent's, less one on each pair
+of cut flats whose meet is outside the cut (:func:`_extension_report`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
-from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
+from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, flat_key, pair_key
 
 
 @dataclass
@@ -104,47 +106,47 @@ def _cache_report(M: Matroid, pairs: dict) -> DefectReport:
     return report
 
 
-def _extension_report(M: Matroid, N: Matroid) -> DefectReport:
-    """The defect report of ``N``, cached on ``N``, scanning only the flats that changed.
+def _extension_report(M: Matroid, N: Matroid, cut: list[int]) -> DefectReport:
+    """The defect report of ``N``, cached on ``N``, read off ``M``'s report and the cut.
 
     ``N`` is a one-element extension of ``M`` as :func:`hypermod.extension.extend_once`
-    builds it: M's flats, some with the new element m added, plus {m}.
-    The *changed* flats of N are those holding m.  Two flats of N that
-    both avoid m are flats of M, and the flats of N holding their union,
-    or their intersection, are the images of M's flats holding it, with
-    the same grades (and {m} if the intersection is empty, of grade 1,
-    where the bottom flat already has grade 0); so the pair keeps its
-    join grade, meet rank and nestedness, and hence its defect.  That
-    uses no lattice axiom.  So
-    M's pairs are kept unless they touch a changed flat with m removed,
-    and only the rows of the changed flats are read off the pair table.
+    builds it: the new element m is added to each flat of the cut D, M's
+    flats listed by index in ``cut``, and {m} is a new flat.  If N passes
+    the flat axioms and restricts back to M, each image of M's flats keeps
+    its grade and containments, so nestedness, and D is up-closed, so the
+    join of two images is the image of their join.  So is their meet G,
+    unless both are cut flats and G is not in D (a flat under one outside
+    D is outside D); then G + m, a flat of N holding m and no image of a
+    flat of D, is {m}: G is the empty bottom flat, and the pair loses
+    one.  {m}, a point, has defect zero with every flat.  N is
+    submodular, so only M's positive pairs need reading, and adding m,
+    the largest element, to flats neither of which holds the other keeps
+    their canonical order.
+
+    The meet test matters only from rank 5 on.  A pair of positive defect
+    r(A) + r(B) - r(A∨B) - r(A∧B) is not nested, so its join is a grade
+    above each flat, neither of which is the top flat: it meets in grade
+    at most rank - 3.  In rank 4 that is grade 1 or less, which D never
+    holds, so there lowering every pair of cut flats is the same rule,
+    and no rank-4 test tells the two apart.
 
     The report lists every nonzero pair, so N's hypermodularity witness,
     the first corank-1 pair among them in row-major flat order, is
     cached too.
     """
-    m = M.ground_size
-    flats = N._flat_list
-    new = frozenset([m])
-    changed = _bits(N._elem_flatbits[m])
-    stale = {flats[i] - new for i in changed if flats[i] != new}
-    pairs = {
-        key: d for key, d in total_modular_defect(M).pair_defects.items() if stale.isdisjoint(key)
-    }
-    done = set()
-    for i in changed:
-        row = _defect_block(N, i, i + 1, 0, len(flats))[0]
-        for j in map(int, np.flatnonzero(row)):
-            if j not in done:
-                pairs[pair_key(flats[i], flats[j])] = int(row[j])
-        done.add(i)
+    new = frozenset([M.ground_size])
+    image = {M._flat_list[i]: M._flat_list[i] | new for i in cut}
+    pairs = {}
+    for (a, b), d in total_modular_defect(M).pair_defects.items():
+        if a in image and b in image and a & b not in image:
+            d -= 1
+        if d:
+            pairs[image.get(a, a), image.get(b, b)] = d
     if N.rank >= 3:
-        starts = N._grade_starts
-        corank = {flats[i]: i for i in range(starts[-3], starts[-2])}
-        # Inside a grade, flat order is the canonical order of pair keys.
-        cells = ((corank[a], corank[b]) for a, b in pairs if a in corank and b in corank)
-        first = min(cells, default=None)
-        N._cache["hm_witness"] = None if first is None else (flats[first[0]], flats[first[1]])
+        corank = set(N.flats_by_rank[-2])
+        # Inside a grade, row-major flat order is the order of the pairs' flat keys.
+        cells = (key for key in pairs if corank.issuperset(key))
+        N._cache["hm_witness"] = min(cells, key=lambda k: (flat_key(k[0]), flat_key(k[1])), default=None)
     return _cache_report(N, pairs)
 
 

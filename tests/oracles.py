@@ -12,8 +12,8 @@ The extension oracles (``brute_context``, ``brute_criterion``,
 ``brute_star_violations``, ``brute_join_spectrum``) are the frozenset
 path the index-based extension layer replaced, with every join taken by
 ``brute_closure``.  ``reverified_extension`` is ``extend_once`` as it
-was before it read the new defects off the changed flats: the extension
-re-verified in full, with a full pair scan of the new lattice.
+was before it read the new defects off its parent's report and cut: the
+extension re-verified in full, with a full pair scan of the new lattice.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import dataclasses
 import functools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from hypermod import (
     ExtensionContext,
@@ -21,6 +21,7 @@ from hypermod import (
     extend_once,
     first_extendable_flag,
     flats_of_rank,
+    hypermodularity_witness,
     is_hypermodular,
     is_inseparable,
     is_isomorphic,
@@ -39,7 +40,7 @@ from hypermod import (
     verify_flat_axioms,
     verify_star_structure,
 )
-from hypermod import core, extension
+from hypermod import core, extension, modularity
 from hypermod.core import flat_key
 import oracles
 from oracles import (
@@ -389,6 +390,26 @@ def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, 
         assert "flat_report" not in built._cache
 
 
+def test_completion_builds_a_pair_table_for_its_input_only(monkeypatch, pg33, pg35):
+    # Each extension's defects are read off its parent's report and its cut,
+    # so no later matroid of a completion builds a pair table.
+    built = []
+    original = core._pair_table
+
+    def recorded(M):
+        if "pair_table" not in M._cache:
+            built.append(M)
+        return original(M)
+
+    monkeypatch.setattr(core, "_pair_table", recorded)
+    for space in (pg33, pg35):
+        D = delete(space, {0, 1})
+        built.clear()
+        outcome = complete_to_modular(D)
+        assert outcome.ok and len(outcome.steps) == 2
+        assert built == [D]
+
+
 def test_extension_refuses_input_that_fails_the_flat_axioms(del32):
     # PG(3,2)∖{0} with one plane left out fails F2.  Parsed unverified, 8 of
     # the 15 such lattices still have an extendable flag (the other 7 leave
@@ -466,6 +487,10 @@ def test_the_extension_proof_is_sound(
     two added, lines kept greedily disjoint in a random order, or up to
     four random flats; they are then closed upward or not, and hold the
     top flat.  On an unchanged star the proof must hold.
+
+    Whenever the fresh lattice passes the flat axioms and restricts back
+    to M, proved or not, the report read off M's report and the cut must
+    equal its full scan, and so must its hypermodularity witness.
     """
     source = data.draw(st.sampled_from(["small", "realized", "zoo"]))
     if source == "small":
@@ -502,13 +527,24 @@ def test_the_extension_proof_is_sound(
     N = _extension_of(M, cut)
     if N is None:
         return
-    proved = core._extension_passes_flat_axioms(M, N)
+    indices = [M._flat_index(x) for x in cut]
+    proved = core._extension_passes_flat_axioms(M, indices)
     if star and cut == star | {M.ground_set}:
         assert proved
+    fresh = Matroid(N.ground_size, N.flats_by_rank)
+    valid = verify_flat_axioms(fresh).passed
     if proved:
-        fresh = Matroid(N.ground_size, N.flats_by_rank)
-        assert verify_flat_axioms(fresh).passed
+        assert valid
         assert brute_flat_verdict(fresh)
+    if not valid or restrict(fresh, range(M.ground_size)) != M:
+        return
+    event(f"valid extension of a {kind} cut, {'proved' if proved else 'not proved'}")
+    read, scanned = modularity._extension_report(M, N, indices), total_modular_defect(fresh)
+    assert read.pair_defects == scanned.pair_defects
+    assert read.total == scanned.total
+    assert read.disjoint_flags == scanned.disjoint_flags
+    if N.rank >= 3:
+        assert hypermodularity_witness(N) == hypermodularity_witness(fresh)
 
 
 # ---------------------------------------------------------------------------

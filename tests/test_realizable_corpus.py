@@ -1,4 +1,4 @@
-"""The paper's realizable claim on a seeded corpus of PG(3,2) and PG(3,3) deletions.
+"""The paper's realizable claim on a seeded corpus of PG(3,2), PG(3,3) and PG(3,5) deletions.
 
 Two planes of PG(3,q) meet in a line, so PG(3,q)∖S is hypermodular
 exactly when every line keeps at least two points.  For such S the
@@ -13,17 +13,19 @@ matroid of the remaining points and those, flat for flat and label for
 label.  For every other S, ``hypermod complete`` must refuse the input
 with exit code 2.
 
-Corpus (20 deletions): for q = 2 and q = 3 and each seed 0..7, S is
+Corpus (24 deletions): for q = 2 and q = 3 and each seed 0..7, S is
 ``random.Random(100 * q + seed).sample(points, 1 + seed % (q + 2))``.
 Two deletions per q fail the line condition on purpose: all points but
 one of the line picked by ``random.Random(q)``, once alone and once with
-the first point off that line.  Lines come from the GF(q) span oracle,
-not from the library.
+the first point off that line.  For q = 5 and each seed 0..3, S is
+``random.Random(500 + seed).sample(points, 3 + seed)``, so |S| runs from
+3 to 6.  Lines come from the GF(q) span oracle, not from the library.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -34,7 +36,6 @@ from hypermod import (
     delete,
     is_hypermodular,
     matroid_from_points,
-    pg3,
     pg3_points,
     profile,
     serialize_matroid,
@@ -44,23 +45,31 @@ from hypermod import extension
 from hypermod.cli import main
 from oracles import brute_defect_identity, modp_line_plane_meet, modp_span_members, pg_point_list
 
-PG_PROFILE = {2: (1, 15, 35, 15, 1), 3: (1, 40, 130, 40, 1), 7: (1, 400, 2850, 400, 1)}
+PG_PROFILE = {
+    2: (1, 15, 35, 15, 1),
+    3: (1, 40, 130, 40, 1),
+    5: (1, 156, 806, 156, 1),
+    7: (1, 400, 2850, 400, 1),
+}
 SEEDS = range(8)
 
 
 @functools.cache
 def _lines(q: int) -> list[frozenset[int]]:
     points = pg_point_list(q)
-    lines: set[frozenset[int]] = set()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if not any({i, j} <= line for line in lines):
-                lines.add(modp_span_members(points, (i, j), q))
+    lines: list[frozenset[int]] = []
+    covered: set[tuple[int, int]] = set()
+    for pair in itertools.combinations(range(len(points)), 2):
+        if pair not in covered:
+            lines.append(modp_span_members(points, pair, q))
+            covered.update(itertools.combinations(sorted(lines[-1]), 2))
     return sorted(lines, key=sorted)
 
 
 def _corpus(q: int) -> list[frozenset[int]]:
     n = len(pg_point_list(q))
+    if q == 5:
+        return [frozenset(random.Random(500 + seed).sample(range(n), 3 + seed)) for seed in range(4)]
     sets = [
         frozenset(random.Random(100 * q + seed).sample(range(n), 1 + seed % (q + 2)))
         for seed in SEEDS
@@ -71,22 +80,23 @@ def _corpus(q: int) -> list[frozenset[int]]:
     return sets + [thinned, thinned | {off_line}]
 
 
-CASES = [(q, S) for q in (2, 3) for S in _corpus(q)]
+CASES = [(q, S) for q in (2, 3, 5) for S in _corpus(q)]
 IDS = [f"pg3{q}-minus-{'_'.join(map(str, sorted(S)))}" for q, S in CASES]
 
 
 @pytest.fixture(scope="module")
-def spaces():
-    return {q: pg3(q) for q in (2, 3)}
+def spaces(pg32, pg33, pg35):
+    return {2: pg32, 3: pg33, 5: pg35}
 
 
 def test_corpus_has_both_kinds():
     # element i of pg3(q) is point i of the oracle's list
-    for q in (2, 3):
+    for q in (2, 3, 5):
         assert list(pg3_points(q).points) == pg_point_list(q)
-    assert len(CASES) == 20
+    assert len(CASES) == 24
     kinds = {(q, all(len(line - S) >= 2 for line in _lines(q))) for q, S in CASES}
-    assert kinds == {(2, True), (2, False), (3, True), (3, False)}
+    assert kinds == {(2, True), (2, False), (3, True), (3, False), (5, True)}
+    assert [len(S) for q, S in CASES if q == 5] == [3, 4, 5, 6]
 
 
 def _assert_completed_in_coordinates(q: int, S, outcome) -> None:
