@@ -17,20 +17,22 @@ flat indices with joins read off the containment relation:
 
 The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
-new element to exactly the star lines and star planes, yielding a
-matroid whose total modular defect strictly drops.  Those flats, the
-*cut*, fix the extension (a modular cut, Crapo 1965).  The new lattice's
-flat axioms follow from its parent's and a check on the cut
+new element to exactly the star lines and star planes.  Those flats,
+the *cut*, fix the extension (a modular cut, Crapo 1965).  The new
+lattice's flat axioms follow from its parent's and a check on the cut
 (:func:`hypermod.core._extension_passes_flat_axioms`), with the full
-check run only when that proof does not hold, and its defects are read
-off its parent's report: each pair keeps its defect, but a pair of cut
-flats whose meet is outside the cut loses one
-(:func:`hypermod.modularity._extension_report`).  So only the first
-matroid of a completion has its flat axioms checked, builds a pair
-table and has its flat pairs scanned.  :func:`first_extendable_flag`
-picks the first flag whose criterion holds, and
-:func:`complete_to_modular` repeats the step until no disjoint flag is
-left.
+check run only when that proof does not hold, and its defect report is
+read off its parent's: each pair keeps its defect, but a pair of cut
+flats whose meet is outside the cut loses one, and the disjoint flags
+are the parent's less those of two cut flats
+(:func:`hypermod.modularity._extension_report`).  So no defect grows
+and the extension stays hypermodular, and :func:`extend_once` proves
+that the total strictly drops rather than re-checking it.  Only the
+first matroid of a completion has its flat axioms checked, builds a
+pair table, scans its flat pairs and lists its disjoint flags.
+:func:`first_extendable_flag` picks the first flag whose criterion
+holds, and :func:`complete_to_modular` repeats the step until no
+disjoint flag is left.
 """
 
 from __future__ import annotations
@@ -296,26 +298,34 @@ def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:
 def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     """Adjoin one element through the context's star.
 
-    The input must satisfy the flat axioms: its stored report is read
-    (parsing stores one), or else the full check runs, and a failure is
-    a ValueError raised before anything is built.
-    The new element (labelled with the next dense index) is added to
-    every flat of the cut: the input's star lines and star planes and its
-    top flat.  It also becomes a new rank-1 flat; all other flats are
-    untouched.  The resulting lattice must satisfy the flat axioms,
+    The input must be what :func:`build_context` accepts, a loopless
+    hypermodular rank-4 matroid, and must satisfy the flat axioms: its
+    stored report is read (parsing stores one), or else the full check
+    runs.  Either failure is a ValueError raised before anything is built.
+    The new element m (labelled with the next dense index) is added to
+    every flat of the cut D: the input's star lines and star planes and
+    its top flat.  {m} becomes a new rank-1 flat; all other flats are
+    untouched.  The resulting lattice N must satisfy the flat axioms,
     proved from the input's and a check on the cut, with the full check
-    run only when that proof does not hold; it must also restrict back to
-    the input, stay hypermodular and strictly decrease the total modular
-    defect — any failure is raised as an internal error rather than
-    returned.  The new total and the hypermodularity witness come from the
-    defect report of the extension, read off the input's report and the
-    cut, and cached on the extension for the next step, as is the proved
-    flat report.
+    run only when that proof does not hold, and must restrict back to the
+    input; a failure of either is raised as an internal error.  N's
+    defect report is read off the input's report and the cut and cached
+    on N for the next step, as are its proved flat report and, since no
+    defect grows, its hypermodularity witness None.
+
+    The total modular defect strictly drops.  F1 in N makes the cut lines
+    pairwise disjoint, since two cut lines meeting at p would make {p, m}
+    a non-flat meet, and F2 at {m} makes them cover the ground set E.
+    Take a cut line L1, a plane P ⊇ L1, which is in D because D is
+    up-closed, and a point p ∈ P∖L1.  Then cl_N{m, p} is the image of a
+    cut line L' ⊆ P.  L1 and L' are disjoint coplanar cut flats with
+    defect 1 whose meet ∅ is outside D, so that pair loses one.
     """
     verdict = criterion_holds(M, ctx)
     if not verdict.holds:
         a, b = verdict.witness
         raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
+    _require_extendable(M)
     given = M._cache.get("flat_report")
     if given is None:
         given = verify_flat_axioms(M)
@@ -351,22 +361,14 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
         )
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")
-    before = total_modular_defect(M).total
-    after = _extension_report(M, extended, cut).total
-    if not after < before:
-        raise InternalConsistencyError(
-            f"total modular defect did not decrease ({before} -> {after})"
-        )
-    if not is_hypermodular(extended):
-        raise InternalConsistencyError("extension lost hypermodularity")
 
     enlarged = tuple(sorted(star_lines | star_planes, key=flat_key))
     return ExtensionResult(
         extended=extended,
         new_element=m,
         enlarged=enlarged,
-        defect_before=before,
-        defect_after=after,
+        defect_before=total_modular_defect(M).total,
+        defect_after=_extension_report(M, extended, cut).total,
     )
 
 
@@ -391,10 +393,10 @@ def first_extendable_flag(M: Matroid) -> ExtensionContext | tuple[FlagFailure, .
 def complete_to_modular(M: Matroid, max_steps: int | None = None) -> CompletionOutcome:
     """Repeatedly extend along disjoint flags until the matroid is modular.
 
-    Each step extends along :func:`first_extendable_flag` and strictly
-    decreases the total modular defect, which the loop reads off each
-    matroid's cached defect report, or raises
-    :class:`InternalConsistencyError`; so the loop ends after at most the
+    Each step extends along :func:`first_extendable_flag`; the extension
+    stays hypermodular and its total modular defect, which the loop reads
+    off each matroid's cached defect report, is strictly lower, as
+    :func:`extend_once` proves.  So the loop ends after at most the
     initial total steps.  A caller may cap the steps with ``max_steps``;
     running out raises :class:`StepBudgetExhausted`.  If at some step no
     flag passes the criterion, the outcome carries one witness per failed

@@ -12,7 +12,8 @@ Defects are defined only between flats; close arbitrary sets first.
 
 The report of a one-element extension is not scanned: given the modular
 cut that fixes it, its defects are its parent's, less one on each pair
-of cut flats whose meet is outside the cut (:func:`_extension_report`).
+of cut flats whose meet is outside the cut, and its disjoint flags are
+its parent's, less those of two cut flats (:func:`_extension_report`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, flat_key, pair_key
+from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
 
 
 @dataclass
@@ -90,20 +91,11 @@ def is_hypermodular(M: Matroid) -> bool:
 
 def total_modular_defect(M: Matroid) -> DefectReport:
     """Sum of defects over all unordered pairs of distinct flats."""
-    cached = M._cache.get("defect_report")
-    if cached is None:
-        cached = _cache_report(M, {pair_key(a, b): d for a, b, d in _defective_pairs(M)})
-    return cached
-
-
-def _cache_report(M: Matroid, pairs: dict) -> DefectReport:
-    """The report of ``M`` with these positive pair defects, stored in its cache."""
-    flags: tuple = ()
-    if M.rank == 4 and M.is_loopless:
-        flags = tuple(disjoint_rank32_pairs(M))
-    report = DefectReport(pair_defects=pairs, total=sum(pairs.values()), disjoint_flags=flags)
-    M._cache["defect_report"] = report
-    return report
+    if "defect_report" not in M._cache:
+        pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
+        flags = tuple(disjoint_rank32_pairs(M)) if M.rank == 4 and M.is_loopless else ()
+        M._cache["defect_report"] = DefectReport(pairs, sum(pairs.values()), flags)
+    return M._cache["defect_report"]
 
 
 def _extension_report(M: Matroid, N: Matroid, cut: list[int]) -> DefectReport:
@@ -130,24 +122,33 @@ def _extension_report(M: Matroid, N: Matroid, cut: list[int]) -> DefectReport:
     holds, so there lowering every pair of cut flats is the same rule,
     and no rank-4 test tells the two apart.
 
-    The report lists every nonzero pair, so N's hypermodularity witness,
-    the first corank-1 pair among them in row-major flat order, is
-    cached too.
+    No defect grows, so N is hypermodular when M is, and then its
+    witness is cached as None; otherwise :func:`hypermodularity_witness`
+    scans N when asked.  N has no new lines or planes, and a flag (P, L)
+    of M stays disjoint in N unless m joins both, so N's disjoint flags
+    are M's, mapped to their images in the same order, less those whose
+    plane and line are both cut flats.
     """
     new = frozenset([M.ground_size])
     image = {M._flat_list[i]: M._flat_list[i] | new for i in cut}
+    parent = total_modular_defect(M)
     pairs = {}
-    for (a, b), d in total_modular_defect(M).pair_defects.items():
+    for (a, b), d in parent.pair_defects.items():
         if a in image and b in image and a & b not in image:
             d -= 1
         if d:
             pairs[image.get(a, a), image.get(b, b)] = d
-    if N.rank >= 3:
-        corank = set(N.flats_by_rank[-2])
-        # Inside a grade, row-major flat order is the order of the pairs' flat keys.
-        cells = (key for key in pairs if corank.issuperset(key))
-        N._cache["hm_witness"] = min(cells, key=lambda k: (flat_key(k[0]), flat_key(k[1])), default=None)
-    return _cache_report(N, pairs)
+    flags = ()
+    if N.rank == 4 and N.is_loopless:
+        flags = tuple(
+            (image.get(p, p), image.get(x, x))
+            for p, x in parent.disjoint_flags
+            if not (p in image and x in image)
+        )
+    if M.rank >= 3 and hypermodularity_witness(M) is None:
+        N._cache["hm_witness"] = None
+    N._cache["defect_report"] = report = DefectReport(pairs, sum(pairs.values()), flags)
+    return report
 
 
 def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:

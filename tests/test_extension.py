@@ -391,23 +391,53 @@ def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, 
 
 
 def test_completion_builds_a_pair_table_for_its_input_only(monkeypatch, pg33, pg35):
-    # Each extension's defects are read off its parent's report and its cut,
-    # so no later matroid of a completion builds a pair table.
-    built = []
-    original = core._pair_table
+    # Each extension's defects, disjoint flags and hypermodularity witness are
+    # read off its parent's report and its cut, so no later matroid of a
+    # completion builds a pair table, lists its flags or scans its corank pairs.
+    built, listed, scanned = [], [], []
+    table, flags, pairs = core._pair_table, modularity.disjoint_rank32_pairs, modularity._defective_pairs
 
-    def recorded(M):
+    def recorded_table(M):
         if "pair_table" not in M._cache:
             built.append(M)
-        return original(M)
+        return table(M)
 
-    monkeypatch.setattr(core, "_pair_table", recorded)
+    def recorded_flags(M):
+        listed.append(M)
+        return flags(M)
+
+    def recorded_pairs(M, grade=None):
+        if grade is not None:
+            scanned.append(M)
+        return pairs(M, grade)
+
+    monkeypatch.setattr(core, "_pair_table", recorded_table)
+    monkeypatch.setattr(modularity, "disjoint_rank32_pairs", recorded_flags)
+    monkeypatch.setattr(modularity, "_defective_pairs", recorded_pairs)
     for space in (pg33, pg35):
         D = delete(space, {0, 1})
-        built.clear()
+        for record in (built, listed, scanned):
+            record.clear()
         outcome = complete_to_modular(D)
         assert outcome.ok and len(outcome.steps) == 2
-        assert built == [D]
+        assert built == listed == scanned == [D]
+
+
+def test_extension_refuses_input_that_is_not_hypermodular(pg33):
+    # All but one point of a line deleted: the line's planes meet in a point.
+    # A hand-built context whose one star line passes the criterion vacuously
+    # must be refused as build_context refuses the flag.
+    line = flats_of_rank(pg33, 2)[0]
+    M = delete(pg33, sorted(line)[1:])
+    assert M.rank == 4 and M.is_loopless and not is_hypermodular(M)
+    f3, f2 = disjoint_rank32_pairs(M)[0]
+    ctx = ExtensionContext(M, f3, f2, pencil=(), traces=(f2,), cross_lines=(),
+                           star_lines=(f2,), star_planes=(f3,))
+    assert criterion_holds(M, ctx).holds
+    for step in (lambda: build_context(M, f3, f2), lambda: extend_once(M, ctx)):
+        with pytest.raises(ValueError) as error:
+            step()
+        assert str(error.value) == "extension requires a hypermodular matroid"
 
 
 def test_extension_refuses_input_that_fails_the_flat_axioms(del32):

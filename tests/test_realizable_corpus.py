@@ -20,6 +20,13 @@ one of the line picked by ``random.Random(q)``, once alone and once with
 the first point off that line.  For q = 5 and each seed 0..3, S is
 ``random.Random(500 + seed).sample(points, 3 + seed)``, so |S| runs from
 3 to 6.  Lines come from the GF(q) span oracle, not from the library.
+
+Long completions: for q = 3 and q = 5, S is the elliptic quadric
+x0·x1 + x2² − n·x3² = 0 with n a non-square mod q, an ovoid of q² + 1
+points, no three collinear (Hirschfeld, *Finite Projective Spaces of
+Three Dimensions*, 1985).  Each deleted point carries its own defect,
+so the trajectory is exactly (|S| − i)·d_q, and the points the
+completion adds are exactly the ovoid.
 """
 
 from __future__ import annotations
@@ -29,11 +36,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermod import (
     PointConfig,
+    build_context,
     complete_to_modular,
+    criterion_holds,
     delete,
+    disjoint_rank32_pairs,
+    flats_of_rank,
     is_hypermodular,
     matroid_from_points,
     pg3_points,
@@ -43,7 +55,13 @@ from hypermod import (
 )
 from hypermod import extension
 from hypermod.cli import main
-from oracles import brute_defect_identity, modp_line_plane_meet, modp_span_members, pg_point_list
+from oracles import (
+    brute_defect_identity,
+    modp_line_plane_meet,
+    modp_matrix_rank,
+    modp_span_members,
+    pg_point_list,
+)
 
 PG_PROFILE = {
     2: (1, 15, 35, 15, 1),
@@ -99,13 +117,18 @@ def test_corpus_has_both_kinds():
     assert [len(S) for q, S in CASES if q == 5] == [3, 4, 5, 6]
 
 
-def _assert_completed_in_coordinates(q: int, S, outcome) -> None:
-    """Each step adds the point where its flag's plane meets its line; the result is their matroid."""
+def _assert_completed_in_coordinates(q: int, S, outcome) -> list[tuple[int, ...]]:
+    """Each step adds the point where its flag's plane meets its line; the result is their matroid.
+
+    Returns the added points.
+    """
     points = [x for i, x in enumerate(pg_point_list(q)) if i not in S]
+    kept = len(points)
     for step in outcome.steps:
         assert step.new_element == len(points)
         points.append(modp_line_plane_meet(points, step.flat3, step.flat2, q))
     assert outcome.matroid == matroid_from_points(PointConfig(q, 4, tuple(points)))
+    return points[kept:]
 
 
 def _record_visits(monkeypatch) -> list:
@@ -163,3 +186,69 @@ def test_pg37_two_point_deletion_completes_to_pg37(pg37, monkeypatch):
     for M in visited + [outcome.matroid]:
         assert total_modular_defect(M).total == sum(brute_defect_identity(M))
     _assert_completed_in_coordinates(7, {0, 1}, outcome)
+
+
+def _ovoid(q: int) -> frozenset[int]:
+    """The points of the elliptic quadric x0·x1 + x2² − n·x3² = 0, n the least non-square mod q."""
+    n = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    points = pg_point_list(q)
+    return frozenset(i for i, (a, b, c, d) in enumerate(points) if (a * b + c * c - n * d * d) % q == 0)
+
+
+def _point_defect(q: int) -> int:
+    # A deleted point lies on q² + q + 1 planes and as many lines; each plane
+    # through it is disjoint from the q² lines through it outside the plane,
+    # and any two lines through it become disjoint coplanar lines.
+    n = q * q + q + 1
+    return n * q * q + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_ovoid_deletion_completes_one_point_defect_at_a_time(q, spaces, monkeypatch, check_local_step):
+    S = _ovoid(q)
+    assert len(S) == q * q + 1
+    assert all(len(line & S) <= 2 for line in _lines(q))
+    assert _point_defect(q) == {3: 195, 5: 1240}[q]
+    visited = _record_visits(monkeypatch)
+    if q == 3:  # at q = 5 the full re-verification of 26 steps costs about 6 s
+        monkeypatch.setattr(extension, "extend_once", check_local_step)
+    outcome = complete_to_modular(delete(spaces[q], S))
+    assert outcome.ok
+    trajectory = [s.defect_before for s in outcome.steps] + [outcome.steps[-1].defect_after]
+    assert trajectory == [(len(S) - i) * _point_defect(q) for i in range(len(S) + 1)]
+    if q == 3:
+        for M in visited + [outcome.matroid]:
+            report = total_modular_defect(M)
+            assert set(report.pair_defects.values()) <= {1}
+            assert report.total == sum(brute_defect_identity(M))
+    assert profile(outcome.matroid).counts == PG_PROFILE[q]
+    added = _assert_completed_in_coordinates(q, S, outcome)
+    assert sorted(added) == [x for i, x in enumerate(pg_point_list(q)) if i in S]
+
+
+@pytest.fixture(scope="module")
+def ovoid33(pg33):
+    S = _ovoid(3)
+    points = pg_point_list(3)
+    return delete(pg33, S), [x for i, x in enumerate(points) if i not in S], {points[i] for i in S}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_sampled_ovoid_flag_has_the_star_through_its_meet_point(ovoid33, data):
+    """A flag's star lines and star planes are the flats whose GF(3) span holds its meet point."""
+    D, points, ovoid = ovoid33
+    f3, f2 = data.draw(st.sampled_from(disjoint_rank32_pairs(D)))
+    ctx = build_context(D, f3, f2)
+    assert criterion_holds(D, ctx).holds
+    meet = modp_line_plane_meet(points, f3, f2, 3)
+    assert meet in ovoid
+
+    def through_meet(flat, k):
+        return modp_matrix_rank([points[i] for i in flat] + [meet], 3) == k
+
+    lines = {x for x in flats_of_rank(D, 2) if through_meet(x, 2)}
+    planes = {x for x in flats_of_rank(D, 3) if through_meet(x, 3)}
+    assert len(lines) == len(planes) == 13  # the lines and planes of PG(3,3) through a point
+    assert set(ctx.star_lines) == lines
+    assert set(ctx.star_planes) == planes
