@@ -27,9 +27,10 @@ answers every all-pairs question in row blocks: F1 reads its meets
 their covers, and lists witnesses from all pairs only when it fails, and
 the flat-pair R3 check and the defect scans of :mod:`hypermod.modularity`
 read its defects (:func:`_defect_block`).
-The flat-pair R3 check also decides R3 on subsets, and one OR per flat
-decides whether R1 can fail anywhere, so the subset passes of
-:func:`verify_rank_axioms` run only when they have witnesses to list.
+The flat-pair R3 check also decides R3 on subsets, and the ranks of the
+single elements, one lookup each, then decide R1, so both modes of
+:func:`verify_rank_axioms` give the exact verdict and its subset passes
+run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths (:func:`_chain_lengths`, the
@@ -669,15 +670,22 @@ def verify_rank_axioms(
     defect in the pair table, which equals r(A)+r(B)-r(A∪B)-r(A∩B) on
     pairs that are not nested.  ``mode="exhaustive"`` then checks R1 on
     every subset and R3 on every pair of subsets (only for ground sizes up
-    to ``EXHAUSTIVE_LIMIT``), and ``mode="sampled"`` both on ``trials``
-    seeded random subset pairs.  At most a handful of witnesses per axiom
-    are reported.  R2 always holds: r(A) is the lowest grade of a stored
-    flat holding A, and fewer flats hold a superset.
+    to ``EXHAUSTIVE_LIMIT``); ``mode="sampled"`` checks R1 on every single
+    element and R3 on ``trials`` seeded random subset pairs.  At most a
+    handful of witnesses per axiom are reported.  R2 always holds: r(A)
+    is the lowest grade of a stored flat holding A, and fewer flats hold
+    a superset.
 
-    The subset passes run only when they can report.  Subset R3 fails iff
-    the flat-pair check fails on two flats that are their own closures.
-    R1 can fail only if some flat F that is its own closure has an element
-    outside every flat above it of grade at most grade(F)+1.
+    Both modes give the same verdict, whatever ``trials`` is, and the
+    subset passes run only when they can report.  Subset R3 fails iff the
+    flat-pair check fails on two flats that are their own closures, and
+    then that check has listed a witness.  Once subset R3 holds, R1 fails
+    iff some element has rank 2 or more (Oxley, *Matroid Theory*, §1.3):
+    r(∅) = 0, the grade of the bottom flat, so for e outside A
+    submodularity on A and {e} gives r(A+e) ≤ r(A) + r({e}), and by
+    induction r(A) ≤ |A| when every r({e}) ≤ 1.  The rank of {e} is the
+    grade of the lowest flat holding e, read off its element bits with no
+    closure query.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -691,24 +699,31 @@ def verify_rank_axioms(
     violations: list[Violation] = []
 
     # Submodularity over all pairs of flats.  The pass lists every violation
-    # unless it fills the cap, so it sees each failing pair of closed flats.
-    grades = M._grade_of_index
-    closed = [_lsb_index(up) == i for i, up in enumerate(M._sup_bits)]
+    # unless it fills the cap, so it sees each failing pair of closed flats:
+    # a flat is its own closure when no flat before it holds it.
+    grades, sup = M._grade_of_index, M._sup_bits
     r3_fails = False
     negative = _upper_cells(M, 0, len(grades), lambda *span: np.minimum(_defect_block(*span), 0))
     for i, j, d in itertools.islice(negative, _VIOLATION_CAP):
         bound = grades[i] + grades[j]
         detail = f"r(A∪B)+r(A∩B)={bound - d} exceeds r(A)+r(B)={bound}"
         violations.append(Violation("R3", (M._flat_list[i], M._flat_list[j]), detail))
-        r3_fails |= closed[i] and closed[j]
-    if len(violations) >= _VIOLATION_CAP or not (r3_fails or _has_rank_jump(M, closed)):
+        r3_fails |= _lsb_index(sup[i]) == i and _lsb_index(sup[j]) == j
+    ranks = [grades[_lsb_index(bits)] for bits in M._elem_flatbits]
+    singles = [e for e, r in enumerate(ranks) if r > 1]
+    if len(violations) >= _VIOLATION_CAP or not (r3_fails or singles):
         return AxiomReport.from_violations(violations)
 
     if mode == "exhaustive":
         violations.extend(_exhaustive_rank_violations(M, r3_fails))
-    else:
+        return AxiomReport.from_violations(violations)
+    for e in singles[: _VIOLATION_CAP - len(violations)]:
+        violations.append(Violation("R1", (frozenset([e]),), f"rank {ranks[e]} exceeds cardinality"))
+    if r3_fails:
         rng = random.Random(seed)
         for _ in range(trials):
+            if len(violations) >= _VIOLATION_CAP:
+                break
             a = rng.getrandbits(n)
             b = rng.getrandbits(n)
             ca, cb = M._closure_bits(a), M._closure_bits(b)
@@ -716,11 +731,6 @@ def verify_rank_axioms(
             # The flats holding A∪B are the flats holding both A and B.
             ru = grades[_lsb_index(ca & cb)]
             ri = M._rank_of_mask(a & b)
-            for m, r in ((a, ra), (b, rb)):
-                if r > m.bit_count():
-                    violations.append(
-                        Violation("R1", (_members_of(m),), f"rank {r} exceeds cardinality")
-                    )
             if ru + ri > ra + rb:
                 violations.append(
                     Violation(
@@ -729,26 +739,7 @@ def verify_rank_axioms(
                         f"r(A∪B)+r(A∩B)={ru + ri} exceeds r(A)+r(B)={ra + rb}",
                     )
                 )
-            if len(violations) >= _VIOLATION_CAP:
-                break
-
     return AxiomReport.from_violations(violations)
-
-
-def _has_rank_jump(M: Matroid, closed: list[bool]) -> bool:
-    """Whether r(A+e) >= r(A)+2 for some set A and element e.
-
-    Then F = cl(A) is its own closure and r(F+e) >= r(A+e), so the flats
-    above F of grade at most grade(F)+1 miss e; the converse takes A = F.
-    """
-    starts, grades = M._grade_starts, M._grade_of_index
-    for i in itertools.compress(range(len(closed)), closed):
-        held = 0
-        for j in _bits(M._sup_bits[i] & ((1 << starts[min(grades[i] + 2, M.rank + 1)]) - 1)):
-            held |= M._flat_masks[j]
-        if held != _ground_mask(M):
-            return True
-    return False
 
 
 def _exhaustive_rank_violations(M: Matroid, r3_fails: bool) -> list[Violation]:

@@ -344,6 +344,18 @@ def test_verify_golden_for_a_flat_nested_downward(tmp_path, capsys):
     ])
 
 
+def test_verify_with_no_trials_is_exact(tmp_path, capsys):
+    # No pair of flats fails R3, but the points {0} and {1} both have rank 2.
+    path = tmp_path / "jump.mat"
+    path.write_text(serialize_matroid(Matroid(2, [[()], [], [{0, 1}]]), name="jump"))
+    rc, out = run(capsys, ["verify", str(path), "--seed", "0", "--trials", "0", "--machine"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert "rank_axioms fail" in lines
+    assert "violation_1 R1 {0} (rank 2 exceeds cardinality)" in lines
+    assert "violation_2 R1 {1} (rank 2 exceeds cardinality)" in lines
+
+
 def test_verify_pg35_deletion_at_scale(pg35m01, capsys):
     D, path = pg35m01
     start = time.perf_counter()

@@ -507,12 +507,14 @@ def _realized_families(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_the_extension_proof_is_sound(
-    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, data
+    pg32, pg33, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, data
 ):
     """Whenever the proof holds, the extension built afresh passes the flat axioms.
 
     M is a small accepted family that passes them, a realized point
-    configuration, or a deletion of a zoo lattice.  The enlarged flats are
+    configuration, a deletion of a zoo lattice, or a hypermodular one- or
+    two-point deletion of PG(3,2) or PG(3,3), which always has a star whose
+    cut flats keep positive pairs.  The enlarged flats are
     the star of M's first extendable flag with up to two flats dropped and
     two added, lines kept greedily disjoint in a random order, or up to
     four random flats; they are then closed upward or not, and hold the
@@ -522,13 +524,13 @@ def test_the_extension_proof_is_sound(
     to M, proved or not, the report read off M's report and the cut must
     equal its full scan, and so must its hypermodularity witness.
     """
-    source = data.draw(st.sampled_from(["small", "realized", "zoo"]))
+    source = data.draw(st.sampled_from(["small", "realized", "zoo", "projective"]))
     if source == "small":
         M = data.draw(_small_families())
         assume(verify_flat_axioms(M).passed)
     elif source == "realized":
         M = data.draw(_realized_families())
-    else:
+    elif source == "zoo":
         looped = Matroid(4, [[{3}], [{0, 3}, {1, 3}, {2, 3}], [range(4)]])  # U(2,3) and a loop
         zoo = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, looped]
         base = data.draw(st.sampled_from(zoo + [uniform(3, 5), uniform(4, 6)]))
@@ -536,9 +538,16 @@ def test_the_extension_proof_is_sound(
             st.sets(st.integers(0, base.ground_size - 1), max_size=min(3, base.ground_size - 1))
         )
         M = delete(base, removed) if removed else base
+    else:
+        # Two-point deletions of PG(3,2) are not hypermodular.
+        base = data.draw(st.sampled_from([pg32, pg33]))
+        size = 1 if base is pg32 else data.draw(st.integers(1, 2))
+        points = st.integers(0, base.ground_size - 1)
+        M = delete(base, data.draw(st.sets(points, min_size=size, max_size=size)))
     assume(M.rank >= 2)  # below, grade 1 is the top and has no room for {m}
     flats = M._flat_list
     star = _star(M)
+    assert star or source != "projective"
     kind = data.draw(st.sampled_from(["star", "spread", "random"] if star else ["spread", "random"]))
     if kind == "star":
         drop = data.draw(st.sets(st.sampled_from(sorted(star, key=flat_key)), max_size=2))
