@@ -180,7 +180,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _pick_flag(M: Matroid, args):
+def _pick_flag(args):
     if args.f is not None or args.l is not None:
         if args.f is None or args.l is None:
             raise ValueError("--f and --l must be given together")
@@ -192,7 +192,7 @@ def cmd_extend(args) -> int:
     M = _load(args.path)
     rep = Report(args.machine)
     try:
-        chosen = _pick_flag(M, args)
+        chosen = _pick_flag(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -336,9 +336,9 @@ def cmd_arrangement(args) -> int:
 
     rng = random.Random(args.seed if args.seed is not None else 0)
     proper = [f for k in range(1, M.rank) for f in flats_of_rank(M, k)]
-    samples = [rng.sample(proper, 2) for _ in range(args.samples)]
-    rep.add("incidence_checks", len(samples))
-    rep.add("incidence_meeting", sum(meet_at_point(M, pair) for pair in samples))
+    rep.add("incidence_checks", args.samples)
+    meeting = sum(meet_at_point(M, rng.sample(proper, 2)) for _ in range(args.samples))
+    rep.add("incidence_meeting", meeting)
     rep.emit()
     return 0 if connectivity.passed else PROPERTY_FALSE
 

@@ -16,7 +16,7 @@ elements.  The constructor also builds the containment order of the
 stored flats once, as bits over flat indices (:func:`_flat_relation`);
 the shape check, :func:`contract`, the pair table and
 :func:`verify_flat_axioms` all read it, the last to find the covers of
-every flat for the cover axiom F2.
+every flat, once, for the cover axiom F2 and the grading.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.
@@ -33,12 +33,13 @@ single elements, one lookup each, then decide R1, so both modes of
 run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
-checks them against longest-chain lengths (:func:`_chain_lengths`, the
-same routine that grades :func:`restrict`) so that corrupt input files
-are caught loudly instead of silently re-ranked.  A matroid may carry
-its flat-axiom report: parsing stores the one it computes, and a
-one-element extension whose axioms follow from its parent's and a check
-on its modular cut, the parent's flats that gain the new element
+checks them against longest-chain lengths, pushed along those covers,
+so that corrupt input files are caught loudly instead of silently
+re-ranked.  :func:`restrict` grades by rank, as :func:`contract` grades
+by rank drop.  A matroid may carry its flat-axiom report: parsing
+stores the one it computes, and a one-element extension of a loopless
+matroid, whose axioms hold iff a check on its modular cut, the parent's
+flats that gain the new element, passes
 (:func:`_extension_passes_flat_axioms`), carries a passing one, which
 :func:`verify_flat_axioms` returns; its defects are read off its
 parent's report and that cut, so it builds no pair table.
@@ -315,26 +316,6 @@ def _flat_relation(n: int, members: list[Iterable[int]]) -> tuple[list[int], lis
     return elem_bits, sup_bits
 
 
-def _chain_lengths(masks: list[int], sup: list[int]) -> list[int]:
-    """Length of the longest chain of strict inclusions ending at each set.
-
-    ``masks`` are distinct sets and ``sup`` their containment bits from
-    :func:`_flat_relation`.  A strict subset is smaller, so visiting the
-    sets by size fixes each length before it is pushed to the sets above.
-    """
-    chain = [0] * len(masks)
-    for i in sorted(range(len(masks)), key=lambda i: masks[i].bit_count()):
-        longer = chain[i] + 1
-        above = sup[i] & ~(1 << i)
-        while above:
-            low = above & -above
-            above ^= low
-            j = low.bit_length() - 1
-            if chain[j] < longer:
-                chain[j] = longer
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # The pair table: meets, joins and defects of blocks of flat pairs
 # ---------------------------------------------------------------------------
@@ -524,7 +505,9 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     G1 != G2 holding s would meet in a flat strictly between F and G1.
 
     Grading: every declared grade equals the longest chain length from
-    the bottom flat.  Violations are reported, never thrown.
+    the bottom flat.  A longest chain runs along covers, so the lengths
+    are pushed along the covers found for F2.  Violations are reported,
+    never thrown.
 
     A report stored in ``M._cache["flat_report"]`` is returned as it is.
     Only two places store one: :func:`hypermod.matio.parse_matroid_document`
@@ -536,30 +519,9 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     stored = M._cache.get("flat_report")
     if stored is not None:
         return stored
+    irreducible, cover_violations = _cover_violations(M)
     violations: list[Violation] = []
-    masks = M._flat_masks
-    flats = M._flat_list
-    ground = _ground_mask(M)
-
-    # F2: a flat strictly above F is a cover unless it is strictly above
-    # another flat strictly above F.
-    sup = M._sup_bits
-    strictly_above = [up ^ (1 << i) for i, up in enumerate(sup)]
-    f2: list[Violation] = []
-    irreducible = []
-    for i, above in enumerate(strictly_above):
-        skipped = 0
-        for j in _bits(above):
-            skipped |= strictly_above[j]
-        held, meet = masks[i], ground
-        for j in _bits(above & ~skipped):
-            held |= masks[j]
-            meet &= masks[j]
-        if meet != masks[i]:
-            irreducible.append(i)
-        for s in _bits(ground & ~held):
-            detail = "no cover of the flat holds the element"
-            f2.append(Violation("F2", (flats[i], frozenset([s])), detail))
+    masks, flats = M._flat_masks, M._flat_list
 
     # F1: a cell whose meet is not confirmed may have lost a hash collision.
     if not _meets_are_flats(M, np.array(irreducible, dtype=np.intp)):
@@ -571,10 +533,43 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
             if inter not in M._index_of_mask:
                 detail = f"intersection {sorted(_members_of(inter))} is not a flat"
                 violations.append(Violation("F1", (flats[i], flats[j]), detail))
-    violations.extend(f2)
+    violations.extend(cover_violations)
 
-    # Declared grades vs longest chains from the bottom flat.
-    chain = _chain_lengths(masks, sup)
+    return AxiomReport.from_violations(violations)
+
+
+def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
+    """The irreducible flats, and the F2 and grading violations, read off each flat's covers.
+
+    Apart from :func:`verify_flat_axioms` so that its bit lists are freed
+    before the F1 pass builds the pair table.
+    """
+    masks, flats = M._flat_masks, M._flat_list
+    ground = _ground_mask(M)
+
+    # F2: a flat strictly above F is a cover unless it is strictly above
+    # another flat strictly above F.
+    strictly_above = [up ^ (1 << i) for i, up in enumerate(M._sup_bits)]
+    violations: list[Violation] = []
+    irreducible, covers = [], []
+    for i, above in enumerate(strictly_above):
+        skipped = 0
+        for j in _bits(above):
+            skipped |= strictly_above[j]
+        covers.append(above & ~skipped)
+        held, meet = masks[i], ground
+        for j in _bits(covers[i]):
+            held |= masks[j]
+            meet &= masks[j]
+        if meet != masks[i]:
+            irreducible.append(i)
+        for s in _bits(ground & ~held):
+            detail = "no cover of the flat holds the element"
+            violations.append(Violation("F2", (flats[i], frozenset([s])), detail))
+
+    # Declared grades vs longest chains.  A strict subset is smaller, so
+    # visiting the flats by size fixes each length before it is pushed on.
+    chain = [0] * len(masks)
     for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
         if chain[j] != M._grade_of_index[j]:
             violations.append(
@@ -584,8 +579,11 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
                     f"declared grade {M._grade_of_index[j]} but longest chain has length {chain[j]}",
                 )
             )
-
-    return AxiomReport.from_violations(violations)
+        longer = chain[j] + 1
+        for c in _bits(covers[j]):
+            if chain[c] < longer:
+                chain[c] = longer
+    return irreducible, violations
 
 
 def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
@@ -601,7 +599,7 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
 
 
 def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
-    """Whether N passes F1, F2 and grading, proved from ``M``'s and the cut ``cut``.
+    """Whether N passes F1, F2 and grading, decided from ``M``'s and the cut ``cut``.
 
     ``M`` must pass all three.  ``cut`` lists the indices of a family D of
     M's flats, and N is ``M`` with a new element m added to every flat of
@@ -609,8 +607,8 @@ def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
     :func:`hypermod.extension.extend_once` builds it and accepted by the
     constructor.  A single-element extension is fixed by a modular cut, an
     up-closed family of flats closed under meets (Crapo 1965; Oxley,
-    *Matroid Theory*, §7.2), so only D is checked.  N passes if M's bottom
-    flat is empty and:
+    *Matroid Theory*, §7.2), so only D is checked.  If M's bottom flat is
+    empty, N passes iff:
 
     (i) D is up-closed in M;
     (iii) any two flats of D meet in a flat of D or in the bottom flat;
@@ -633,7 +631,14 @@ def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
     the bottom flat is empty, so {m} meets every flat outside D in a flat.
     A flat one grade higher covers, so (iv) puts m in a cover of every
     flat outside D, and by (v) the covers of {m} hold every other element.
-    False means no proof, not a failure.
+
+    Conversely, let N pass.  If (i) fails, a flat F of D lies under a flat
+    G outside it, and (F+m) ∩ G = F is not a flat of N, which holds F only
+    as F+m.  If (iii) fails, F+m and G+m meet in (F∩G)+m, not a flat of N:
+    N's flats holding m are {m} and the images of D.  If (v) fails, F2
+    fails at the atom {m}: N is then a matroid's lattice, so the covers of
+    {m} have grade 2 and are the images of D's grade-2 flats.  If M has a
+    loop, False means no proof, not a failure.
     """
     masks, index, grade, sup = M._flat_masks, M._index_of_mask, M._grade_of_index, M._sup_bits
     in_cut = sum(1 << j for j in set(cut))
@@ -799,9 +804,13 @@ def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     """Restriction to ``subset``, re-indexed densely.
 
     The flats are the intersections of M's flats with the subset,
-    deduplicated and re-graded by longest-chain length.  The returned
-    matroid records which original element each new index came from in
-    ``element_map``.
+    deduplicated and graded by their rank in M, as :func:`contract` grades
+    by rank drop.  The rank read off any lattice is monotone, so the
+    grades run from 0 to r(subset); M must pass the flat axioms for the
+    subset alone to have rank r(subset) and for each grade to be a
+    longest-chain length.  An invalid lattice may be graded differently,
+    or refused by the constructor.  The returned matroid records which
+    original element each new index came from in ``element_map``.
     """
     mask = M._subset_mask(subset)
     if mask == 0:
@@ -809,12 +818,9 @@ def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     elems = sorted(_members_of(mask))
     reindex = {old: new for new, old in enumerate(elems)}
 
-    inter_masks = list({fm & mask for fm in M._flat_masks})
-    members = [_bits(m) for m in inter_masks]
-    chain = _chain_lengths(inter_masks, _flat_relation(M.ground_size, members)[1])
-    grades: list[list[ElementSet]] = [[] for _ in range(max(chain) + 1)]
-    for kept, c in zip(members, chain):
-        grades[c].append(frozenset(reindex[e] for e in kept))
+    grades: list[list[ElementSet]] = [[] for _ in range(M._rank_of_mask(mask) + 1)]
+    for kept in {fm & mask for fm in M._flat_masks}:
+        grades[M._rank_of_mask(kept)].append(frozenset(reindex[e] for e in _bits(kept)))
     return Matroid(len(elems), grades, element_map=tuple(elems))
 
 

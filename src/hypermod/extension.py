@@ -18,10 +18,10 @@ flat indices with joins read off the containment relation:
 The extension criterion asks whether every join of two distinct star
 lines is a star plane.  When it holds, :func:`extend_once` adjoins a
 new element to exactly the star lines and star planes.  Those flats,
-the *cut*, fix the extension (a modular cut, Crapo 1965).  The new
-lattice's flat axioms follow from its parent's and a check on the cut
-(:func:`hypermod.core._extension_passes_flat_axioms`), with the full
-check run only when that proof does not hold, and its defect report is
+the *cut*, fix the extension (a modular cut, Crapo 1965).  Given its
+parent's flat axioms, the new lattice passes them exactly when a check
+on the cut passes (:func:`hypermod.core._extension_passes_flat_axioms`),
+and the full check runs only to name a refusal.  Its defect report is
 read off its parent's: each pair keeps its defect, but a pair of cut
 flats whose meet is outside the cut loses one, and the disjoint flags
 are the parent's less those of two cut flats
@@ -299,19 +299,21 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     """Adjoin one element through the context's star.
 
     The input must be what :func:`build_context` accepts, a loopless
-    hypermodular rank-4 matroid, and must satisfy the flat axioms: its
-    stored report is read (parsing stores one), or else the full check
-    runs.  Either failure is a ValueError raised before anything is built.
-    The new element m (labelled with the next dense index) is added to
-    every flat of the cut D: the input's star lines and star planes and
-    its top flat.  {m} becomes a new rank-1 flat; all other flats are
-    untouched.  The resulting lattice N must satisfy the flat axioms,
-    proved from the input's and a check on the cut, with the full check
-    run only when that proof does not hold, and must restrict back to the
-    input; a failure of either is raised as an internal error.  N's
-    defect report is read off the input's report and the cut and cached
-    on N for the next step, as are its proved flat report and, since no
-    defect grows, its hypermodularity witness None.
+    hypermodular rank-4 matroid, and must satisfy the flat axioms, read
+    through :func:`verify_flat_axioms` (parsing and the previous step
+    store the report, so it is not recomputed).  Either failure is a
+    ValueError raised before anything is built.  The new element m
+    (labelled with the next dense index) is added to every flat of the
+    cut D: the input's star lines and star planes and its top flat.  {m}
+    becomes a new rank-1 flat; all other flats are untouched.  The
+    resulting lattice N must satisfy the flat axioms, which hold exactly
+    when a check on the cut passes, and must restrict back to the input;
+    a failure of either is raised as an internal error, the full check
+    on N run only to name the first violation.  ``enlarged`` lists the
+    input's flats that gained m, the cut less the top flat.  N's defect
+    report is read off the input's report and the cut and cached on N for
+    the next step, as are its passing flat report and, since no defect
+    grows, its hypermodularity witness None.
 
     The total modular defect strictly drops.  F1 in N makes the cut lines
     pairwise disjoint, since two cut lines meeting at p would make {p, m}
@@ -326,9 +328,7 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
         a, b = verdict.witness
         raise ValueError(f"criterion does not hold; witness ({sorted(a)}, {sorted(b)})")
     _require_extendable(M)
-    given = M._cache.get("flat_report")
-    if given is None:
-        given = verify_flat_axioms(M)
+    given = verify_flat_axioms(M)
     if not given.passed:
         first = given.violations[0]
         raise ValueError(
@@ -351,22 +351,21 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     grades += (images[a:b] for a, b in zip(starts[2:], starts[3:]))
     extended = Matroid(m + 1, grades)
 
-    if _extension_passes_flat_axioms(M, cut):
-        extended._cache["flat_report"] = AxiomReport(True, ())
-    report = verify_flat_axioms(extended)
-    if not report.passed:
-        first = report.violations[0]
+    # M is loopless, so the proof fails exactly when the extension does;
+    # the full check then only names the first violation.
+    if not _extension_passes_flat_axioms(M, cut):
+        first = verify_flat_axioms(extended).violations[0]
         raise InternalConsistencyError(
             f"extension lattice fails {first.axiom}: {first.detail}"
         )
+    extended._cache["flat_report"] = AxiomReport(True, ())
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")
 
-    enlarged = tuple(sorted(star_lines | star_planes, key=flat_key))
     return ExtensionResult(
         extended=extended,
         new_element=m,
-        enlarged=enlarged,
+        enlarged=tuple(sorted((flats[i] for i in cut[:-1]), key=flat_key)),
         defect_before=total_modular_defect(M).total,
         defect_after=_extension_report(M, extended, cut).total,
     )

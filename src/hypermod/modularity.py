@@ -24,7 +24,7 @@ from typing import Iterator
 from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefectReport:
     """All strictly positive pair defects, their sum, and the disjoint flags.
 

@@ -13,7 +13,9 @@ The extension oracles (``brute_context``, ``brute_criterion``,
 path the index-based extension layer replaced, with every join taken by
 ``brute_closure``.  ``reverified_extension`` is ``extend_once`` as it
 was before it read the new defects off its parent's report and cut: the
-extension re-verified in full, with a full pair scan of the new lattice.
+extension re-verified in full, with a full pair scan of the new lattice,
+and its enlarged flats read off the new lattice's flats that hold the
+new element.
 """
 
 from __future__ import annotations
@@ -612,7 +614,12 @@ def reverified_extension(M, ctx) -> ExtensionResult:
     if not is_hypermodular(extended):
         raise InternalConsistencyError("extension lost hypermodularity")
 
-    enlarged = tuple(sorted(star_lines | star_planes, key=flat_key))
+    enlarged = tuple(
+        sorted(
+            (x - new for g in extended.flats_by_rank[1:-1] for x in g if m in x and x != new),
+            key=flat_key,
+        )
+    )
     return ExtensionResult(
         extended=extended,
         new_element=m,

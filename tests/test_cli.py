@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import pytest
 
@@ -387,6 +388,30 @@ def test_arrangement(workdir, capsys):
         "points", "lines", "planes", "line_connectivity", "incidence_checks", "incidence_meeting",
     }
     assert d["incidence_checks"] == "200"
+
+
+@pytest.mark.parametrize("seed,samples,meeting", [(0, 200, 91), (1, 10000, 4568), (7, 200, 90)])
+def test_arrangement_samples_repeat_per_seed(workdir, capsys, seed, samples, meeting):
+    argv = ["arrangement", str(workdir / "pg32.mat"), "--seed", str(seed), "--samples", str(samples)]
+    rc, out = run(capsys, argv + ["--machine"])
+    assert rc == 0
+    assert out.endswith(f"incidence_checks {samples}\nincidence_meeting {meeting}\n")
+    assert run(capsys, argv + ["--machine"]) == (rc, out)
+
+
+def test_arrangement_samples_in_constant_memory(workdir, capsys):
+    # Listing the samples first grew the peak by about 77 bytes per sample.
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            main(["arrangement", str(workdir / "pg32.mat"), "--samples", str(samples), "--machine"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(0)  # the first call also pays for one-time allocations
+    assert peak(10_000) < peak(1_000) + 100_000
 
 
 def test_arrangement_negative_samples_is_usage_error(workdir, capsys):

@@ -241,8 +241,11 @@ def test_restrict_uniform():
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_restrict_grades_are_longest_chains(pg32, pg33, vamos_m, data):
-    M = data.draw(st.sampled_from([pg32, pg33, vamos_m, uniform(3, 6)]))
+def test_restrict_grades_are_longest_chains(
+    pg32, pg33, vamos_m, loop_fixture, two_cover, del33ab, data
+):
+    zoo = [pg32, pg33, vamos_m, uniform(3, 6), loop_fixture, two_cover, del33ab]
+    M = data.draw(st.sampled_from(zoo))
     subset = frozenset(data.draw(st.sets(st.integers(0, M.ground_size - 1), min_size=1)))
     R = restrict(M, subset)
     back = R.element_map

@@ -367,6 +367,18 @@ def test_tampered_contexts_fail_as_the_reverified_extension_does(del33ab, check_
     ]
 
 
+def test_enlarged_lists_the_flats_that_gained_the_new_element(del32, del32_context, check_local_step):
+    # The criterion reads the star planes only as joins to look up, so a line
+    # among them reaches extend_once, which adds m to planes alone.
+    line = next(x for x in flats_of_rank(del32, 2) if x not in del32_context.star_lines)
+    star = set(del32_context.star_lines) | set(del32_context.star_planes)
+    planes = tuple(sorted(del32_context.star_planes + (line,), key=flat_key))
+    result = check_local_step(del32, dataclasses.replace(del32_context, star_planes=planes))
+    assert isinstance(result, extension.ExtensionResult), result
+    assert len(star) == 14
+    assert result.enlarged == tuple(sorted(star, key=flat_key))
+
+
 def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, pg35):
     # Every extension's flat axioms are proved on its star.  A parsed input
     # was checked when it was parsed; a built one is checked by the first step.
@@ -509,7 +521,7 @@ def _realized_families(draw):
 def test_the_extension_proof_is_sound(
     pg32, pg33, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, data
 ):
-    """Whenever the proof holds, the extension built afresh passes the flat axioms.
+    """The proof holds iff the extension built afresh passes the flat axioms.
 
     M is a small accepted family that passes them, a realized point
     configuration, a deletion of a zoo lattice, or a hypermodular one- or
@@ -518,7 +530,8 @@ def test_the_extension_proof_is_sound(
     the star of M's first extendable flag with up to two flats dropped and
     two added, lines kept greedily disjoint in a random order, or up to
     four random flats; they are then closed upward or not, and hold the
-    top flat.  On an unchanged star the proof must hold.
+    top flat.  On an unchanged star the proof must hold, and whenever M is
+    loopless it must hold exactly when the fresh lattice passes.
 
     Whenever the fresh lattice passes the flat axioms and restricts back
     to M, proved or not, the report read off M's report and the cut must
@@ -575,6 +588,8 @@ def test_the_extension_proof_is_sound(
     if proved:
         assert valid
         assert brute_flat_verdict(fresh)
+    if M.is_loopless:
+        assert proved == valid
     if not valid or restrict(fresh, range(M.ground_size)) != M:
         return
     event(f"valid extension of a {kind} cut, {'proved' if proved else 'not proved'}")

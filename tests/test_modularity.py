@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -146,6 +147,15 @@ def test_total_defect(pg32, del32):
     assert len(report.disjoint_flags) == 28
     u34 = uniform(3, 4)
     assert total_modular_defect(u34).total == 3
+
+
+def test_the_cached_defect_report_is_frozen():
+    # The report is cached on the matroid and shared with every caller.
+    M = uniform(3, 4)
+    report = total_modular_defect(M)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.total = 0
+    assert total_modular_defect(M).total == 3
 
 
 def test_total_defect_flag_invariants(del32):
