@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AxiomReport, ElementSet, Matroid, Violation, closure, rank_of
+from .core import AxiomReport, ElementSet, Matroid, Violation, closure
 from .extension import ExtensionContext
 from .modularity import _defective_pairs
 
@@ -73,20 +73,20 @@ def subspace_census(M: Matroid) -> dict[int, tuple[ElementSet, ...]]:
 
 def meet_at_point(M: Matroid, flats) -> bool:
     """Whether the given subspaces meet at a point: rank of the union is r(M) - 1."""
-    seen = []
-    union: set[int] = set()
+    top = len(M._flat_masks) - 1
+    seen: set[int] = set()
+    union = 0
     for f in flats:
-        f = frozenset(f)
-        M._flat_index(f)  # raises unless f is a flat
-        if f == M.ground_set:
+        i = M._flat_index(f)  # raises unless f is a flat
+        if i == top:
             raise ValueError("flats must be proper")
-        if f in seen:
+        if i in seen:
             raise ValueError("flats must be distinct")
-        seen.append(f)
-        union |= f
+        seen.add(i)
+        union |= M._flat_masks[i]
     if len(seen) < 2:
         raise ValueError("need at least two flats")
-    return rank_of(M, union) == M.rank - 1
+    return M._rank_of_mask(union) == M.rank - 1
 
 
 def check_line_connectivity(M: Matroid) -> AxiomReport:

@@ -35,8 +35,12 @@ run only when they have witnesses to list.
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths, pushed along those covers,
 so that corrupt input files are caught loudly instead of silently
-re-ranked.  :func:`restrict` grades by rank, as :func:`contract` grades
-by rank drop.  A matroid may carry its flat-axiom report: parsing
+re-ranked.  :func:`restrict` and :func:`contract` build through one
+minor builder (:func:`_minor`) that re-indexes the kept elements and
+keeps each flat with the first grade it arrives with: a restriction
+grades F ∩ S by the first flat that yields it, which is cl(F ∩ S) on a
+valid lattice, so it makes no closure query, and a contraction grades
+L - F by rank drop.  A matroid may carry its flat-axiom report: parsing
 stores the one it computes, and a one-element extension of a loopless
 matroid, whose axioms hold iff a check on its modular cut, the parent's
 flats that gain the new element, passes
@@ -800,28 +804,44 @@ def _exhaustive_rank_violations(M: Matroid, r3_fails: bool) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
+def _minor(ground: int, graded: Iterable[tuple[int, int]]) -> Matroid:
+    """The matroid on the elements of the mask ``ground``, re-indexed densely in order.
+
+    Its flats are the masks of ``graded``, a stream of ``(mask, grade)``
+    pairs inside ``ground``, each kept with the first grade it arrives
+    with.  ``element_map`` records the original element of each new index.
+    """
+    elems = _bits(ground)
+    reindex = {old: new for new, old in enumerate(elems)}
+    first: dict[int, int] = {}
+    for mask, grade in graded:
+        first.setdefault(mask, grade)
+    grades: list[list[ElementSet]] = [[] for _ in range(max(first.values()) + 1)]
+    for mask, grade in first.items():
+        grades[grade].append(frozenset([reindex[e] for e in _bits(mask)]))
+    return Matroid(len(elems), grades, element_map=tuple(elems))
+
+
 def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     """Restriction to ``subset``, re-indexed densely.
 
-    The flats are the intersections of M's flats with the subset,
-    deduplicated and graded by their rank in M, as :func:`contract` grades
-    by rank drop.  The rank read off any lattice is monotone, so the
-    grades run from 0 to r(subset); M must pass the flat axioms for the
-    subset alone to have rank r(subset) and for each grade to be a
-    longest-chain length.  An invalid lattice may be graded differently,
-    or refused by the constructor.  The returned matroid records which
-    original element each new index came from in ``element_map``.
+    The flats are the intersections F ∩ S of M's flats with the subset S,
+    each graded by the first flat, in flat order, that yields it.  That
+    grade is r(F ∩ S), with no closure query, when M passes the flat
+    axioms.  Let K = F ∩ S.  Every flat G with G ∩ S = K holds K, so it
+    holds cl(K), the least flat holding K.  And cl(K) ∩ S = K, since
+    K ⊆ cl(K) ⊆ F.  Flat order is grade ascending, and a flat strictly
+    above cl(K) has a higher grade, so cl(K) is the first flat to yield
+    K and its grade is r(K).  The grades run from 0 to r(S), and each is
+    a longest-chain length of the restriction.  M must pass the flat
+    axioms; an invalid lattice may be graded differently, or refused by
+    the constructor.  The returned matroid records which original element
+    each new index came from in ``element_map``.
     """
     mask = M._subset_mask(subset)
     if mask == 0:
         raise ValueError("cannot restrict to the empty set")
-    elems = sorted(_members_of(mask))
-    reindex = {old: new for new, old in enumerate(elems)}
-
-    grades: list[list[ElementSet]] = [[] for _ in range(M._rank_of_mask(mask) + 1)]
-    for kept in {fm & mask for fm in M._flat_masks}:
-        grades[M._rank_of_mask(kept)].append(frozenset(reindex[e] for e in _bits(kept)))
-    return Matroid(len(elems), grades, element_map=tuple(elems))
+    return _minor(mask, zip([fm & mask for fm in M._flat_masks], M._grade_of_index))
 
 
 def delete(M: Matroid, removed: Iterable[int]) -> Matroid:
@@ -830,29 +850,24 @@ def delete(M: Matroid, removed: Iterable[int]) -> Matroid:
     ground = _ground_mask(M)
     if mask == ground:
         raise ValueError("cannot delete the whole ground set")
-    return restrict(M, _members_of(ground & ~mask))
+    return restrict(M, _bits(ground & ~mask))
 
 
 def contract(M: Matroid, flat: Iterable[int]) -> Matroid:
     """Contraction by a flat, re-indexed densely.
 
     The flats are ``L - F`` for flats ``L`` containing ``F``, graded by
-    the rank drop ``r(L) - r(F)``.
+    the rank drop ``r(L) - r(F)`` and built as :func:`restrict` builds
+    its flats; distinct flats above F leave distinct differences.  The
+    returned matroid records which original element each new index came
+    from in ``element_map``: the complement of F, in order.
     """
     idx = M._flat_index(flat)
-    fmask = M._flat_masks[idx]
-    base_grade = M._grade_of_index[idx]
-    elems = sorted(_members_of(_ground_mask(M) & ~fmask))
-    reindex = {old: new for new, old in enumerate(elems)}
-    grades: list[list[ElementSet]] = [[] for _ in range(M.rank - base_grade + 1)]
-    b = M._sup_bits[idx]
-    while b:
-        low = b & -b
-        b ^= low
-        j = low.bit_length() - 1
-        newflat = frozenset(reindex[e] for e in _members_of(M._flat_masks[j] & ~fmask))
-        grades[M._grade_of_index[j] - base_grade].append(newflat)
-    return Matroid(len(elems), grades, element_map=tuple(elems))
+    fmask, base = M._flat_masks[idx], M._grade_of_index[idx]
+    graded = (
+        (M._flat_masks[j] & ~fmask, M._grade_of_index[j] - base) for j in _bits(M._sup_bits[idx])
+    )
+    return _minor(_ground_mask(M) & ~fmask, graded)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,13 @@ def test_meet_at_point(pg32):
         meet_at_point(pg32, [lines[0], lines[0]])
     with pytest.raises(ValueError, match="proper"):
         meet_at_point(pg32, [lines[0], pg32.ground_set])
+    with pytest.raises(ValueError, match="need at least two flats"):
+        meet_at_point(pg32, [lines[0]])
+    with pytest.raises(ValueError, match="need at least two flats"):
+        meet_at_point(pg32, [])
+    nonflat = frozenset(sorted(lines[0])[:2])
+    with pytest.raises(ValueError, match="is not a flat"):
+        meet_at_point(pg32, [lines[0], nonflat])
 
 
 def test_meet_at_point_matches_rank(pg32):

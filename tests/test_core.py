@@ -295,6 +295,36 @@ def test_contract_grading(pg32):
             assert contract(u34, f).rank == u34.rank - rank_of(u34, f)
 
 
+def test_contract_grades_by_rank_drop(pg32, pg33, vamos_m, loop_fixture, two_cover, del33ab):
+    for M in (pg32, pg33, vamos_m, uniform(3, 6), loop_fixture, two_cover, del33ab):
+        rank = {f: brute_rank(M, f) for g in M.flats_by_rank for f in g}
+        for F in rank:
+            C = contract(M, F)
+            back = C.element_map
+            assert back == tuple(e for e in range(M.ground_size) if e not in F)
+            grades = {
+                frozenset(back[e] for e in f): k for k, g in enumerate(C.flats_by_rank) for f in g
+            }
+            assert grades == {L - F: rank[L] - rank[F] for L in rank if F <= L}
+
+
+def test_minors_make_no_closure_query(monkeypatch, pg33):
+    calls = []
+    closure_bits = Matroid._closure_bits
+
+    def counted(M, mask):
+        calls.append(mask)
+        return closure_bits(M, mask)
+
+    monkeypatch.setattr(Matroid, "_closure_bits", counted)
+    restrict(pg33, range(0, 40, 3))
+    restrict(pg33, pg33.flats_by_rank[3][0])
+    delete(pg33, {0, 1})
+    for grade in pg33.flats_by_rank:
+        contract(pg33, grade[0])
+    assert not calls
+
+
 def test_contract_rank1_of_hypermodular_is_modular(pg32, del32):
     for M in (pg32, del32):
         for f in M.flats_by_rank[1]:
