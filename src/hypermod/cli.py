@@ -85,13 +85,8 @@ def _parse_flat(text: str) -> frozenset[int]:
         raise ValueError(f"bad element list {text!r}") from None
 
 
-# ``generate`` builds whole lattices, so past this many flats or elements it
-# would run for hours or exhaust memory.  PG(3,7) has 3652 flats.
-GENERATE_LIMIT = 5000
-
-
 def _too_large(args) -> bool:
-    """Whether the lattice ``generate`` is asked for is past ``GENERATE_LIMIT``.
+    """Whether ``generate`` is asked for more than ``core.FLAT_LIMIT`` flats or elements.
 
     Flats and elements are counted in closed form, before anything is
     built; the sum over uniform grades stops once it passes the limit.
@@ -103,12 +98,12 @@ def _too_large(args) -> bool:
         size = 1
         for k in range(args.r):
             size += math.comb(args.n, k)
-            if size > GENERATE_LIMIT:
+            if size > core.FLAT_LIMIT:
                 break
         size = max(size, args.n)
-    if size > GENERATE_LIMIT:
-        print(f"error: generate builds at most {GENERATE_LIMIT} flats or elements", file=sys.stderr)
-    return size > GENERATE_LIMIT
+    if size > core.FLAT_LIMIT:
+        print(f"error: generate builds at most {core.FLAT_LIMIT} flats or elements", file=sys.stderr)
+    return size > core.FLAT_LIMIT
 
 
 # ---------------------------------------------------------------------------

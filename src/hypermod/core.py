@@ -27,10 +27,13 @@ answers every all-pairs question in row blocks: F1 reads its meets
 their covers, and lists witnesses from all pairs only when it fails, and
 the flat-pair R3 check and the defect scans of :mod:`hypermod.modularity`
 read its defects (:func:`_defect_block`).
-The flat-pair R3 check also decides R3 on subsets, and the ranks of the
-single elements, one lookup each, then decide R1, so both modes of
-:func:`verify_rank_axioms` give the exact verdict and its subset passes
-run only when they have witnesses to list.
+Validity is decided once, by :func:`verify_flat_axioms`: a family that
+passes it is the lattice of flats of a matroid, graded by height, so
+:func:`verify_rank_axioms` passes it with no further work.  On any other
+family the flat-pair R3 check also decides R3 on subsets, and the ranks
+of the single elements, one lookup each, then decide R1, so both modes
+of :func:`verify_rank_axioms` give the exact verdict and its subset
+passes run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths, pushed along those covers,
@@ -40,13 +43,13 @@ minor builder (:func:`_minor`) that re-indexes the kept elements and
 keeps each flat with the first grade it arrives with: a restriction
 grades F ∩ S by the first flat that yields it, which is cl(F ∩ S) on a
 valid lattice, so it makes no closure query, and a contraction grades
-L - F by rank drop.  A matroid may carry its flat-axiom report: parsing
-stores the one it computes, and a one-element extension of a loopless
-matroid, whose axioms hold iff a check on its modular cut, the parent's
-flats that gain the new element, passes
-(:func:`_extension_passes_flat_axioms`), carries a passing one, which
-:func:`verify_flat_axioms` returns; its defects are read off its
-parent's report and that cut, so it builds no pair table.
+L - F by rank drop.  A matroid carries its flat-axiom report once
+:func:`verify_flat_axioms` has computed it, and a one-element extension
+of a loopless matroid, whose axioms hold iff a check on its modular cut,
+the parent's flats that gain the new element, passes
+(:func:`_extension_passes_flat_axioms`), carries a passing one from the
+start; its defects are read off its parent's report and that cut, so it
+builds no pair table.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ EXHAUSTIVE_LIMIT = 14
 
 # Backtracking isomorphism search is only intended for small fixtures.
 ISO_GROUND_LIMIT = 20
+
+# Building and checking a lattice costs time and memory quadratic in its
+# flat count, so past this many flats ``generate`` builds nothing and
+# parsing refuses the document.  PG(3,7) has 3652 flats.
+FLAT_LIMIT = 5000
 
 
 def flat_key(flat: ElementSet) -> tuple[int, ...]:
@@ -513,12 +521,10 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     are pushed along the covers found for F2.  Violations are reported,
     never thrown.
 
-    A report stored in ``M._cache["flat_report"]`` is returned as it is.
-    Only two places store one: :func:`hypermod.matio.parse_matroid_document`
-    stores the report it has just computed on the matroid it parsed, and
-    :func:`hypermod.extension.extend_once` stores a passing report on an
-    extension that :func:`_extension_passes_flat_axioms` proves.  This
-    function never stores its own result.
+    The report is stored in ``M._cache["flat_report"]`` and returned as it
+    is on later calls; the only other writer is
+    :func:`hypermod.extension.extend_once`, which stores a passing report
+    on an extension that :func:`_extension_passes_flat_axioms` proves.
     """
     stored = M._cache.get("flat_report")
     if stored is not None:
@@ -539,7 +545,7 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
                 violations.append(Violation("F1", (flats[i], flats[j]), detail))
     violations.extend(cover_violations)
 
-    return AxiomReport.from_violations(violations)
+    return M._cache.setdefault("flat_report", AxiomReport.from_violations(violations))
 
 
 def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
@@ -675,7 +681,20 @@ def verify_rank_axioms(
 ) -> AxiomReport:
     """Check the rank axioms R1-R3 induced by the lattice.
 
-    Submodularity is checked on every pair of flats: those of negative
+    r(A) is the lowest grade of a stored flat holding A.  If M passes
+    :func:`verify_flat_axioms`, R1-R3 hold and the report is a pass with
+    no further work.  F1, F2 (with the top flat the ground set) and the
+    grading make the stored flats the lattice of flats of a matroid,
+    graded by height (Oxley, *Matroid Theory*, 2nd ed., §1.4).  By F1,
+    cl(A), the meet of the flats holding A, is stored, and every other
+    flat holding A lies strictly above it, so has a longer chain and a
+    higher grade: the stored lowest grade is grade(cl A), which is the
+    matroid's rank of A.  That report is computed by
+    :func:`verify_flat_axioms` or stored on a proved extension, so no
+    validity is assumed.
+
+    On a family that fails the flat axioms, submodularity is checked on
+    every pair of flats: those of negative
     defect in the pair table, which equals r(A)+r(B)-r(A∪B)-r(A∩B) on
     pairs that are not nested.  ``mode="exhaustive"`` then checks R1 on
     every subset and R3 on every pair of subsets (only for ground sizes up
@@ -705,6 +724,8 @@ def verify_rank_axioms(
         raise ValueError(
             f"exhaustive mode tabulates 2^n subset ranks; limited to ground size {EXHAUSTIVE_LIMIT}"
         )
+    if verify_flat_axioms(M).passed:
+        return AxiomReport(True, ())
     violations: list[Violation] = []
 
     # Submodularity over all pairs of flats.  The pass lists every violation

@@ -9,10 +9,11 @@ Matroid documents (``.mat``)::
     flat <k>: i1 i2 ...     # one line per flat; the empty flat is "flat 0:"
 
 Every flat of every grade must be listed — the lattice IS the
-representation.  Parsing verifies the flat axioms by default, so garbage
-is rejected at the boundary, and stores the report on the matroid for
-:func:`hypermod.core.verify_flat_axioms` and
-:func:`hypermod.extension.extend_once` to read; serialization is
+representation — and a document may list at most
+:data:`hypermod.core.FLAT_LIMIT` flats.  Parsing verifies the flat
+axioms by default, so garbage is rejected at the boundary, and the
+parsed matroid keeps the report, which
+:func:`hypermod.core.verify_flat_axioms` stores on it; serialization is
 canonical (grade ascending, flats lexicographic) and byte-stable across
 runs.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Matroid, verify_flat_axioms
+from .core import FLAT_LIMIT, Matroid, verify_flat_axioms
 from .realize import PointConfig, is_prime
 
 
@@ -81,10 +82,13 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
 
     # Flats are collected by grade before anything is sized by a header
     # value, so a huge ``rank`` or ``ground`` costs nothing until the flat
-    # lines confirm it.
+    # lines confirm it, and a document past the flat limit is refused at
+    # the first flat line beyond it.
     by_grade: dict[int, list[frozenset[int]]] = {}
     count = 0
     for lineno, line in lines:
+        if count == FLAT_LIMIT:
+            raise ParseError(f"more than {FLAT_LIMIT} flats, the limit of a document", lineno)
         if not line.startswith("flat"):
             raise ParseError(f"expected 'flat <k>: ...', got {line!r}", lineno)
         head, sep, rest = line.partition(":")
@@ -121,7 +125,6 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
         raise ParseError(str(exc)) from None
     if verify:
         report = verify_flat_axioms(matroid)
-        matroid._cache["flat_report"] = report
         if not report.passed:
             first = report.violations[0]
             raise ParseError(

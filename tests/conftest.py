@@ -90,6 +90,17 @@ def loop_fixture():
     return Matroid(3, [[{2}], [{0, 1, 2}]])
 
 
+@pytest.fixture(scope="session")
+def rebuild():
+    """``M`` built afresh from its flats, with nothing stored on it yet.
+
+    Session fixtures keep what earlier tests stored on them, such as the
+    flat report that ``verify_flat_axioms`` keeps, so a test that counts
+    the work of a check runs it on a rebuilt matroid.
+    """
+    return lambda M: Matroid(M.ground_size, M.flats_by_rank)
+
+
 def _outcome(step, M, ctx):
     try:
         return step(M, ctx)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import time
 import tracemalloc
 
@@ -13,12 +14,14 @@ from hypermod import (
     matroid_from_points,
     pg3,
     serialize_matroid,
+    total_modular_defect,
     uniform,
     vamos,
     verify_rank_axioms,
 )
-from hypermod import core
+from hypermod import cli, core, extension, matio
 from hypermod.cli import _too_large, main
+from hypermod.extension import CriterionResult
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,29 @@ def test_generate_builds_the_largest_projective_fixture(tmp_path, capsys):
             sizes.setdefault(int(grade), set()).add(len(members.split()))
     # a line of PG(3,q) has q + 1 points, a plane q^2 + q + 1
     assert sizes[2] == {q + 1} and sizes[3] == {q * q + q + 1}
+
+
+def test_a_document_past_the_flat_limit_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # U(4,32) has 1 + 32 + 496 + 4960 + 1 = 5490 flats.
+    lines = ["matroid u432", "ground 32", "rank 4"]
+    for k in range(4):
+        lines += (f"flat {k}: " + " ".join(map(str, f)) for f in itertools.combinations(range(32), k))
+    lines.append("flat 4: " + " ".join(map(str, range(32))))
+    path = tmp_path / "u432.mat"
+    path.write_text("\n".join(lines) + "\n")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Matroid was built")
+
+    monkeypatch.setattr(matio, "Matroid", unreachable)
+    for verb in ("verify", "analyze"):
+        start = time.perf_counter()
+        rc = main([verb, str(path), "--machine"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        # The 5001st flat is on line 5004, after the three headers.
+        assert captured.err == "error: line 5004: more than 5000 flats, the limit of a document\n"
 
 
 def test_verify_checks_the_largest_exhaustive_fixture_fast(tmp_path, capsys):
@@ -262,6 +288,43 @@ def test_complete_exhausted_budget_is_property_false(workdir, capsys):
     rc, out = run(capsys, ["complete", str(workdir / "pg32.mat"), "--max-steps", "0", "--machine"])
     assert rc == 0
     assert machine_dict(out)["steps"] == "0"
+
+
+def _refuse_every_flag(monkeypatch):
+    """Make the criterion fail on every flag, with its first and last star lines as the witness."""
+
+    def refuse(M, ctx):
+        return CriterionResult(False, (ctx.star_lines[0], ctx.star_lines[-1]))
+
+    monkeypatch.setattr(extension, "criterion_holds", refuse)
+    monkeypatch.setattr(cli, "criterion_holds", refuse)
+
+
+def test_refusals_print_a_witness_per_flag(workdir, capsys, monkeypatch):
+    _refuse_every_flag(monkeypatch)
+    path = str(workdir / "pg32m0.mat")
+    # All 28 disjoint flags of PG(3,2)∖{0} are refused, in canonical order.
+    flags = total_modular_defect(delete(pg3(2), {0})).disjoint_flags
+    assert len(flags) == 28
+
+    def shown(flat):
+        return "{" + ",".join(map(str, sorted(flat))) + "}"
+
+    escapes = [
+        f"witness_{i} ({shown(f3)},{shown(f2)}) escapes at " + "({0,1},{12,13})"
+        for i, (f3, f2) in enumerate(flags)
+    ]
+    assert escapes[0] == "witness_0 ({0,1,2,3,4,5},{6,7}) escapes at ({0,1},{12,13})"
+
+    rc, out = run(capsys, ["complete", path, "--machine"])
+    assert rc == 1
+    assert out.splitlines() == ["steps 0", "defect_trajectory 49", "completed false", *escapes]
+    rc, out = run(capsys, ["extend", path, "--machine"])
+    assert rc == 1
+    assert out.splitlines() == ["criterion false", *escapes]
+    rc, out = run(capsys, ["extend", path, "--f", "0,1,2,3,4,5", "--l", "6,7", "--machine"])
+    assert rc == 1
+    assert out == "criterion false\nwitness ({0,1},{12,13})\n"
 
 
 def test_complete_negative_budget_is_usage_error(workdir, capsys):

@@ -10,7 +10,6 @@ from hypermod import (
     ExtensionContext,
     InternalConsistencyError,
     Matroid,
-    PointConfig,
     build_context,
     complete_to_modular,
     components,
@@ -27,7 +26,6 @@ from hypermod import (
     is_isomorphic,
     is_modular,
     join_spectrum,
-    matroid_from_points,
     modular_defect,
     parse_matroid,
     pg3,
@@ -50,7 +48,7 @@ from oracles import (
     brute_join_spectrum,
     brute_star_violations,
 )
-from test_modularity import _small_families
+from test_modularity import _realized_families, _small_families
 
 # Pinned by the defect oracle: deleting two points of PG(3,3) costs 195
 # per point (117 plane/line pairs plus 78 line pairs through it).
@@ -381,7 +379,8 @@ def test_enlarged_lists_the_flats_that_gained_the_new_element(del32, del32_conte
 
 def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, pg35):
     # Every extension's flat axioms are proved on its star.  A parsed input
-    # was checked when it was parsed; a built one is checked by the first step.
+    # was checked when it was parsed; a built one is checked by the first
+    # step, which keeps the report it computes.
     passes = []
     original = core._meets_are_flats
 
@@ -399,7 +398,7 @@ def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, 
         passes.clear()
         assert complete_to_modular(built).ok
         assert len(passes) == 1 and passes[0] is built
-        assert "flat_report" not in built._cache
+        assert built._cache["flat_report"].passed
 
 
 def test_completion_builds_a_pair_table_for_its_input_only(monkeypatch, pg33, pg35):
@@ -504,16 +503,6 @@ def _star(M) -> set:
     except ValueError:  # not a loopless hypermodular rank-4 matroid
         return set()
     return set(found.star_lines) | set(found.star_planes) if isinstance(found, ExtensionContext) else set()
-
-
-@st.composite
-def _realized_families(draw):
-    """Matroids of 3-9 points over GF(2) or GF(3) in dimension 2-4, repeats allowed."""
-    p = draw(st.sampled_from([2, 3]))
-    dim = draw(st.integers(2, 4))
-    vector = st.tuples(*[st.integers(0, p - 1)] * dim).filter(any)
-    points = draw(st.lists(vector, min_size=3, max_size=9))
-    return matroid_from_points(PointConfig(prime=p, dim=dim, points=tuple(points)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,6 +22,7 @@ from hypermod import (
     vamos,
     verify_flat_axioms,
 )
+from hypermod import core
 
 U23_DOC = """\
 matroid u23
@@ -126,6 +127,23 @@ def test_huge_header_values_fail_before_any_allocation():
         with pytest.raises(ParseError, match=message):
             parse_matroid(text, verify=False)
         assert time.perf_counter() - start < 1.0
+
+
+def _rank2_document(n: int) -> str:
+    """U(2,n): the bottom flat, n points and the top flat, n + 2 flats in all."""
+    flats = ["flat 0:"] + [f"flat 1: {e}" for e in range(n)] + ["flat 2: " + " ".join(map(str, range(n)))]
+    return "\n".join([f"matroid u2_{n}", f"ground {n}", "rank 2", *flats]) + "\n"
+
+
+def test_the_flat_limit_admits_the_fixture_ladder_and_nothing_past_it(pg37):
+    at_limit = parse_matroid(_rank2_document(core.FLAT_LIMIT - 2), verify=False)
+    assert len(at_limit._flat_list) == core.FLAT_LIMIT == 5000
+    with pytest.raises(ParseError, match="more than 5000 flats"):
+        parse_matroid(_rank2_document(core.FLAT_LIMIT - 1), verify=False)
+    # PG(3,7), the top of the ladder, has as many flats as every completion
+    # of its deletions.
+    assert len(pg37._flat_list) == 3652
+    assert parse_matroid(serialize_matroid(pg37)) == pg37
 
 
 def test_parse_verifies_axioms_by_default(pg32):

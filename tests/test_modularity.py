@@ -6,10 +6,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from hypermod import (
     Matroid,
+    PointConfig,
     check_line_connectivity,
     closure,
     contract,
@@ -22,6 +23,7 @@ from hypermod import (
     is_modular,
     is_modular_flat,
     is_modular_pair,
+    matroid_from_points,
     modular_defect,
     pair_key,
     pg3,
@@ -459,6 +461,16 @@ def _small_families(draw):
         assume(False)
 
 
+@st.composite
+def _realized_families(draw):
+    """Matroids of 3-9 points over GF(2) or GF(3) in dimension 2-4, repeats allowed."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(0, p - 1)] * dim).filter(any)
+    points = draw(st.lists(vector, min_size=3, max_size=9))
+    return matroid_from_points(PointConfig(prime=p, dim=dim, points=tuple(points)))
+
+
 def _assert_flat_axioms_match_the_walk(M):
     """The oracles' verdict, and the walk's F2 pairs, or a subsequence of them where F1 fails."""
     report = verify_flat_axioms(M)
@@ -595,6 +607,32 @@ def test_the_rank_axioms_reduce_to_the_lattice_on_corrupt_and_mutated_lattices(
     _assert_the_rank_axioms_reduce_to_the_lattice(data.draw(_corrupt_or_mutated(pg32, vamos_m)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_passing_flat_report_implies_the_rank_axioms(pg32, vamos_m, data):
+    """F1, F2 and grading make a matroid's lattice of flats, so R1-R3 hold on every subset.
+
+    Realized point configurations give most of the lattices that pass;
+    the small, corrupt and mutated families seldom do.
+    """
+    sources = [_small_families(), _corrupt_or_mutated(pg32, vamos_m), _realized_families()]
+    M = data.draw(st.one_of(sources))
+    if brute_flat_verdict(M):
+        event("passes the flat axioms")
+        assert brute_rank_violations(M, "exhaustive") == []
+
+
+def test_rank_axioms_scan_no_flat_pair_once_the_flat_report_passes(monkeypatch, pg33, rebuild):
+    # The flat report is computed here, on matroids that carry none yet.
+    scans = _count_calls(monkeypatch, core, "_upper_cells")
+    blocks = _count_calls(monkeypatch, core, "_defect_block")
+    space, u414 = rebuild(pg33), uniform(4, 14)
+    for M, mode in ((space, "sampled"), (u414, "sampled"), (u414, "exhaustive")):
+        assert verify_rank_axioms(M, mode).passed
+        assert M._cache["flat_report"].passed
+    assert not scans and not blocks
+
+
 def _assert_the_sampled_verdict_is_exact(M, seed, trials):
     """Sampled mode passes iff the brute-force exhaustive check finds nothing."""
     report = verify_rank_axioms(M, "sampled", seed=seed, trials=trials)
@@ -692,11 +730,11 @@ def test_f1_is_decided_on_the_irreducible_flats_of_any_accepted_family(M):
 
 
 def test_f1_is_decided_on_the_irreducible_flats_of_the_zoo(
-    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture
+    pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, rebuild
 ):
     zoo = [pg32, del32, vamos_m, two_cover, direct_sum_u12, loop_fixture, uniform(4, 8), uniform(0, 2)]
     for M in zoo + _corrupt_families(pg32):
-        _assert_f1_is_decided_on_the_irreducible_flats(M)
+        _assert_f1_is_decided_on_the_irreducible_flats(rebuild(M))
 
 
 @settings(max_examples=150, deadline=None)
@@ -706,10 +744,10 @@ def test_f1_is_decided_on_the_irreducible_flats_of_mutated_lattices(pg32, del32,
     _assert_f1_is_decided_on_the_irreducible_flats(M)
 
 
-def test_flat_axioms_scan_all_pairs_only_when_f1_fails(monkeypatch, pg33, pg35, vamos_m):
+def test_flat_axioms_scan_all_pairs_only_when_f1_fails(monkeypatch, pg33, pg35, vamos_m, rebuild):
     scans = _count_calls(monkeypatch, core, "_upper_cells")
     for M in (pg33, delete(pg35, {0, 1}), uniform(4, 8), vamos_m):
-        assert verify_flat_axioms(M).passed
+        assert verify_flat_axioms(rebuild(M)).passed
     assert not scans
     # The golden lattice of tests/test_cli.py fails F1.
     nested = Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]])
