@@ -19,7 +19,9 @@ the shape check, :func:`contract`, the pair table and
 every flat, once, for the cover axiom F2 and the grading.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
-enumerates no circuits.
+enumerates no circuits.  :func:`is_isomorphic` places elements one at a
+time and checks each flat once, when its last element is placed, with
+no table over pairs or triples of elements.
 
 One packed pair table, exact on any family the constructor accepts,
 answers every all-pairs question in row blocks: F1 reads its meets
@@ -38,12 +40,13 @@ passes run only when they have witnesses to list.
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
 checks them against longest-chain lengths, pushed along those covers,
 so that corrupt input files are caught loudly instead of silently
-re-ranked.  :func:`restrict` and :func:`contract` build through one
-minor builder (:func:`_minor`) that re-indexes the kept elements and
-keeps each flat with the first grade it arrives with: a restriction
-grades F ∩ S by the first flat that yields it, which is cl(F ∩ S) on a
-valid lattice, so it makes no closure query, and a contraction grades
-L - F by rank drop.  A matroid carries its flat-axiom report once
+re-ranked.  Every report lists at most ``_VIOLATION_CAP`` witnesses
+per axiom, with an exact verdict.  :func:`restrict` and :func:`contract`
+build through one minor builder (:func:`_minor`) that re-indexes the
+kept elements and keeps each flat with the first grade it arrives with:
+a restriction grades F ∩ S by the first flat that yields it, which is
+cl(F ∩ S) on a valid lattice, so it makes no closure query, and a
+contraction grades L - F by rank drop.  A matroid carries its flat-axiom report once
 :func:`verify_flat_axioms` has computed it, and a one-element extension
 of a loopless matroid, whose axioms hold iff a check on its modular cut,
 the parent's flats that gain the new element, passes
@@ -494,6 +497,10 @@ def flats_of_rank(M: Matroid, k: int) -> tuple[ElementSet, ...]:
 # Axiom verification
 # ---------------------------------------------------------------------------
 
+# Each axiom lists at most this many witnesses, so a report stays small
+# however corrupt the family; every verdict is still exact.
+_VIOLATION_CAP = 16
+
 
 def verify_flat_axioms(M: Matroid) -> AxiomReport:
     """Check the lattice axioms on the stored flats.
@@ -519,7 +526,8 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     Grading: every declared grade equals the longest chain length from
     the bottom flat.  A longest chain runs along covers, so the lengths
     are pushed along the covers found for F2.  Violations are reported,
-    never thrown.
+    never thrown: the first ``_VIOLATION_CAP`` of each axiom, in the
+    order above, so the all-pairs F1 scan stops once it has listed them.
 
     The report is stored in ``M._cache["flat_report"]`` and returned as it
     is on later calls; the only other writer is
@@ -538,11 +546,11 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
         def unconfirmed(M, r0, r1, c0, c1):
             return ~_meet_block(M, slice(r0, r1), slice(c0, c1))[1]
 
-        for i, j, _ in _upper_cells(M, 0, len(masks), unconfirmed):
-            inter = masks[i] & masks[j]
-            if inter not in M._index_of_mask:
-                detail = f"intersection {sorted(_members_of(inter))} is not a flat"
-                violations.append(Violation("F1", (flats[i], flats[j]), detail))
+        cells = _upper_cells(M, 0, len(masks), unconfirmed)
+        missing = ((i, j) for i, j, _ in cells if masks[i] & masks[j] not in M._index_of_mask)
+        for i, j in itertools.islice(missing, _VIOLATION_CAP):
+            detail = f"intersection {sorted(_members_of(masks[i] & masks[j]))} is not a flat"
+            violations.append(Violation("F1", (flats[i], flats[j]), detail))
     violations.extend(cover_violations)
 
     return M._cache.setdefault("flat_report", AxiomReport.from_violations(violations))
@@ -560,7 +568,7 @@ def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
     # F2: a flat strictly above F is a cover unless it is strictly above
     # another flat strictly above F.
     strictly_above = [up ^ (1 << i) for i, up in enumerate(M._sup_bits)]
-    violations: list[Violation] = []
+    f2: list[Violation] = []
     irreducible, covers = [], []
     for i, above in enumerate(strictly_above):
         skipped = 0
@@ -573,16 +581,17 @@ def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
             meet &= masks[j]
         if meet != masks[i]:
             irreducible.append(i)
-        for s in _bits(ground & ~held):
+        for s in _bits(ground & ~held)[: _VIOLATION_CAP - len(f2)]:
             detail = "no cover of the flat holds the element"
-            violations.append(Violation("F2", (flats[i], frozenset([s])), detail))
+            f2.append(Violation("F2", (flats[i], frozenset([s])), detail))
 
     # Declared grades vs longest chains.  A strict subset is smaller, so
     # visiting the flats by size fixes each length before it is pushed on.
     chain = [0] * len(masks)
+    grading: list[Violation] = []
     for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
-        if chain[j] != M._grade_of_index[j]:
-            violations.append(
+        if chain[j] != M._grade_of_index[j] and len(grading) < _VIOLATION_CAP:
+            grading.append(
                 Violation(
                     "grading",
                     (flats[j],),
@@ -593,7 +602,7 @@ def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
         for c in _bits(covers[j]):
             if chain[c] < longer:
                 chain[c] = longer
-    return irreducible, violations
+    return irreducible, f2 + grading
 
 
 def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
@@ -667,9 +676,6 @@ def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
 
 def _ground_mask(M: Matroid) -> int:
     return (1 << M.ground_size) - 1
-
-
-_VIOLATION_CAP = 16
 
 
 def verify_rank_axioms(
@@ -985,12 +991,18 @@ def profile(M: Matroid) -> Profile:
 def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
     """Search for a flat-preserving element bijection.
 
-    Backtracking over element assignments, pruned by per-element flat
-    signatures and by closure signatures of assigned pairs and triples;
-    a candidate map is accepted only if it sends every flat to a flat of
-    the same grade.  Returns the bijection or None.  Rejects ground sets
-    larger than ``ISO_GROUND_LIMIT``; compare profiles instead at that
-    scale.
+    With equal profiles, a bijection is an isomorphism iff it sends every
+    flat of ``M1`` to a flat of ``M2`` of the same grade: distinct flats
+    have distinct images, so each grade's flats then map onto the equally
+    many flats of that grade, and the inverse sends flats to flats too.
+    Elements are placed one at a time, each next the one that completes
+    the most flats, then the one of the rarest colour, then the lowest.
+    An element's colour is the sorted (grade, size) of the flats holding
+    it, and it is placed only on elements of its own colour.  A flat is
+    checked once, when its last element is placed, so a failed flat
+    prunes the search as early as this order allows.  Returns the
+    bijection or None.  Rejects ground sets larger than
+    ``ISO_GROUND_LIMIT``; compare profiles instead at that scale.
     """
     if M1.ground_size > ISO_GROUND_LIMIT or M2.ground_size > ISO_GROUND_LIMIT:
         raise ValueError(
@@ -1002,91 +1014,42 @@ def is_isomorphic(M1: Matroid, M2: Matroid) -> Optional[dict[int, int]]:
     if n == 0:
         return {}
 
-    def elem_colors(M: Matroid) -> list[tuple]:
-        cols = []
-        for e in range(n):
-            sig = sorted(
-                (M._grade_of_index[i], len(M._flat_list[i]))
-                for i in range(len(M._flat_list))
-                if M._flat_masks[i] >> e & 1
-            )
-            cols.append(tuple(sig))
-        return cols
+    def colours(M: Matroid, held: list[list[int]]) -> list[tuple]:
+        return [tuple(sorted((M._grade_of_index[i], len(M._flat_list[i])) for i in h)) for h in held]
 
-    col1, col2 = elem_colors(M1), elem_colors(M2)
+    held = [_bits(bits) for bits in M1._elem_flatbits]
+    col1 = colours(M1, held)
+    col2 = colours(M2, [_bits(bits) for bits in M2._elem_flatbits])
     if sorted(col1) != sorted(col2):
         return None
 
-    def pair_sigs(M: Matroid) -> dict[tuple[int, int], tuple[int, int]]:
-        sigs = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                i = M._closure_index((1 << a) | (1 << b))
-                sigs[(a, b)] = (M._grade_of_index[i], len(M._flat_list[i]))
-        return sigs
+    # Each step is an element with the flats whose last element it is.
+    left = [mask.bit_count() for mask in M1._flat_masks]
+    steps: list[tuple[int, list[int]]] = []
+    rest = set(range(n))
+    while rest:
+        e = max(rest, key=lambda e: (sum(left[i] == 1 for i in held[e]), -col1.count(col1[e]), -e))
+        rest.remove(e)
+        for i in held[e]:
+            left[i] -= 1
+        steps.append((e, [i for i in held[e] if not left[i]]))
 
-    def triple_sigs(M: Matroid) -> dict[tuple[int, int, int], tuple[int, int]]:
-        sigs = {}
-        for combo in itertools.combinations(range(n), 3):
-            i = M._closure_index(_mask_of(combo))
-            sigs[combo] = (M._grade_of_index[i], len(M._flat_list[i]))
-        return sigs
+    image = [0] * n  # each placed element's image bit; distinct bits, so a sum is an OR
 
-    ps1, ps2 = pair_sigs(M1), pair_sigs(M2)
-    ts1, ts2 = triple_sigs(M1), triple_sigs(M2)
+    def fits(i: int) -> bool:
+        j = M2._index_of_mask.get(sum(image[e] for e in _bits(M1._flat_masks[i])))
+        return j is not None and M2._grade_of_index[j] == M1._grade_of_index[i]
 
-    freq: dict[tuple, int] = {}
-    for c in col1:
-        freq[c] = freq.get(c, 0) + 1
-    order = sorted(range(n), key=lambda e: (freq[col1[e]], col1[e], e))
-    candidates = {e: [f for f in range(n) if col2[f] == col1[e]] for e in order}
-
-    assigned: dict[int, int] = {}
-
-    def key3(a: int, b: int, c: int) -> tuple[int, int, int]:
-        return tuple(sorted((a, b, c)))  # type: ignore[return-value]
-
-    def consistent(e: int, f: int) -> bool:
-        items = list(assigned.items())
-        for a, x in items:
-            if ps1[tuple(sorted((a, e)))] != ps2[tuple(sorted((x, f)))]:
-                return False
-        for (a, x), (b, y) in itertools.combinations(items, 2):
-            if ts1[key3(a, b, e)] != ts2[key3(x, y, f)]:
-                return False
-        return True
-
-    def flats_match() -> bool:
-        perm = [assigned[e] for e in range(n)]
-        for i, fm in enumerate(M1._flat_masks):
-            target = 0
-            b = fm
-            while b:
-                low = b & -b
-                b ^= low
-                target |= 1 << perm[low.bit_length() - 1]
-            j = M2._index_of_mask.get(target)
-            if j is None or M2._grade_of_index[j] != M1._grade_of_index[i]:
-                return False
-        return True
-
-    used = [False] * n
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return flats_match()
-        e = order[pos]
-        for f in candidates[e]:
-            if used[f] or not consistent(e, f):
+    def place(pos: int, used: int) -> bool:
+        if pos == n:
+            return True
+        e, closed = steps[pos]
+        for f in range(n):
+            if col2[f] != col1[e] or used >> f & 1:
                 continue
-            assigned[e] = f
-            used[f] = True
-            if backtrack(pos + 1):
+            image[e] = 1 << f
+            if all(fits(i) for i in closed) and place(pos + 1, used | 1 << f):
                 return True
-            del assigned[e]
-            used[f] = False
         return False
 
-    if backtrack(0):
-        return dict(sorted(assigned.items()))
-    return None
+    return {e: _lsb_index(bit) for e, bit in enumerate(image)} if place(0, 0) else None

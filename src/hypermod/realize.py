@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, ElementSet, Matroid
+from .core import _BLOCK_CELLS, FLAT_LIMIT, ElementSet, Matroid
 
 
 # Miller-Rabin with every prime base up to 41 decides primality exactly
@@ -127,6 +127,7 @@ def _next_grade(
     tops: np.ndarray,
     pivots: np.ndarray,
     rows: np.ndarray,
+    built: int,
 ) -> tuple[list[ElementSet], np.ndarray, np.ndarray, np.ndarray]:
     """Every cover of one grade's flats, each emitted once, by its parent.
 
@@ -134,7 +135,10 @@ def _next_grade(
     greedy basis, its pivot columns (F x k) and its echelon rows (F x k x d).
     Blocks of flats reduce every point at once; the flat F emits the cover
     F + C of a residue class C only when min(C) > top(F).  Returns the
-    covers with the same three arrays for them.
+    covers with the same three arrays for them.  ValueError once the
+    covers and the ``built`` flats of the earlier grades pass
+    ``FLAT_LIMIT``, checked after each block, so the covers listed never
+    pass it by more than one block's worth.
     """
     n, d = pts.shape
     step = max(1, _BLOCK_CELLS // (n * d))
@@ -165,6 +169,8 @@ def _next_grade(
         members = pt.tolist()
         for f, s, e in zip(own[starts].tolist(), starts.tolist(), ends.tolist()):
             covers.append(flats[f].union(members[s:e]))
+        if built + len(covers) > FLAT_LIMIT:
+            raise ValueError(f"the configuration has more than {FLAT_LIMIT} flats, the limit")
         parts.append((own[starts], pt[starts], res[starts]))
     owner, tops, residues = (np.concatenate(arrays) for arrays in zip(*parts))
     pivots = np.concatenate([pivots[owner], (residues != 0).argmax(axis=1)[:, None]], axis=1)
@@ -178,7 +184,10 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     Grade k holds the rank-k flats; the grading is the span dimension of
     the flat's coordinate vectors.  Grade k + 1 is built from grade k in
     blocks of flats, each cover once, by the flat spanned by all but the
-    last point of its greedy basis (see the module docstring).
+    last point of its greedy basis (see the module docstring).  Points in
+    general position have a number of flats that grows as a power of
+    their count, so a configuration with more than ``core.FLAT_LIMIT``
+    flats is a ValueError, raised while that many are being listed.
     """
     n, d, p = len(cfg.points), cfg.dim, cfg.prime
     if p > _EXACT_PRIME_LIMIT:
@@ -189,10 +198,12 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     pivots = np.zeros((1, 0), dtype=np.int64)
     rows = np.zeros((1, 0, d), dtype=np.int64)
     grades = [flats]
+    built = 1
     # The flats of a grade are incomparable, so the ground set comes alone.
     while len(flats[0]) < n:
-        flats, tops, pivots, rows = _next_grade(pts, p, flats, tops, pivots, rows)
+        flats, tops, pivots, rows = _next_grade(pts, p, flats, tops, pivots, rows, built)
         grades.append(flats)
+        built += len(flats)
     return Matroid(n, grades, name=cfg.name)
 
 

@@ -627,3 +627,15 @@ def reverified_extension(M, ctx) -> ExtensionResult:
         defect_before=before,
         defect_after=after,
     )
+
+
+def brute_isomorphic(M1, M2) -> bool:
+    """Whether some permutation of the elements carries each grade of ``M1`` onto that of ``M2``."""
+    if M1.ground_size != M2.ground_size or len(M1.flats_by_rank) != len(M2.flats_by_rank):
+        return False
+    targets = [set(grade) for grade in M2.flats_by_rank]
+    return any(
+        all({frozenset(perm[e] for e in f) for f in grade} == target
+            for grade, target in zip(M1.flats_by_rank, targets))
+        for perm in itertools.permutations(range(M1.ground_size))
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -119,6 +120,17 @@ def test_plane_cover(del32):
     for f3, f2 in disjoint_rank32_pairs(del32):
         ctx = build_context(del32, f3, f2)
         assert plane_cover_check(del32, ctx).passed
+
+
+def test_plane_cover_names_the_points_a_tampered_pencil_misses(del32):
+    for f3, f2 in disjoint_rank32_pairs(del32):
+        ctx = build_context(del32, f3, f2)
+        dropped = ctx.pencil[0]
+        report = plane_cover_check(del32, dataclasses.replace(ctx, pencil=ctx.pencil[1:]))
+        missed = [(p,) for p in flats_of_rank(del32, 1) if p <= dropped - f2]
+        assert not report.passed and missed
+        assert [v.witnesses for v in report.violations] == missed
+        assert {v.axiom for v in report.violations} == {"plane-cover"}
 
 
 def test_plane_cover_wrong_matroid(pg32, del32):

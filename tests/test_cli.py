@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,7 @@ from hypermod import (
 )
 from hypermod import cli, core, extension, matio
 from hypermod.cli import _too_large, main
-from hypermod.extension import CriterionResult
+from hypermod.extension import CriterionResult, InternalConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -487,3 +491,103 @@ def test_arrangement_negative_samples_is_usage_error(workdir, capsys):
 
 def test_missing_file(capsys):
     assert main(["analyze", "/tmp/does-not-exist.mat"]) == 2
+
+
+def test_a_document_with_a_million_bad_meets_is_reported_in_seconds(tmp_path, capsys):
+    # Every 3-set {0,a,b} of 61 elements is a grade-1 flat: 1772 flats, and
+    # each of the 1 565 565 pairs of lines meets in {0} or {0,a}, no flat.
+    lines = ["matroid crafted", "ground 61", "rank 2", "flat 0:"]
+    lines += [f"flat 1: 0 {a} {b}" for a, b in itertools.combinations(range(1, 61), 2)]
+    lines.append("flat 2: " + " ".join(map(str, range(61))))
+    path = tmp_path / "crafted.mat"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    rc, out = run(capsys, ["verify", str(path), "--machine"])
+    assert time.perf_counter() - start < 3.0
+    assert rc == 1
+    d = machine_dict(out)
+    f1 = [v for k, v in d.items() if k.startswith("violation_") and v.startswith("F1 ")]
+    assert len(f1) == core._VIOLATION_CAP
+    assert f1[0] == "F1 {0,1,2} {0,1,3} (intersection [0, 1] is not a flat)"
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - start < 3.0
+    assert "flat axioms violated (F1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError("broken star"), RuntimeError("broken")])
+def test_an_internal_error_exits_3(workdir, capsys, monkeypatch, error):
+    def fail(M):
+        raise error
+
+    monkeypatch.setattr(cli, "total_modular_defect", fail)
+    assert main(["analyze", str(workdir / "pg32.mat")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(error) in captured.err
+
+
+def _with_loop(M):
+    """``M`` with a loop added as its last element."""
+    return Matroid(M.ground_size + 1, [[set(f) | {M.ground_size} for f in g] for g in M.flats_by_rank])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "pg3"], "requires --q"),
+        (["generate", "uniform", "--r", "3"], "requires --r and --n"),
+        (["generate", "uniform", "--n", "3"], "requires --r and --n"),
+        (["generate", "uniform", "--r", "4", "--n", "3"], "need 0 <= r <= n"),
+    ],
+)
+def test_generate_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["-o", str(tmp_path / "never.mat")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "never.mat").exists()
+
+
+@pytest.mark.parametrize("M", [uniform(3, 5), _with_loop(uniform(4, 5))], ids=["rank-3", "looped"])
+def test_arrangement_outside_loopless_rank_4_exits_2(tmp_path, capsys, M):
+    path = tmp_path / "m.mat"
+    path.write_text(serialize_matroid(M, name="m"))
+    assert main(["arrangement", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requires a loopless rank-4 matroid" in captured.err
+
+
+def test_analyze_marks_what_is_undefined_n_a(tmp_path, capsys):
+    # Hypermodularity needs rank 3 or more; disjoint flags a loopless rank-4 matroid.
+    rows = {}
+    for name, M in {"u24": uniform(2, 4), "looped": _with_loop(pg3(2))}.items():
+        path = tmp_path / f"{name}.mat"
+        path.write_text(serialize_matroid(M, name=name))
+        rc, out = run(capsys, ["analyze", str(path), "--machine"])
+        assert rc == 0
+        rows[name] = machine_dict(out)
+    assert (rows["u24"]["hypermodular"], rows["u24"]["disjoint_flags"]) == ("n/a", "n/a")
+    assert (rows["looped"]["hypermodular"], rows["looped"]["disjoint_flags"]) == ("true", "n/a")
+    assert rows["looped"]["loopless"] == "false"
+
+
+def _run_module(*argv):
+    """``python -m hypermod.cli`` in a fresh interpreter, with this checkout's package first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hypermod.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_the_entry_point_exits_with_each_class(workdir, tmp_path):
+    analyzed = _run_module("analyze", str(workdir / "pg32.mat"), "--machine")
+    assert analyzed.returncode == 0 and "modular true" in analyzed.stdout
+    # One line of PG(3,2) left out: F1 fails at the planes through it.
+    grades = [list(g) for g in pg3(2).flats_by_rank]
+    grades[2].pop(0)
+    corrupt = tmp_path / "holey.mat"
+    corrupt.write_text(serialize_matroid(Matroid(15, grades), name="holey"))
+    verified = _run_module("verify", str(corrupt), "--machine")
+    assert verified.returncode == 1 and "flat_axioms fail" in verified.stdout
+    missing = _run_module("analyze", str(tmp_path / "missing.mat"))
+    assert missing.returncode == 2 and missing.stdout == "" and "error:" in missing.stderr

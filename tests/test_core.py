@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from hypermod import (
     Matroid,
@@ -36,6 +36,7 @@ from oracles import (
     brute_f1,
     brute_f2,
     brute_flat_verdict,
+    brute_isomorphic,
     brute_rank,
     modp_span_members,
     pg_point_list,
@@ -461,3 +462,78 @@ def test_isomorphic_rejects_large(pg33):
 
 def test_not_isomorphic_same_size():
     assert is_isomorphic(uniform(2, 4), uniform(3, 4)) is None
+
+
+def _relabelled(M, perm):
+    return Matroid(M.ground_size, [[[perm[e] for e in f] for f in grade] for grade in M.flats_by_rank])
+
+
+@st.composite
+def _small_family(draw, n):
+    """A matroid of ``n`` points over GF(2) or GF(3), or a rank-2 or rank-3 family the constructor accepts."""
+    if draw(st.booleans()):
+        p, dim = draw(st.sampled_from([2, 3])), draw(st.integers(2, 4))
+        points = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * dim), min_size=n, max_size=n))
+        points = [vec if any(vec) else (1,) + vec[1:] for vec in points]
+        return matroid_from_points(PointConfig(prime=p, dim=dim, points=tuple(points)))
+    r = draw(st.integers(2, 3))
+    proper = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1)
+    grades = [[()]] + [draw(st.lists(proper, max_size=6, unique=True)) for _ in range(r - 1)]
+    try:
+        return Matroid(n, grades + [[range(n)]])
+    except ValueError:
+        assume(False)
+
+
+def _graph(n, edges):
+    """The rank-2 family whose grade-1 flats are the edges of a graph on ``n`` vertices."""
+    return Matroid(n, [[()], edges, [range(n)]])
+
+
+@st.composite
+def _iso_pairs(draw):
+    """Two families on 3 to 7 elements.
+
+    A family and a relabelling of it, two families, or two graphs with as
+    many edges: graphs share a profile, so most such pairs are decided by
+    the search.
+    """
+    n = draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(["relabelled", "two families", "two graphs"]))
+    if kind == "relabelled":
+        M = draw(_small_family(n))
+        return M, _relabelled(M, draw(st.permutations(range(n))))
+    if kind == "two families":
+        return draw(_small_family(n)), draw(_small_family(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    m = draw(st.integers(1, len(pairs)))
+    edges = st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True)
+    return _graph(n, draw(edges)), _graph(n, draw(edges))
+
+
+# A 6-cycle and two triangles of 2-element flats: one profile, one colour
+# for every element, and no isomorphism, so the search itself must refuse.
+_CYCLE = _graph(6, [(e, (e + 1) % 6) for e in range(6)])
+_TRIANGLES = _graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+# The same four 2-element flats with their grades swapped: the identity
+# sends flats to flats but not to flats of their grade; swapping 1 and 2 does.
+_HALVES = Matroid(4, [[()], [{0, 1}, {2, 3}], [{0, 2}, {1, 3}], [range(4)]])
+_HALVES_SWAPPED = Matroid(4, [[()], [{0, 2}, {1, 3}], [{0, 1}, {2, 3}], [range(4)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_iso_pairs())
+@example(pair=(_CYCLE, _TRIANGLES))
+@example(pair=(_HALVES, _HALVES_SWAPPED))
+@example(pair=(_TRIANGLES, _relabelled(_TRIANGLES, [5, 3, 1, 0, 2, 4])))
+def test_isomorphism_matches_the_permutation_search(pair):
+    M1, M2 = pair
+    mapping = is_isomorphic(M1, M2)
+    assert (mapping is not None) == brute_isomorphic(M1, M2)
+    if profile(M1) == profile(M2):
+        event("same profile, " + ("isomorphic" if mapping is not None else "not isomorphic"))
+    if mapping is not None:
+        assert sorted(mapping.values()) == list(range(M1.ground_size)) == sorted(mapping)
+        for k, grade in enumerate(M1.flats_by_rank):
+            for f in grade:
+                assert frozenset(mapping[e] for e in f) in M2.flats_by_rank[k]

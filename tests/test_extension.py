@@ -202,23 +202,34 @@ def test_extension_layer_matches_the_frozenset_oracle(name, request, monkeypatch
     """Contexts, verdicts, witnesses, star reports and join spectra on every flag.
 
     Each context is also checked with its first star plane, its last star
-    plane or its first star line dropped.  Frozensets compare by value.
-    The oracles' closures are memoized: flags share most of their joins.
+    plane or its first star line dropped, and with one more line among
+    the star lines and every plane and the top flat among the star planes,
+    which passes the criterion but breaks the star structure.
+    Frozensets compare by value.  The oracles' closures are memoized:
+    flags share most of their joins.
     """
     monkeypatch.setattr(oracles, "brute_closure", functools.cache(oracles.brute_closure))
     M = request.getfixturevalue(name)
     flags = disjoint_rank32_pairs(M)
     assert len(flags) == ORACLE_FLAGS[name]
     failed_verdicts = 0
+    reported = set()
     for f3, f2 in flags:
         ctx = build_context(M, f3, f2)
         expected = brute_context(M, f3, f2)
         assert {field: getattr(ctx, field) for field in expected} == expected
+        # The star lines partition the ground set, so any other line meets one.
+        other = next(x for x in flats_of_rank(M, 2) if x not in ctx.star_lines)
         variants = (
             ctx,
             dataclasses.replace(ctx, star_planes=ctx.star_planes[1:]),
             dataclasses.replace(ctx, star_planes=ctx.star_planes[:-1]),
             dataclasses.replace(ctx, star_lines=ctx.star_lines[1:]),
+            dataclasses.replace(
+                ctx,
+                star_lines=ctx.star_lines + (other,),
+                star_planes=flats_of_rank(M, 3) + (M.ground_set,),
+            ),
         )
         for variant in variants:
             verdict = criterion_holds(M, variant)
@@ -235,12 +246,67 @@ def test_extension_layer_matches_the_frozenset_oracle(name, request, monkeypatch
             violations = brute_star_violations(M, variant)
             assert report.violations == tuple(violations)
             assert report.passed == (not violations)
+            reported |= {v.axiom for v in report.violations}
         for x in ctx.star_lines:
             for k in (2, 3, 4):
                 assert join_spectrum(M, x, ctx.traces, k) == brute_join_spectrum(M, x, ctx.traces, k)
     # every star plane is a join of star lines, so dropping one breaks the
     # criterion; dropping a star line never does
     assert failed_verdicts == 2 * len(flags)
+    assert {"star-planes-equality", "star-lines-disjoint", "line-in-plane-dichotomy"} <= reported
+
+
+# Unverified rank-4 families around the flag ({2,...,7}, {0,1}): the planes
+# through {0,1} meet {2,...,7} in the lines {2,3}, {4,5} and {6,7}, and each
+# adds a point of its own.  Every two planes meet in a set whose closure is a
+# line, so each family is hypermodular, though none passes the flat axioms.
+_PLANES = [range(2, 8), {0, 1, 2, 3, 8}, {0, 1, 4, 5, 9}, {0, 1, 6, 7, 10}]
+_LINES = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
+
+
+def _around_the_flag(n, planes, lines, pointless=()):
+    """The family with these planes and lines, and every element a point but those ``pointless``."""
+    points = [{e} for e in range(n) if e not in pointless]
+    return Matroid(n, [[()], points, lines, planes, [range(n)]])
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [
+        # The line through 2 and 3 holds 11 too, so the trace {2,3} is no flat.
+        (
+            _around_the_flag(12, _PLANES, [{0, 1}, {2, 3, 11}, {4, 5}, {6, 7}]),
+            "pencil member [0, 1, 2, 3, 8] meets the flag's rank-3 flat in a non-flat",
+        ),
+        (_around_the_flag(11, _PLANES[:3], _LINES), "pencil has 2 members, expected at least 3"),
+        (
+            _around_the_flag(11, [*_PLANES[:1], {0, 1, 2, 3}, *_PLANES[2:]], _LINES),
+            "pencil member [0, 1, 2, 3] adds nothing beyond the flag",
+        ),
+        # Element 11 lies on no plane.
+        (_around_the_flag(12, _PLANES, _LINES), "pencil does not cover the ground set"),
+        # The plane {2,3,9,10} holds the trace {2,3} but no other star line:
+        # it meets the pencil in 9 and 10, whose closures {9,11} and {10,12}
+        # join one trace each at rank 3, so neither is a cross line.
+        (
+            _around_the_flag(
+                13,
+                [range(2, 8), {0, 1, 2, 3, 8}, {0, 1, 4, 5, 9, 11}, {0, 1, 6, 7, 10, 12}, {2, 3, 9, 10}],
+                _LINES + [{9, 11}, {10, 12}],
+                pointless=(9, 10),
+            ),
+            "a star plane is not a join of two star lines",
+        ),
+    ],
+    ids=["trace", "pencil", "residue", "cover", "join"],
+)
+def test_context_checks_refuse_crafted_families(M, message):
+    flag = (frozenset(range(2, 8)), frozenset({0, 1}))
+    assert is_hypermodular(M) and not verify_flat_axioms(M).passed
+    assert build_context(_around_the_flag(11, _PLANES, _LINES), *flag).pencil_size == 3
+    with pytest.raises(InternalConsistencyError) as error:
+        build_context(M, *flag)
+    assert str(error.value) == message
 
 
 def test_star_structure_rejects_a_trace_that_is_no_flat(del32, del32_context):

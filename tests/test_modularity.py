@@ -55,6 +55,18 @@ from oracles import (
     brute_unit_increase,
 )
 
+
+def _capped(violations) -> list:
+    """The first ``core._VIOLATION_CAP`` violations of each axiom, in order: what a flat report lists."""
+    seen: dict[str, int] = {}
+    kept = []
+    for v in violations:
+        seen[v.axiom] = seen.get(v.axiom, 0) + 1
+        if seen[v.axiom] <= core._VIOLATION_CAP:
+            kept.append(v)
+    return kept
+
+
 # Pinned by the brute-force defect oracle over all flat pairs of the
 # one-point deletion of PG(3,2): 28 disjoint (rank-3, rank-2) flags plus
 # 21 pairs of two-point lines meeting nowhere, one unit of defect each.
@@ -472,7 +484,7 @@ def _realized_families(draw):
 
 
 def _assert_flat_axioms_match_the_walk(M):
-    """The oracles' verdict, and the walk's F2 pairs, or a subsequence of them where F1 fails."""
+    """The oracles' verdict, and the walk's first F2 pairs, or a subsequence of them where F1 fails."""
     report = verify_flat_axioms(M)
     assert report.passed == brute_flat_verdict(M)
     f2 = [v.witnesses for v in report.violations if v.axiom == "F2"]
@@ -480,7 +492,7 @@ def _assert_flat_axioms_match_the_walk(M):
     if brute_f1(M):
         assert all(pair in walk for pair in f2)
     else:
-        assert f2 == list(walk)
+        assert f2 == list(walk)[: core._VIOLATION_CAP]
 
 
 @settings(max_examples=300, deadline=None)
@@ -496,7 +508,7 @@ def test_pair_table_is_exact_on_any_accepted_family(M):
     r3 = [v for v in verify_rank_axioms(M, trials=0).violations if v.axiom == "R3"]
     assert r3 == brute_flat_r3(M)
     f1 = [v for v in verify_flat_axioms(M).violations if v.axiom == "F1"]
-    assert f1 == brute_f1(M)
+    assert f1 == _capped(brute_f1(M))
     _assert_flat_axioms_match_the_walk(M)
 
 
@@ -718,7 +730,7 @@ def _assert_f1_is_decided_on_the_irreducible_flats(M):
         patch.setattr(core, "_meets_are_flats", recording)
         report = verify_flat_axioms(M)
     assert decided == [(irreducible, not brute_f1(M))]
-    assert list(report.violations) == brute_flat_report(M)
+    assert list(report.violations) == _capped(brute_flat_report(M))
 
 
 @settings(max_examples=300, deadline=None)

@@ -249,3 +249,24 @@ def test_realization_transients_stay_within_a_megabyte():
         tracemalloc.stop()
     assert M.ground_size == 156
     assert peak - kept <= 1 << 20
+
+
+def _moment_curve(count, p):
+    """``count`` points (1, t, t^2, t^3) over GF(p): any four are independent."""
+    return PointConfig(prime=p, dim=4, points=tuple((1, t, t * t % p, t**3 % p) for t in range(count)))
+
+
+def test_a_configuration_past_the_flat_limit_is_refused_while_it_is_built():
+    # 30 points give 1 + 30 + 435 + 4060 + 1 = 4527 flats, within the limit.
+    assert profile(matroid_from_points(_moment_curve(30, 31))).counts == (1, 30, 435, 4060, 1)
+    # 45 points would give 15 227; building them all took 1.75 s and 38 MB.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="more than 5000 flats, the limit"):
+            matroid_from_points(_moment_curve(45, 47))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10 << 20
