@@ -2,9 +2,10 @@
 
 Verbs: generate, analyze, extend, complete, verify, iso, arrangement.
 Exit codes: 0 success, 1 a checked property is false (including a
-completion that runs out of ``--max-steps``), 2 usage error, 3 internal
-error.  ``--machine`` switches to key-value output; every number in the
-human report also appears there.
+completion that runs out of ``--max-steps``), 2 usage error (including
+a path that cannot be read or written), 3 internal error.  ``--machine``
+switches to key-value output; every number in the human report also
+appears there.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # matio.ParseError is a ValueError
+    except (ValueError, OSError) as exc:  # matio.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalConsistencyError as exc:

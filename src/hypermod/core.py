@@ -28,7 +28,9 @@ answers every all-pairs question in row blocks: F1 reads its meets
 (:func:`_meet_block`) against the flats that are not the intersection of
 their covers, and lists witnesses from all pairs only when it fails, and
 the flat-pair R3 check and the defect scans of :mod:`hypermod.modularity`
-read its defects (:func:`_defect_block`).
+read its defects (:func:`_defect_block`), except on a loopless rank-4
+matroid that carries a passing flat report, whose few positive pairs
+are read off incidences there.
 Validity is decided once, by :func:`verify_flat_axioms`: a family that
 passes it is the lattice of flats of a matroid, graded by height, so
 :func:`verify_rank_axioms` passes it with no further work.  On any other
@@ -554,6 +556,12 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     violations.extend(cover_violations)
 
     return M._cache.setdefault("flat_report", AxiomReport.from_violations(violations))
+
+
+def _has_passing_flat_report(M: Matroid) -> bool:
+    """Whether ``M`` already carries a passing flat report; never computes one."""
+    report = M._cache.get("flat_report")
+    return report is not None and report.passed
 
 
 def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:

@@ -28,8 +28,9 @@ are the parent's less those of two cut flats
 (:func:`hypermod.modularity._extension_report`).  So no defect grows
 and the extension stays hypermodular, and :func:`extend_once` proves
 that the total strictly drops rather than re-checking it.  Only the
-first matroid of a completion has its flat axioms checked, builds a
-pair table, scans its flat pairs and lists its disjoint flags.
+first matroid of a completion has its flat axioms checked and its
+defect report computed: over the pair table, or off incidences when it
+already carries a passing flat report, as a parsed input does.
 :func:`first_extendable_flag` picks the first flag whose criterion
 holds, and :func:`complete_to_modular` repeats the step until no
 disjoint flag is left.
@@ -150,11 +151,26 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
 
     Requires a loopless hypermodular rank-4 matroid and a disjoint
     (rank-3, rank-2) flat pair.  The structural consequences that are
-    forced for such input (pencil size >= 3, pencil members tiling the
-    ground set and overlapping pairwise only in the flag's rank-2 flat,
-    star planes arising as joins of star lines) are all re-checked;
-    their failure aborts loudly since it means the input was not what it
-    claimed to be.
+    forced for such input (traces that are flats, pencil size >= 3,
+    pencil members adding to the flag and covering the ground set, star
+    planes arising as joins of star lines) are re-checked; their failure
+    aborts loudly since it means the input was not what it claimed to
+    be.  The constructor accepts lattices that fail the flat axioms, and
+    some of those reach these checks.
+
+    Two consequences need no check, since hypermodularity, decided by
+    the exact pair table or on a lattice known to pass the flat axioms,
+    and the constructor force them on any accepted family.  Pencil
+    planes P1 != P2 meet only in the flag's line f2, so their residues
+    beyond f2 are disjoint: both hold f2, and their defect
+    6 - g(J) - r(P1 ∩ P2), J their join, is zero only if
+    (g(J), r) is (4, 2) or (3, 3), since r <= g(J) <= 4.  If g(J) = 3,
+    J and one of P1, P2 are distinct nested grade-3 flats, and the
+    constructor refuses nesting within a grade; if r = 2, a grade-2 flat holds P1 ∩ P2, and
+    if that strictly held f2 the constructor would refuse it too.  And
+    no trace is empty: its closure would be the bottom flat ∅, of grade
+    0, so its pencil plane and the flag's plane, distinct since only
+    the first holds f2, would have defect at least 2.
     """
     _require_extendable(M)
     i3 = _require_flat_of_rank(M, flat3, 3)
@@ -169,7 +185,7 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     traces = [i2]
     for a in pencil:
         t = masks[a] & m3
-        if t not in M._index_of_mask or not t:
+        if t not in M._index_of_mask:
             raise InternalConsistencyError(
                 f"pencil member {sorted(flats[a])} meets the flag's rank-3 flat in a non-flat"
             )
@@ -181,15 +197,12 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     flag_mask = m3 | m2
     covered = 0
     for a in pencil:
-        residue = masks[a] & ~m2
-        if covered & residue:
-            raise InternalConsistencyError("pencil residues are not pairwise disjoint")
-        covered |= residue
+        covered |= masks[a]
         if not masks[a] & ~flag_mask:
             raise InternalConsistencyError(
                 f"pencil member {sorted(flats[a])} adds nothing beyond the flag"
             )
-    if covered | m2 != (1 << M.ground_size) - 1:
+    if covered != (1 << M.ground_size) - 1:
         raise InternalConsistencyError("pencil does not cover the ground set")
 
     cross_lines = [

@@ -10,6 +10,22 @@ enumerates and the extension machinery repairs.
 
 Defects are defined only between flats; close arbitrary sets first.
 
+Two paths list a matroid's positive pairs.  The pair table of
+:mod:`hypermod.core` meets every flat with every other; it is exact on
+any family the constructor accepts, lattice or not, of any rank, and it
+is the reference the tests hold the other path to.  A loopless rank-4
+matroid that already carries a passing flat report, stored by parsing,
+by :func:`hypermod.core.verify_flat_axioms` or by
+:func:`hypermod.extension.extend_once`, is the lattice of flats of a
+matroid, so its positive pairs are of three kinds only
+(:func:`total_modular_defect`).  Its report and its hypermodularity
+witness are read off plane–line incidences (:func:`_incidence_report`)
+at a cost that follows the output.  That second path earns its lines
+because such a matroid is the input of a parsed completion, the paper's
+headline operation, where the all-pairs scan was the largest cost: on
+PG(3,5) less two points it visits 627 000 pairs to find 2 480.  No
+report is computed to take it.
+
 The report of a one-element extension is not scanned: given the modular
 cut that fixes it, its defects are its parent's, less one on each pair
 of cut flats whose meet is outside the cut, and its disjoint flags are
@@ -22,6 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
+from .core import _has_passing_flat_report, _lsb_index
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,11 @@ def hypermodularity_witness(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
     if M.rank < 3:
         raise ValueError(f"hypermodularity is defined for rank >= 3, got rank {M.rank}")
     if "hm_witness" not in M._cache:
-        first = next(_defective_pairs(M, M.rank - 1), None)
-        M._cache["hm_witness"] = None if first is None else first[:2]
+        if _by_incidence(M):
+            _incidence_report(M)
+        else:
+            first = next(_defective_pairs(M, M.rank - 1), None)
+            M._cache["hm_witness"] = None if first is None else first[:2]
     return M._cache["hm_witness"]
 
 
@@ -90,12 +110,98 @@ def is_hypermodular(M: Matroid) -> bool:
 
 
 def total_modular_defect(M: Matroid) -> DefectReport:
-    """Sum of defects over all unordered pairs of distinct flats."""
+    """Sum of defects over all unordered pairs of distinct flats.
+
+    The pairs are listed in the global flat order, A before B, and keyed
+    canonically.  A loopless rank-4 matroid that carries a passing flat
+    report has positive pairs of three kinds only, which
+    :func:`_incidence_report` lists; any other matroid is scanned over
+    the pair table.
+
+    Proof of the three kinds.  A family that passes F1, F2 and grading is
+    the lattice of flats of a matroid, graded by height (Oxley, *Matroid
+    Theory*, §1.4); the join J of flats A, B is cl(A ∪ B) and their meet
+    G = A ∩ B is a flat, so the defect g(A) + g(B) - g(J) - g(G) is
+    nonnegative by R3.  Nested pairs have defect zero.  Otherwise J
+    strictly holds both flats and G lies strictly inside both, so
+    g(J) >= max(g(A), g(B)) + 1 and the defect is at most
+    min(g(A), g(B)) - 1 - g(G).  With the bottom flat ∅ (loopless),
+    g(G) = 0 exactly when A and B are disjoint.  So a point, the bottom
+    or the top flat is in no positive pair, and a pair holding a line is
+    positive only when disjoint, with defect 1 at most:
+
+    * two disjoint lines have defect 4 - g(J), which is 1 when J is a
+      plane, that is, when they are coplanar, and 0 when J is the top;
+    * a disjoint plane and line join in the top flat: defect 1;
+    * two distinct planes join in the top flat, with defect 2 - g(G):
+      positive when they share no line, 2 when disjoint and 1 when they
+      meet in a point.
+    """
     if "defect_report" not in M._cache:
+        if _by_incidence(M):
+            return _incidence_report(M)
         pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
         flags = tuple(disjoint_rank32_pairs(M)) if M.rank == 4 and M.is_loopless else ()
         M._cache["defect_report"] = DefectReport(pairs, sum(pairs.values()), flags)
     return M._cache["defect_report"]
+
+
+def _by_incidence(M: Matroid) -> bool:
+    """Whether the report of ``M`` is read off incidences: loopless, rank 4, known to be a lattice."""
+    return M.rank == 4 and M.is_loopless and _has_passing_flat_report(M)
+
+
+def _incidence_report(M: Matroid) -> DefectReport:
+    """The defect report of ``M``, cached with its hypermodularity witness, from incidences.
+
+    ``M`` is what :func:`_by_incidence` accepts, so only the three kinds
+    of :func:`total_modular_defect` are listed, row by row in the global
+    flat order.  Each line's row holds the lines after it in the planes
+    through it, and all planes, less the flats that share an element
+    with it; the join of two disjoint coplanar lines is their one common
+    plane, so each such pair appears once.  Each plane's row holds the
+    planes after it outside the OR of the up-sets of its lines, the
+    planes sharing no line with it; one it shares an element with meets
+    it in a point.  The first plane with a nonempty row gives the first
+    non-modular pair of planes, the hypermodularity witness.
+    """
+    starts, flats, sup = M._grade_starts, M._flat_list, M._sup_bits
+    l0, p0, top = starts[2], starts[3], starts[4]
+    planes = (1 << top) - (1 << p0)
+    plane_meets = _meet_rows(M, 3)
+    through = [_bits(sup[x] >> p0 & (1 << top - p0) - 1) for x in range(l0, p0)]
+    plane_lines = [0] * len(plane_meets)
+    for x, offsets in enumerate(through, l0):
+        for p in offsets:
+            plane_lines[p] |= 1 << x
+
+    # A grade's flats are in canonical order, so a pair within one grade is
+    # keyed as listed.  -(2 << i) keeps the bits above i: each pair is
+    # listed from its first flat.
+    pairs = {}
+    for x, meets in enumerate(_meet_rows(M, 2), l0):
+        coplanar = 0
+        for p in through[x - l0]:
+            coplanar |= plane_lines[p]
+        for y in _bits(coplanar & -(2 << x) & ~meets):
+            pairs[flats[x], flats[y]] = 1
+        for y in _bits(planes & ~meets):
+            pairs[pair_key(flats[x], flats[y])] = 1
+    witness = None
+    for p, meets, inner in zip(range(p0, top), plane_meets, plane_lines):
+        shared = 0
+        for x in _bits(inner):
+            shared |= sup[x]
+        apart = planes & -(2 << p) & ~shared
+        if apart and witness is None:
+            witness = flats[p], flats[_lsb_index(apart)]
+        for q in _bits(apart):
+            pairs[flats[p], flats[q]] = 1 if meets >> q & 1 else 2
+
+    M._cache["hm_witness"] = witness
+    report = DefectReport(pairs, sum(pairs.values()), tuple(_flags(M, plane_meets)))
+    M._cache["defect_report"] = report
+    return report
 
 
 def _extension_report(M: Matroid, N: Matroid, cut: list[int]) -> DefectReport:
@@ -163,12 +269,30 @@ def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
         raise ValueError(f"defined for rank-4 matroids, got rank {M.rank}")
     if not M.is_loopless:
         raise ValueError("defined for loopless matroids")
-    starts = M._grade_starts
-    lines = ((1 << starts[3]) - 1) ^ ((1 << starts[2]) - 1)
-    out = []
-    for i in range(starts[3], starts[4]):
+    return _flags(M, _meet_rows(M, 3))
+
+
+def _meet_rows(M: Matroid, grade: int) -> list[int]:
+    """Per flat of ``grade``, in order, the flats sharing an element with it, as bits.
+
+    Each row is the OR of the element bits of the flat's members.
+    """
+    starts, elem = M._grade_starts, M._elem_flatbits
+    rows = []
+    for mask in M._flat_masks[starts[grade] : starts[grade + 1]]:
         meets = 0
-        for e in _bits(M._flat_masks[i]):
-            meets |= M._elem_flatbits[e]
-        out.extend((M._flat_list[i], M._flat_list[j]) for j in _bits(lines & ~meets))
-    return out
+        for e in _bits(mask):
+            meets |= elem[e]
+        rows.append(meets)
+    return rows
+
+
+def _flags(M: Matroid, plane_meets: list[int]) -> list[tuple[ElementSet, ElementSet]]:
+    """The disjoint (plane, line) pairs in order, read off the planes' meet rows."""
+    starts, flats = M._grade_starts, M._flat_list
+    lines = (1 << starts[3]) - (1 << starts[2])
+    return [
+        (flats[p], flats[x])
+        for p, meets in enumerate(plane_meets, starts[3])
+        for x in _bits(lines & ~meets)
+    ]

@@ -591,3 +591,8 @@ def test_the_entry_point_exits_with_each_class(workdir, tmp_path):
     assert verified.returncode == 1 and "flat_axioms fail" in verified.stdout
     missing = _run_module("analyze", str(tmp_path / "missing.mat"))
     assert missing.returncode == 2 and missing.stdout == "" and "error:" in missing.stderr
+    # A directory is no readable input and no writable output.
+    for argv in (("analyze", str(tmp_path)), ("complete", str(workdir / "pg32.mat"), "-o", str(tmp_path))):
+        unreadable = _run_module(*argv)
+        assert unreadable.returncode == 2 and unreadable.stdout == ""
+        assert unreadable.stderr.startswith("error:") and "Traceback" not in unreadable.stderr

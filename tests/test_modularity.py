@@ -26,8 +26,11 @@ from hypermod import (
     matroid_from_points,
     modular_defect,
     pair_key,
+    parse_matroid,
+    pg3_points,
     pg3,
     restrict,
+    serialize_matroid,
     total_modular_defect,
     uniform,
     vamos,
@@ -54,6 +57,7 @@ from oracles import (
     brute_subset_r3_fails,
     brute_unit_increase,
 )
+from test_realizable_corpus import CASES, _lines, _ovoid
 
 
 def _capped(violations) -> list:
@@ -775,6 +779,75 @@ def test_completion_scans_all_flat_pairs_once(monkeypatch, pg33, pg35):
         outcome = complete_to_modular(delete(space, {0, 1}))
         assert outcome.ok and len(outcome.steps) == 2
         assert [args[1:] for args in scans].count(()) == 1
+
+
+# -- the rank-4 report read off incidences ---------------------------------
+
+
+def _assert_the_incidence_report_is_the_pair_table_report(M, rebuild):
+    """A matroid that carries a passing flat report has the report and witness of the pair table.
+
+    Equal means the same pairs with the same key order, the same total
+    and the same flags in order.  The witness is asked for first, so it
+    is read off incidences before the report is, and the pair table
+    scans a copy that carries no flat report.
+    """
+    known, table = rebuild(M), rebuild(M)
+    assert verify_flat_axioms(known).passed
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _count_calls(patch, modularity, "_defective_pairs")
+        witness = hypermodularity_witness(known) if M.rank >= 3 else None
+        got = total_modular_defect(known)
+    if M.rank == 4 and M.is_loopless:
+        assert not scans
+    want = total_modular_defect(table)
+    assert list(got.pair_defects.items()) == list(want.pair_defects.items())
+    assert (got.total, got.disjoint_flags) == (want.total, want.disjoint_flags)
+    if M.rank >= 3:
+        assert witness == hypermodularity_witness(table)
+    return got
+
+
+def test_the_incidence_report_is_the_pair_table_report_on_named_matroids(
+    pg32, pg33, pg35, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture, rebuild
+):
+    spaces = {2: pg32, 3: pg33, 5: pg35}
+    named = [pg32, pg33, del32, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture]
+    named += [uniform(4, n) for n in range(5, 10)]  # disjoint planes: defect 2
+    named += [delete(spaces[q], S) for q, S in CASES]
+    named += [delete(spaces[q], _ovoid(q)) for q in (3, 5)]
+    # Without the points of a line the planes through it are disjoint;
+    # without all but one, they meet in that point.
+    for line in _lines(3)[::40]:
+        named += [delete(pg33, line), delete(pg33, sorted(line)[1:])]
+    # PG(3,2) with a point doubled: a parallel class.
+    doubled = pg3_points(2).points
+    named.append(matroid_from_points(PointConfig(2, 4, doubled + doubled[:1])))
+    plane_defects = set()
+    for M in named:
+        report = _assert_the_incidence_report_is_the_pair_table_report(M, rebuild)
+        planes = set(M.flats_by_rank[3]) if M.rank == 4 else set()
+        plane_defects |= {d for (a, b), d in report.pair_defects.items() if {a, b} <= planes}
+    assert plane_defects == {1, 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=_realized_families().filter(lambda M: M.rank == 4))
+def test_the_incidence_report_is_the_pair_table_report_on_realized_families(rebuild, M):
+    _assert_the_incidence_report_is_the_pair_table_report(M, rebuild)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_parsed_completion_builds_no_pair_defects(monkeypatch, q, pg33, pg35):
+    # A parsed input carries its passing flat report, so its defect report
+    # and its hypermodularity witness are read off incidences.
+    D = parse_matroid(serialize_matroid(delete({3: pg33, 5: pg35}[q], {0, 1})))
+    scans = _count_calls(monkeypatch, modularity, "_defective_pairs")
+    # modularity binds its own name for the block routine.
+    blocks = [_count_calls(monkeypatch, owner, "_defect_block") for owner in (core, modularity)]
+    outcome = complete_to_modular(D)
+    assert outcome.ok and len(outcome.steps) == 2
+    assert not scans and blocks == [[], []]
 
 
 def test_flat_pair_r3_keeps_the_violation_cap():
