@@ -86,6 +86,17 @@ def _parse_flat(text: str) -> frozenset[int]:
         raise ValueError(f"bad element list {text!r}") from None
 
 
+def _require_writable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in a missing directory."""
+    for path in paths:
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ValueError(f"output path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output directory {Path(path).parent} does not exist")
+
+
 def _too_large(args) -> bool:
     """Whether ``generate`` is asked for more than ``core.FLAT_LIMIT`` flats or elements.
 
@@ -123,11 +134,7 @@ def cmd_generate(args) -> int:
             return USAGE_ERROR
         if _too_large(args):
             return USAGE_ERROR
-        cfg = realize.pg3_points(args.q)
-        M = realize.matroid_from_points(cfg)
-        if args.pts:
-            Path(args.pts).write_text(matio.serialize_points(cfg))
-            rep.add("points_file", args.pts)
+        name = f"pg3_{args.q}"
     elif args.kind == "uniform":
         if args.r is None or args.n is None:
             print("error: generate uniform requires --r and --n", file=sys.stderr)
@@ -137,10 +144,22 @@ def cmd_generate(args) -> int:
             return USAGE_ERROR
         if _too_large(args):
             return USAGE_ERROR
+        name = f"uniform_{args.r}_{args.n}"
+    else:
+        name = "vamos"
+    # The default output is named after the configuration, known before it is built.
+    out = args.output or f"{name}.mat"
+    _require_writable(out, args.pts)
+    if args.kind == "pg3":
+        cfg = realize.pg3_points(args.q)
+        M = realize.matroid_from_points(cfg)
+        if args.pts:
+            Path(args.pts).write_text(matio.serialize_points(cfg))
+            rep.add("points_file", args.pts)
+    elif args.kind == "uniform":
         M = realize.uniform(args.r, args.n)
     else:
         M = realize.vamos()
-    out = args.output or f"{M.name}.mat"
     Path(out).write_text(matio.serialize_matroid(M))
     rep.add("output", out)
     rep.add("ground", M.ground_size)
@@ -185,6 +204,7 @@ def _pick_flag(args):
 
 
 def cmd_extend(args) -> int:
+    _require_writable(args.output)
     M = _load(args.path)
     rep = Report(args.machine)
     try:
@@ -245,6 +265,7 @@ def _add_failures(rep: Report, failures) -> None:
 
 
 def cmd_complete(args) -> int:
+    _require_writable(args.output)
     M = _load(args.path)
     rep = Report(args.machine)
     outcome = complete_to_modular(M, max_steps=args.max_steps)

@@ -15,8 +15,9 @@ the top flat is left, which on a spanning set comes after a handful of
 elements.  The constructor also builds the containment order of the
 stored flats once, as bits over flat indices (:func:`_flat_relation`);
 the shape check, :func:`contract`, the pair table and
-:func:`verify_flat_axioms` all read it, the last to find the covers of
-every flat, once, for the cover axiom F2 and the grading.
+:func:`verify_flat_axioms` all read it, the last packed into rows, to
+find the covers of every flat, a block of flats at a time, for the
+cover axiom F2 and the grading.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.  :func:`is_isomorphic` places elements one at a
@@ -24,13 +25,16 @@ time and checks each flat once, when its last element is placed, with
 no table over pairs or triples of elements.
 
 One packed pair table, exact on any family the constructor accepts,
-answers every all-pairs question in row blocks: F1 reads its meets
-(:func:`_meet_block`) against the flats that are not the intersection of
-their covers, and lists witnesses from all pairs only when it fails, and
-the flat-pair R3 check and the defect scans of :mod:`hypermod.modularity`
-read its defects (:func:`_defect_block`), except on a loopless rank-4
-matroid that carries a passing flat report, whose few positive pairs
-are read off incidences there.
+answers every all-pairs question in row blocks.  Its meet index, the
+packed flat masks and their sorted hashes (:func:`_meet_index`), is
+built apart from the rest: F1 meets every flat with the flats that are
+not the intersection of their covers, settles most cells by counting
+shared elements and looks up only the others there, and lists witnesses
+from all pairs only when it fails.  The flat-pair R3 check and the
+defect scans of :mod:`hypermod.modularity` read the table's defects
+(:func:`_defect_block`), except on a loopless rank-4 matroid that
+carries a passing flat report, whose few positive pairs are read off
+incidences there, so no up-set column is built for it.
 Validity is decided once, by :func:`verify_flat_axioms`: a family that
 passes it is the lattice of flats of a matroid, graded by height, so
 :func:`verify_rank_axioms` passes it with no further work.  On any other
@@ -40,10 +44,11 @@ of :func:`verify_rank_axioms` give the exact verdict and its subset
 passes run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
-checks them against longest-chain lengths, pushed along those covers,
-so that corrupt input files are caught loudly instead of silently
-re-ranked.  Every report lists at most ``_VIOLATION_CAP`` witnesses
-per axiom, with an exact verdict.  :func:`restrict` and :func:`contract`
+checks them against longest-chain lengths, found in the same pass over
+those covers, by size, so that corrupt input files are caught loudly
+instead of silently re-ranked.  Every report lists at most
+``_VIOLATION_CAP`` witnesses per axiom, with an exact verdict.
+:func:`restrict` and :func:`contract`
 build through one minor builder (:func:`_minor`) that re-indexes the
 kept elements and keeps each flat with the first grade it arrives with:
 a restriction grades F ∩ S by the first flat that yields it, which is
@@ -53,8 +58,9 @@ contraction grades L - F by rank drop.  A matroid carries its flat-axiom report 
 of a loopless matroid, whose axioms hold iff a check on its modular cut,
 the parent's flats that gain the new element, passes
 (:func:`_extension_passes_flat_axioms`), carries a passing one from the
-start; its defects are read off its parent's report and that cut, so it
-builds no pair table.
+start; its rows are built from its parent's and that cut, with no call
+to the constructor (:func:`_extension`), and its defects are read off
+its parent's report and that cut, so it builds no pair table.
 """
 
 from __future__ import annotations
@@ -195,25 +201,10 @@ class Matroid:
         if len(grades[0]) != 1:
             raise ValueError("grade 0 must contain exactly one flat")
 
-        self.ground_size = n
-        self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = tuple(grades)
-        self.name = name
-        self.element_map = element_map
-
-        # Global flat order: grade ascending, lexicographic inside a grade.
-        flat_list: list[ElementSet] = []
-        grade_of: list[int] = []
-        for k, grade in enumerate(self.flats_by_rank):
-            flat_list.extend(grade)
-            grade_of.extend([k] * len(grade))
-        self._flat_list = flat_list
-        self._flat_masks = [_mask_of(f) for f in flat_list]
-        self._grade_of_index = grade_of
-        self._index_of_mask = {m: i for i, m in enumerate(self._flat_masks)}
-        self._all_flat_bits = (1 << len(flat_list)) - 1
-        self._elem_flatbits, self._sup_bits = _flat_relation(n, flat_list)
+        self._set_rows(n, tuple(grades), name=name, element_map=element_map)
         # A flat inside another of its own grade breaks the shape.  One inside
         # a flat of lower grade is left to verify_flat_axioms.
+        flat_list, grade_of = self._flat_list, self._grade_of_index
         starts = self._grade_starts
         for i, up in enumerate(self._sup_bits):
             k = grade_of[i]
@@ -224,6 +215,41 @@ class Matroid:
                     f"grade {k} flats must be pairwise incomparable: "
                     f"{sorted(flat_list[i])} vs {sorted(flat_list[a + _lsb_index(peers)])}"
                 )
+
+    def _set_rows(
+        self,
+        n: int,
+        grades: tuple[tuple[ElementSet, ...], ...],
+        rows: tuple[list[int], list[int], list[int]] | None = None,
+        *,
+        name: str | None = None,
+        element_map: tuple[int, ...] | None = None,
+    ) -> None:
+        """Set every attribute from canonical ``grades`` and, if given, their rows.
+
+        ``rows`` is ``(masks, elem_flatbits, sup_bits)`` in the global flat
+        order; without it they are computed from the flats.  The only
+        setter of a matroid's attributes, for the constructor and for
+        :func:`_extension`.
+        """
+        self.ground_size = n
+        self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = grades
+        self.name = name
+        self.element_map = element_map
+
+        # Global flat order: grade ascending, lexicographic inside a grade.
+        flat_list: list[ElementSet] = []
+        grade_of: list[int] = []
+        for k, grade in enumerate(grades):
+            flat_list.extend(grade)
+            grade_of.extend([k] * len(grade))
+        if rows is None:
+            rows = ([_mask_of(f) for f in flat_list], *_flat_relation(n, flat_list))
+        self._flat_list = flat_list
+        self._flat_masks, self._elem_flatbits, self._sup_bits = rows
+        self._grade_of_index = grade_of
+        self._index_of_mask = {m: i for i, m in enumerate(self._flat_masks)}
+        self._all_flat_bits = (1 << len(flat_list)) - 1
         self._cache: dict = {}
 
     # -- basic views ---------------------------------------------------
@@ -341,6 +367,10 @@ def _flat_relation(n: int, members: list[Iterable[int]]) -> tuple[list[int], lis
 # 2-D temporaries of each block.
 _BLOCK_CELLS = 1 << 14
 
+# Bytes of rows packed, unpacked or gathered in one step of the packing and
+# of the cover pass; it bounds the temporaries of each step.
+_BLOCK_BYTES = 1 << 17
+
 
 def _join_index(M: Matroid, i: int, j: int) -> int:
     """Index of the closure of flats i and j: the first flat holding both."""
@@ -375,17 +405,38 @@ def _hash(words) -> np.ndarray:
 
 
 def _packed(ints: list[int], bits: int) -> np.ndarray:
-    """Nonnegative ints below ``2**bits`` as rows of little-endian ``uint64`` words."""
-    width = -(-bits // 64)
-    raw = b"".join(m.to_bytes(8 * width, "little") for m in ints)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width)
+    """Nonnegative ints below ``2**bits`` as rows of little-endian ``uint64`` words, writable.
+
+    The rows are written into place a block at a time, so no second copy
+    of them is made.
+    """
+    width = 8 * -(-bits // 64)
+    raw = bytearray(width * len(ints))
+    step = max(1, _BLOCK_BYTES // max(1, width))
+    for k in range(0, len(ints), step):
+        block = ints[k : k + step]
+        raw[k * width : (k + len(block)) * width] = b"".join(m.to_bytes(width, "little") for m in block)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width // 8)
 
 
-def _pair_table(M: Matroid) -> tuple:
-    """What the block routines read, built once per matroid.
+def _meet_index(M: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a meet lookup reads, built once per matroid.
 
     ``words``: the flat masks packed, at least one word per flat.
     ``keys``, ``order``: the sorted flat hashes and the flat index behind each.
+    """
+    index = M._cache.get("meet_index")
+    if index is None:
+        words = _packed(M._flat_masks, max(1, M.ground_size))
+        hashes = _hash(words[:, w] for w in range(words.shape[1]))
+        order = np.argsort(hashes, kind="stable")
+        index = M._cache["meet_index"] = (words, hashes[order], order)
+    return index
+
+
+def _pair_table(M: Matroid) -> tuple:
+    """What the defect blocks read, built once per matroid: the meet index, then
+
     ``grade``, ``rank``: every flat's declared grade, and that of the lowest flat above it.
     ``up_sets[k][i]``: the grade-k flats above flat i, bit b for the b-th
     flat of grade k, sliced from ``M._sup_bits``.
@@ -393,9 +444,6 @@ def _pair_table(M: Matroid) -> tuple:
     """
     table = M._cache.get("pair_table")
     if table is None:
-        words = _packed(M._flat_masks, max(1, M.ground_size))
-        hashes = _hash(words[:, w] for w in range(words.shape[1]))
-        order = np.argsort(hashes, kind="stable")
         grade = M._grade_of_index
         rank = [grade[_lsb_index(s)] for s in M._sup_bits]
         up_sets, prefix = [], []
@@ -405,25 +453,33 @@ def _pair_table(M: Matroid) -> tuple:
             below = [i for i, bits in enumerate(up) if bits and not a <= i < b]
             prefix.append(below[-1] + 1 if below else 0)
             up_sets.append(_packed(up, b - a))
-        table = (words, hashes[order], order, np.asarray(grade), np.asarray(rank), up_sets, prefix)
+        table = (*_meet_index(M), np.asarray(grade), np.asarray(rank), up_sets, prefix)
         M._cache["pair_table"] = table
     return table
 
 
-def _meet_block(M: Matroid, rows: slice, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Intersections of the flats ``rows`` with the flats ``cols``, a slice or an index array.
+def _lookup(M: Matroid, inter: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stored flats with the masks given word by word in ``inter``, equal-shape arrays.
 
-    Returns ``(meet, found)``: where ``found``, the intersection is the
+    Returns ``(meet, found)``: where ``found``, the mask is that of the
     stored flat ``meet``, looked up by hash and confirmed word by word.
-    A cell not found has no stored intersection, or lost a hash collision.
+    A cell not found is no stored flat, or lost a hash collision.
     """
-    words, keys, order = _pair_table(M)[:3]
-    inter = [words[rows, w][:, None] & words[cols, w][None, :] for w in range(words.shape[1])]
+    words, keys, order = _meet_index(M)
     meet = order[np.minimum(np.searchsorted(keys, _hash(inter)), len(keys) - 1)]
     found = np.ones(meet.shape, dtype=bool)
     for w, x in enumerate(inter):
         found &= words[:, w][meet] == x
     return meet, found
+
+
+def _meet_block(M: Matroid, rows: slice, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Intersections of the flats ``rows`` with the flats ``cols``, a slice or an index array.
+
+    Returns :func:`_lookup`'s ``(meet, found)`` for each cell.
+    """
+    words = _meet_index(M)[0]
+    return _lookup(M, [words[rows, w][:, None] & words[cols, w][None, :] for w in range(words.shape[1])])
 
 
 def _defect_block(M: Matroid, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -514,10 +570,11 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     the irreducible flats at or above it (induction from the top flat,
     the intersection of none), so any meet is a chain of meets with
     irreducible flats.  This needs no axiom, only distinct subsets of a
-    top set.  F1 is decided on those cells of the pair table, the
-    hyperplanes of a geometric lattice; only when it fails are all pairs
-    scanned to list the witnesses.  A meet not confirmed in the table is
-    looked up among the stored masks before it counts.
+    top set.  F1 is decided on those cells (:func:`_meets_are_flats`),
+    which on a geometric lattice are the meets with its hyperplanes;
+    only when it fails are all pairs of the pair table scanned to list
+    the witnesses.  A meet not confirmed in the table is looked up among
+    the stored masks before it counts.
 
     F2, the cover axiom (Oxley, *Matroid Theory*, 2nd ed., §1.4, F3):
     the covers of each flat F hold every element outside F.  Each element
@@ -526,8 +583,10 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     G1 != G2 holding s would meet in a flat strictly between F and G1.
 
     Grading: every declared grade equals the longest chain length from
-    the bottom flat.  A longest chain runs along covers, so the lengths
-    are pushed along the covers found for F2.  Violations are reported,
+    the bottom flat, along covers, since a longest chain of strict
+    inclusions has no room for a flat between two of its steps.  The
+    covers, the irreducible flats, F2 and the grading are read off
+    packed rows by :func:`_cover_violations`.  Violations are reported,
     never thrown: the first ``_VIOLATION_CAP`` of each axiom, in the
     order above, so the all-pairs F1 scan stops once it has listed them.
 
@@ -544,7 +603,7 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     masks, flats = M._flat_masks, M._flat_list
 
     # F1: a cell whose meet is not confirmed may have lost a hash collision.
-    if not _meets_are_flats(M, np.array(irreducible, dtype=np.intp)):
+    if not _meets_are_flats(M, irreducible):
         def unconfirmed(M, r0, r1, c0, c1):
             return ~_meet_block(M, slice(r0, r1), slice(c0, c1))[1]
 
@@ -564,64 +623,139 @@ def _has_passing_flat_report(M: Matroid) -> bool:
     return report is not None and report.passed
 
 
-def _cover_violations(M: Matroid) -> tuple[list[int], list[Violation]]:
+def _cover_violations(M: Matroid) -> tuple[np.ndarray, list[Violation]]:
     """The irreducible flats, and the F2 and grading violations, read off each flat's covers.
 
-    Apart from :func:`verify_flat_axioms` so that its bit lists are freed
-    before the F1 pass builds the pair table.
+    One pass over blocks of flats, by size, finds each flat's covers
+    (:func:`_covers`), ORs and ANDs their packed element words, one
+    ``reduceat`` per step, and reads F2 and irreducibility off the two.
+    The same pass finds each flat's longest chain length from the bottom
+    flat: 0 if it covers no flat, else 1 + the largest length among the
+    flats it covers.  Those are smaller, so their lengths are final
+    before its own; once a run of flats of one size is reached, each
+    pushes its length plus one to its covers.  The F2 witnesses are
+    listed in flat order, the grading ones by size.
+
+    Apart from :func:`verify_flat_axioms` so that its rows are freed
+    before the F1 pass.
     """
-    masks, flats = M._flat_masks, M._flat_list
-    ground = _ground_mask(M)
+    flats, grade = M._flat_list, np.asarray(M._grade_of_index)
+    count = len(flats)
+    above = _packed(M._sup_bits, count)
+    diagonal = np.arange(count)
+    above[diagonal, diagonal >> 6] ^= np.uint64(1) << (diagonal & 63).astype(np.uint64)
+    words = _meet_index(M)[0]
+    ground = words[-1]  # the top flat is the ground set
+    sizes = np.bitwise_count(words).sum(axis=1)
+    by_size = np.argsort(sizes, kind="stable")
+    chain = np.zeros(count, dtype=np.intp)
+    irreducible, unheld, held_words = [], [], []
+    step = max(1, _BLOCK_BYTES // count)
+    for r0 in range(0, count, step):
+        rows = by_size[r0 : r0 + step]
+        covers = _covers(above, rows)
+        r, c = _set_bits(covers)
+        held, meet = words[rows], np.tile(ground, (len(rows), 1))
+        _reduce_rows(np.bitwise_or, words, r, c, held)
+        _reduce_rows(np.bitwise_and, words, r, c, meet)
+        irreducible.append(rows[(meet != words[rows]).any(axis=1)])
+        short = (held != ground).any(axis=1)
+        unheld.append(rows[short])
+        held_words.append(held[short])
+        bounds = np.flatnonzero(np.diff(sizes[rows], prepend=-1, append=-1))
+        for lo, hi in itertools.pairwise(np.searchsorted(r, bounds)):
+            np.maximum.at(chain, c[lo:hi], chain[rows[r[lo:hi]]] + 1)
 
-    # F2: a flat strictly above F is a cover unless it is strictly above
-    # another flat strictly above F.
-    strictly_above = [up ^ (1 << i) for i, up in enumerate(M._sup_bits)]
+    # Stable sorts throughout: numpy's default sort loads about 0.3 MB more
+    # code into a process on first use, and the indices are distinct anyway.
     f2: list[Violation] = []
-    irreducible, covers = [], []
-    for i, above in enumerate(strictly_above):
-        skipped = 0
-        for j in _bits(above):
-            skipped |= strictly_above[j]
-        covers.append(above & ~skipped)
-        held, meet = masks[i], ground
-        for j in _bits(covers[i]):
-            held |= masks[j]
-            meet &= masks[j]
-        if meet != masks[i]:
-            irreducible.append(i)
-        for s in _bits(ground & ~held)[: _VIOLATION_CAP - len(f2)]:
+    unheld, held_words = np.concatenate(unheld), np.concatenate(held_words)
+    for k in np.argsort(unheld, kind="stable")[:_VIOLATION_CAP]:
+        held = int.from_bytes(held_words[k].tobytes(), "little")
+        for e in _bits(_ground_mask(M) & ~held)[: _VIOLATION_CAP - len(f2)]:
             detail = "no cover of the flat holds the element"
-            f2.append(Violation("F2", (flats[i], frozenset([s])), detail))
+            f2.append(Violation("F2", (flats[unheld[k]], frozenset([e])), detail))
 
-    # Declared grades vs longest chains.  A strict subset is smaller, so
-    # visiting the flats by size fixes each length before it is pushed on.
-    chain = [0] * len(masks)
     grading: list[Violation] = []
-    for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
-        if chain[j] != M._grade_of_index[j] and len(grading) < _VIOLATION_CAP:
-            grading.append(
-                Violation(
-                    "grading",
-                    (flats[j],),
-                    f"declared grade {M._grade_of_index[j]} but longest chain has length {chain[j]}",
-                )
-            )
-        longer = chain[j] + 1
-        for c in _bits(covers[j]):
-            if chain[c] < longer:
-                chain[c] = longer
-    return irreducible, f2 + grading
+    for j in by_size[chain[by_size] != grade[by_size]][:_VIOLATION_CAP]:
+        detail = f"declared grade {grade[j]} but longest chain has length {chain[j]}"
+        grading.append(Violation("grading", (flats[j],), detail))
+    return np.sort(np.concatenate(irreducible), kind="stable"), f2 + grading
+
+
+def _covers(above: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The covers of the flats ``rows``, packed, from every flat's packed strictly-above row.
+
+    A flat strictly above F covers F unless it lies strictly above
+    another flat strictly above F: the covers are F's row less the OR of
+    the rows of the flats in it.
+    """
+    block = above[rows]
+    r, c = _set_bits(block)
+    skipped = np.zeros_like(block)
+    _reduce_rows(np.bitwise_or, above, r, c, skipped)
+    return block & ~skipped
+
+
+def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every set bit of packed rows, row-major.
+
+    Only the words set in some row are unpacked.
+    """
+    live = np.flatnonzero(np.bitwise_or.reduce(rows, axis=0))
+    bits = np.unpackbits(np.ascontiguousarray(rows[:, live]).view(np.uint8), axis=1, bitorder="little")
+    r, c = np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
+    return r, live[c >> 6] * 64 + (c & 63)
+
+
+def _reduce_rows(op: np.ufunc, table: np.ndarray, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """Fold ``table[c[k]]`` into ``out[r[k]]`` with ``op``, for every k; ``r`` ascending.
+
+    Each step gathers at most ``_BLOCK_BYTES`` of ``table`` and folds
+    each run of equal ``r`` with one ``reduceat``.
+    """
+    step = max(1, _BLOCK_BYTES // table[0].nbytes)
+    for p0 in range(0, len(r), step):
+        rr, cc = r[p0 : p0 + step], c[p0 : p0 + step]
+        first = np.flatnonzero(np.diff(rr, prepend=-1))
+        at = rr[first]
+        out[at] = op(out[at], op.reduceat(table[cc], first, axis=0))
 
 
 def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
-    """Whether every flat meets each flat of the index array ``cols`` in a stored flat."""
-    masks = M._flat_masks
+    """Whether every flat meets each flat of the index array ``cols`` in a stored flat.
+
+    Per row block, each cell counts the elements its two flats share, by
+    popcount of the word ANDs.  Two rules settle a cell with no lookup,
+    each exact on any family the constructor accepts, since each reads
+    only the two masks: a count of 0 means the meet is ∅, settled if ∅ is
+    stored; a count of 1 means it is a singleton, settled if every
+    singleton is stored.  Every other cell is looked up in the meet index
+    (:func:`_lookup`), and one not found there, a miss or a lost hash
+    collision, in ``M._index_of_mask``.
+    """
+    words, index, masks = _meet_index(M)[0], M._index_of_mask, M._flat_masks
+    settled = [0] if 0 in index else []
+    if all(1 << e in index for e in range(M.ground_size)):
+        settled.append(1)
+    col_words = words[cols]
     step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    chunk = max(1, _BLOCK_CELLS // words.shape[1])
     for r0 in range(0, len(masks), step):
-        _, found = _meet_block(M, slice(r0, r0 + step), cols)
-        for b, c in zip(*np.nonzero(~found)):
-            if masks[r0 + int(b)] & masks[cols[c]] not in M._index_of_mask:
-                return False
+        row_words = words[r0 : r0 + step]
+        shared = np.zeros((len(row_words), len(cols)), dtype=np.int32)
+        for w in range(words.shape[1]):
+            shared += np.bitwise_count(row_words[:, w, None] & col_words[None, :, w])
+        open_cells = np.ones(shared.shape, dtype=bool)
+        for k in settled:
+            open_cells &= shared != k
+        b, c = np.divmod(np.flatnonzero(open_cells), len(cols))
+        for q0 in range(0, len(b), chunk):
+            bb, cc = b[q0 : q0 + chunk], c[q0 : q0 + chunk]
+            found = _lookup(M, [row_words[bb, w] & col_words[cc, w] for w in range(words.shape[1])])[1]
+            for i, j in zip(bb[~found], cc[~found]):
+                if masks[r0 + i] & masks[cols[j]] not in index:
+                    return False
     return True
 
 
@@ -680,6 +814,54 @@ def _extension_passes_flat_axioms(M: Matroid, cut: list[int]) -> bool:
         if grade[j] == 2:
             covered |= masks[j]
     return covered == _ground_mask(M)
+
+
+def _extension(M: Matroid, cut: list[int]) -> Matroid:
+    """The N of :func:`_extension_passes_flat_axioms`, built from ``M``'s rows and the cut.
+
+    ``M`` is loopless, the check on ``cut`` passes and ``cut`` holds only
+    flats of grade 2 or more, so the constructor would accept N, with the
+    rows built here.  N's flats are M's, with the new element m added to
+    each cut flat, and the grade-1 flat {m}.  m is the largest element,
+    so adding it keeps each grade's canonical order: two flats of one
+    grade are incomparable, so their sorted members differ before either
+    ends.  And {m} comes last among the points.  So N's flat order is
+    M's, with every index from the end of grade 1 on shifted up by one to
+    make room for {m}, and its rows follow from M's:
+
+    * the cut flats gain bit m, and m's element row is {m} and the cut;
+    * {m}'s up-set is {m} and the cut, the flats holding m;
+    * the bottom flat's up-set gains {m}, which holds the empty bottom
+      flat and, being a point, no other flat of M;
+    * nothing else changes.  An image F' of a flat of M lies in G' iff F
+      lies in G: if F is in the cut, so is every G above it, since the
+      cut is up-closed (condition (i)).
+    """
+    m, s = M.ground_size, M._grade_starts[2]
+    point = frozenset([m])
+
+    def shift(bits: int) -> int:
+        return bits & ((1 << s) - 1) | ((bits >> s) << (s + 1))
+
+    flats = M._flat_list[:s] + [point] + M._flat_list[s:]
+    masks = M._flat_masks[:s] + [1 << m] + M._flat_masks[s:]
+    holding_m = 1 << s
+    for j in cut:
+        flats[j + 1] = flats[j + 1] | point
+        masks[j + 1] |= 1 << m
+        holding_m |= 1 << (j + 1)
+    sup = [shift(up) for up in M._sup_bits]
+    sup.insert(s, holding_m)
+    sup[0] |= 1 << s
+
+    starts = M._grade_starts[:2] + tuple(t + 1 for t in M._grade_starts[2:])
+    N = Matroid.__new__(Matroid)
+    N._set_rows(
+        m + 1,
+        tuple(tuple(flats[a:b]) for a, b in zip(starts, starts[1:])),
+        (masks, [shift(bits) for bits in M._elem_flatbits] + [holding_m], sup),
+    )
+    return N
 
 
 def _ground_mask(M: Matroid) -> int:

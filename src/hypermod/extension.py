@@ -21,7 +21,8 @@ new element to exactly the star lines and star planes.  Those flats,
 the *cut*, fix the extension (a modular cut, Crapo 1965).  Given its
 parent's flat axioms, the new lattice passes them exactly when a check
 on the cut passes (:func:`hypermod.core._extension_passes_flat_axioms`),
-and the full check runs only to name a refusal.  Its defect report is
+and the full check runs only to name a refusal; a passing extension's
+rows are built from its parent's and the cut.  Its defect report is
 read off its parent's: each pair keeps its defect, but a pair of cut
 flats whose meet is outside the cut loses one, and the disjoint flags
 are the parent's less those of two cut flats
@@ -47,6 +48,7 @@ from .core import (
     ElementSet,
     Matroid,
     Violation,
+    _extension,
     _extension_passes_flat_axioms,
     _join_index,
     flat_key,
@@ -321,12 +323,15 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     becomes a new rank-1 flat; all other flats are untouched.  The
     resulting lattice N must satisfy the flat axioms, which hold exactly
     when a check on the cut passes, and must restrict back to the input;
-    a failure of either is raised as an internal error, the full check
-    on N run only to name the first violation.  ``enlarged`` lists the
-    input's flats that gained m, the cut less the top flat.  N's defect
-    report is read off the input's report and the cut and cached on N for
-    the next step, as are its passing flat report and, since no defect
-    grows, its hypermodularity witness None.
+    a failure of either is raised as an internal error.  The check on the
+    cut runs first: when it passes, N's rows are built from the input's
+    and the cut (:func:`hypermod.core._extension`); when it fails, the
+    constructor builds N and the full check on it names the first
+    violation.  ``enlarged`` lists the input's flats that gained m, the
+    cut less the top flat.  N's defect report is read off the input's
+    report and the cut and cached on N for the next step, as are its
+    passing flat report and, since no defect grows, its hypermodularity
+    witness None.
 
     The total modular defect strictly drops.  F1 in N makes the cut lines
     pairwise disjoint, since two cut lines meeting at p would make {p, m}
@@ -350,27 +355,28 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
         )
 
     m = M.ground_size
-    new = frozenset([m])
     star_lines = set(ctx.star_lines)
     star_planes = set(ctx.star_planes)
     # The cut: M's star lines, its star planes and its top flat.
     flats, starts = M._flat_list, M._grade_starts
     cut = [i for i in range(*starts[2:4]) if flats[i] in star_lines]
     cut += [i for i in range(*starts[3:5]) if flats[i] in star_planes] + [starts[4]]
-    images = list(flats)
-    for i in cut:
-        images[i] = flats[i] | new
-    grades = [[frozenset()], list(M.flats_by_rank[1]) + [new]]
-    grades += (images[a:b] for a, b in zip(starts[2:], starts[3:]))
-    extended = Matroid(m + 1, grades)
 
     # M is loopless, so the proof fails exactly when the extension does;
-    # the full check then only names the first violation.
+    # the full check on the constructed lattice then only names the first
+    # violation.
     if not _extension_passes_flat_axioms(M, cut):
-        first = verify_flat_axioms(extended).violations[0]
+        new = frozenset([m])
+        images = list(flats)
+        for i in cut:
+            images[i] = flats[i] | new
+        grades = [[frozenset()], list(M.flats_by_rank[1]) + [new]]
+        grades += (images[a:b] for a, b in zip(starts[2:], starts[3:]))
+        first = verify_flat_axioms(Matroid(m + 1, grades)).violations[0]
         raise InternalConsistencyError(
             f"extension lattice fails {first.axiom}: {first.detail}"
         )
+    extended = _extension(M, cut)
     extended._cache["flat_report"] = AxiomReport(True, ())
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")

@@ -159,13 +159,16 @@ def _incidence_report(M: Matroid) -> DefectReport:
     flat order.  Each line's row holds the lines after it in the planes
     through it, and all planes, less the flats that share an element
     with it; the join of two disjoint coplanar lines is their one common
-    plane, so each such pair appears once.  Each plane's row holds the
+    plane, so each such pair appears once.  Such a line and plane are
+    keyed by their least elements: two disjoint nonempty flats' sorted
+    members differ at position 0, so the flat holding the smaller least
+    element comes first in canonical order.  Each plane's row holds the
     planes after it outside the OR of the up-sets of its lines, the
     planes sharing no line with it; one it shares an element with meets
     it in a point.  The first plane with a nonempty row gives the first
     non-modular pair of planes, the hypermodularity witness.
     """
-    starts, flats, sup = M._grade_starts, M._flat_list, M._sup_bits
+    starts, flats, masks, sup = M._grade_starts, M._flat_list, M._flat_masks, M._sup_bits
     l0, p0, top = starts[2], starts[3], starts[4]
     planes = (1 << top) - (1 << p0)
     plane_meets = _meet_rows(M, 3)
@@ -185,8 +188,9 @@ def _incidence_report(M: Matroid) -> DefectReport:
             coplanar |= plane_lines[p]
         for y in _bits(coplanar & -(2 << x) & ~meets):
             pairs[flats[x], flats[y]] = 1
+        least = masks[x] & -masks[x]
         for y in _bits(planes & ~meets):
-            pairs[pair_key(flats[x], flats[y])] = 1
+            pairs[(flats[x], flats[y]) if least < masks[y] & -masks[y] else (flats[y], flats[x])] = 1
     witness = None
     for p, meets, inner in zip(range(p0, top), plane_meets, plane_lines):
         shared = 0

@@ -101,6 +101,32 @@ def rebuild():
     return lambda M: Matroid(M.ground_size, M.flats_by_rank)
 
 
+def _assert_rows_of_the_constructor(N):
+    """``N``'s flat order, masks, grades and relation rows are those the constructor builds.
+
+    Returns the matroid the constructor built from ``N``'s flats.
+    """
+    fresh = Matroid(N.ground_size, N.flats_by_rank)
+    assert N.flats_by_rank == fresh.flats_by_rank
+    assert N._flat_list == fresh._flat_list
+    assert N._grade_starts == fresh._grade_starts
+    assert N._flat_masks == fresh._flat_masks
+    assert N._index_of_mask == fresh._index_of_mask
+    assert N._grade_of_index == fresh._grade_of_index
+    assert N._all_flat_bits == fresh._all_flat_bits
+    assert N._elem_flatbits == fresh._elem_flatbits
+    assert N._sup_bits == fresh._sup_bits
+    # No attribute is missing or extra (``_grade_starts`` is read above).
+    assert vars(N).keys() == vars(fresh).keys()
+    return fresh
+
+
+@pytest.fixture(scope="session")
+def constructor_rows():
+    """Asserts that a matroid's rows are those the constructor builds from its flats."""
+    return _assert_rows_of_the_constructor
+
+
 def _outcome(step, M, ctx):
     try:
         return step(M, ctx)
@@ -113,9 +139,10 @@ def check_local_step():
     """``extend_once`` against the re-verified oracle on one context.
 
     Both must return equal results or raise the same exception type
-    with the same message.  On success, the defect report seeded on the
-    extension, its flat-axiom report and its hypermodularity witness must
-    equal those of the same lattice built afresh.
+    with the same message.  On success, the extension's rows, built from
+    its parent's, must be those the constructor builds from its flats, and
+    the defect report seeded on it, its flat-axiom report and its
+    hypermodularity witness must equal those of that fresh lattice.
     Returns what ``extend_once`` returned, or the ``(type, message)`` it raised.
     """
 
@@ -124,7 +151,7 @@ def check_local_step():
         assert got == _outcome(reverified_extension, M, ctx)
         if isinstance(got, ExtensionResult):
             N = got.extended
-            fresh = Matroid(N.ground_size, N.flats_by_rank)
+            fresh = _assert_rows_of_the_constructor(N)
             seeded, scanned = N._cache["defect_report"], total_modular_defect(fresh)
             assert seeded.pair_defects == scanned.pair_defects
             assert seeded.disjoint_flags == scanned.disjoint_flags

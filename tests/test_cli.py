@@ -546,6 +546,58 @@ def test_generate_usage_errors_exit_2(tmp_path, capsys, argv, message):
     assert not (tmp_path / "never.mat").exists()
 
 
+UNWRITABLE_OUTPUTS = [
+    (verb, output)
+    for verb in ["complete", "extend", "generate", "generate --pts"]
+    for output in ["directory", "missing/out.mat"]
+]
+
+
+# The last case gives generate no -o: its default, pg3_5.mat in the working
+# directory, is a directory.
+@pytest.mark.parametrize("verb, output", UNWRITABLE_OUTPUTS + [("generate", "pg3_5.mat")])
+def test_an_unwritable_output_is_refused_before_any_work(
+    workdir, tmp_path, capsys, monkeypatch, verb, output
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    for owner in (cli, extension):
+        monkeypatch.setattr(owner, "complete_to_modular", unreachable)
+    monkeypatch.setattr(cli, "_load", unreachable)
+    monkeypatch.setattr(cli.realize, "matroid_from_points", unreachable)
+    monkeypatch.chdir(tmp_path)
+    if "/" not in output:
+        (tmp_path / output).mkdir()
+    target = str(tmp_path / output)
+    source = str(workdir / "pg32m0.mat")
+    argv = {
+        "complete": ["complete", source, "-o", target],
+        "extend": ["extend", source, "-o", target],
+        "generate": ["generate", "pg3", "--q", "5"] + (["-o", target] if output != "pg3_5.mat" else []),
+        "generate --pts": ["generate", "pg3", "--q", "5", "-o", str(tmp_path / "pg.mat"), "--pts", target],
+    }[verb]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: output")
+    assert not (tmp_path / "pg.mat").exists()
+
+
+GENERATE_KINDS = {
+    "pg3_2": ["pg3", "--q", "2"],
+    "uniform_3_5": ["uniform", "--r", "3", "--n", "5"],
+    "vamos": ["vamos"],
+}
+
+
+@pytest.mark.parametrize("name", GENERATE_KINDS)
+def test_generate_without_output_writes_the_matroid_name(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *GENERATE_KINDS[name]]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"{name}.mat"]
+    assert matio.parse_matroid((tmp_path / f"{name}.mat").read_text()).name == name
+
+
 @pytest.mark.parametrize("M", [uniform(3, 5), _with_loop(uniform(4, 5))], ids=["rank-3", "looped"])
 def test_arrangement_outside_loopless_rank_4_exits_2(tmp_path, capsys, M):
     path = tmp_path / "m.mat"

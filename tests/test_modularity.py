@@ -37,7 +37,7 @@ from hypermod import (
     verify_flat_axioms,
     verify_rank_axioms,
 )
-from hypermod import complete_to_modular, core, modularity
+from hypermod import cli, complete_to_modular, core, modularity
 from hypermod.core import _defect_block, _defect_by_index, _pair_table
 from hypermod.modularity import _defective_pairs
 from oracles import (
@@ -741,6 +741,12 @@ def _assert_f1_is_decided_on_the_irreducible_flats(M):
 @given(M=_small_families())
 @example(M=Matroid(3, [[()], [{0, 1}, {2}], [{0}, {1, 2}], [{0, 1, 2}]]))
 @example(M=Matroid(3, [[()], [{0, 1}, {0, 2}], [{0, 1, 2}]]))
+# A nonempty bottom flat: {0} and {1} meet in ∅, which is not stored.
+@example(M=Matroid(3, [[{0}], [{1}], [{0, 1, 2}]]))
+# Nested pairs sharing two elements: the meet is the smaller flat, found by lookup.
+@example(M=Matroid(4, [[()], [{0, 1}], [{0, 1, 2}], [range(4)]]))
+# {0,1,2} and {1,2,3} meet in {1,2}, which is not stored.
+@example(M=Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {1, 2, 3}], [range(4)]]))
 def test_f1_is_decided_on_the_irreducible_flats_of_any_accepted_family(M):
     _assert_f1_is_decided_on_the_irreducible_flats(M)
 
@@ -848,6 +854,20 @@ def test_a_parsed_completion_builds_no_pair_defects(monkeypatch, q, pg33, pg35):
     outcome = complete_to_modular(D)
     assert outcome.ok and len(outcome.steps) == 2
     assert not scans and blocks == [[], []]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_an_analyzed_parsed_deletion_builds_no_up_set_columns(monkeypatch, tmp_path, q, pg33, pg35):
+    # F1 reads only the meet index, and the defect report and the witness
+    # of a parsed deletion are read off incidences, so no defect block asks
+    # for the pair table's up-set columns.
+    path = tmp_path / "deletion.mat"
+    path.write_text(serialize_matroid(delete({3: pg33, 5: pg35}[q], {0, 1})))
+    loaded, load = [], cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
+    assert cli.main(["analyze", str(path), "--machine"]) == 0
+    (M,) = loaded
+    assert "meet_index" in M._cache and "pair_table" not in M._cache
 
 
 def test_flat_pair_r3_keeps_the_violation_cap():

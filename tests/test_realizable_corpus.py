@@ -226,6 +226,20 @@ def test_ovoid_deletion_completes_one_point_defect_at_a_time(q, spaces, monkeypa
     assert sorted(added) == [x for i, x in enumerate(pg_point_list(q)) if i in S]
 
 
+def test_every_extension_has_the_rows_of_the_constructor(spaces, monkeypatch, constructor_rows):
+    # Each extension's rows are built from its parent's and the cut; they
+    # must be those the constructor builds from the extension's flats.
+    completable = [(q, S) for q, S in CASES if all(len(line - S) >= 2 for line in _lines(q))]
+    completable += [(q, _ovoid(q)) for q in (3, 5)]
+    visited = _record_visits(monkeypatch)
+    for q, S in completable:
+        visited.clear()
+        outcome = complete_to_modular(delete(spaces[q], S))
+        assert outcome.ok and len(visited) == len(S)
+        for M in visited[1:] + [outcome.matroid]:
+            constructor_rows(M)
+
+
 @pytest.fixture(scope="module")
 def ovoid33(pg33):
     S = _ovoid(3)
