@@ -124,6 +124,9 @@ def _too_large(args) -> bool:
 
 
 def cmd_generate(args) -> int:
+    if args.pts is not None and args.kind != "pg3":
+        print(f"error: --pts is only for pg3, not {args.kind}", file=sys.stderr)
+        return USAGE_ERROR
     rep = Report(args.machine)
     if args.kind == "pg3":
         if args.q is None:
@@ -383,12 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output path (default <name>.mat)")
     p.add_argument("--pts", help="also write the point configuration (pg3 only)")
     add_machine(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="rank, profile, connectivity, modularity summary")
     p.add_argument("path")
     add_machine(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extend", help="single-element extension along a disjoint flag")
     p.add_argument("path")
@@ -396,14 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="rank-2 flat of the flag (default: auto)")
     p.add_argument("-o", "--output", help="write the extended matroid here")
     add_machine(p)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("complete", help="iterate extensions until modular")
     p.add_argument("path")
     p.add_argument("-o", "--output", help="write the completed matroid here")
     p.add_argument("--max-steps", type=int, default=None)
     add_machine(p)
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("verify", help="flat and rank axiom suites")
     p.add_argument("path")
@@ -411,29 +410,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=10000)
     add_machine(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("iso", help="search for an isomorphism between two matroids")
     p.add_argument("path_a")
     p.add_argument("path_b")
     add_machine(p)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("arrangement", help="point/line/plane census and incidence checks")
     p.add_argument("path")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=200)
     add_machine(p)
-    p.set_defaults(func=cmd_arrangement)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a replaced ``cmd_<verb>`` is the one called.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # matio.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

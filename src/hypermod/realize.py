@@ -5,13 +5,20 @@ Its matroid is built a grade at a time.  A flat F is the set of points
 inside span(F), so the covers of F are F + C for the projective classes C
 of the residues of the other points modulo span(F).
 
-Each grade keeps, for all its flats, their pivot columns and echelon
-rows (pivot entry 1, zeros at every earlier pivot).  Blocks of at most
-``core._BLOCK_CELLS`` int64 cells (flats x points x dim; a single flat
-may exceed it) reduce every point modulo every flat of the block, scale
-each nonzero residue to a leading 1 with one inverse per distinct
-leading value, and sort the rows by (flat, residue) once; each run of
+Each grade keeps, for all its flats, a basis of their normals: the
+c = d - k functionals that vanish on span(F), its annihilator (Oxley,
+*Matroid Theory*, section 6.1), the identity for the empty flat.  They
+name the quotient GF(p)^d / span(F) in c coordinates, so a point x has
+the coordinates N_F . x; it lies in span(F) iff they are all zero, and x
+and y lie in the same cover iff their coordinates are proportional.
+Blocks of at most ``core._BLOCK_CELLS`` int64 cells (flats x points x
+dim; a single flat may exceed it) compute every point's coordinates for
+every flat of the block in one accumulation, scale them to a leading 1
+with one vectorized inverse x^(p - 2), and sort the rows by (flat,
+coordinates), packed into as few int64 keys as fit, once; each run of
 equal rows is one class, and its first row holds its smallest point.
+A flat with one normal is a hyperplane, whose only cover is the ground
+set, so the top grade takes no pass.
 
 Reverse search (Avis and Fukuda, 1996) gives each flat one parent, so
 no cover is built twice.  Let top(F) be the last point of F's greedy
@@ -24,10 +31,11 @@ F + C only when min(C) > top(F), and top(F + C) = min(C):
   cl(b_1, ..., b_k), with top b_k < b_(k+1) = min of the rest of G; any
   parent that emits G has, by the line above, that same basis.
 
-The new flat's rows are its parent's plus the class residue.
-Arithmetic is mod p in int64, where every product is of two residues
-below p.  That is exact while (p - 1)^2 < 2^63, so
-:func:`matroid_from_points` rejects primes above
+The new flat's normals are those of its parent that vanish on min(C),
+derived from its parent's (see ``_next_grade``).  Arithmetic is mod p in
+int64, where every product is of two residues below p and sums of them
+are reduced often enough to stay below 2^63.  That is exact while
+(p - 1)^2 < 2^63, so :func:`matroid_from_points` rejects primes above
 ``_EXACT_PRIME_LIMIT`` = 3037000500.
 
 Only prime field orders are supported; the fixtures (PG(3,q) for prime
@@ -120,62 +128,108 @@ class PointConfig:
         return tuple(tuple(g) for g in seen.values() if len(g) > 1)
 
 
+def _refuse_past_limit(count: int) -> None:
+    if count > FLAT_LIMIT:
+        raise ValueError(f"the configuration has more than {FLAT_LIMIT} flats, the limit")
+
+
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p, elementwise: the inverse of every nonzero residue."""
+    result, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            result = result * x % p
+        x, e = x * x % p, e >> 1
+    return result
+
+
 def _next_grade(
     pts: np.ndarray,
     p: int,
     flats: list[ElementSet],
     tops: np.ndarray,
-    pivots: np.ndarray,
-    rows: np.ndarray,
+    normals: np.ndarray,
     built: int,
-) -> tuple[list[ElementSet], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[ElementSet], np.ndarray, np.ndarray]:
     """Every cover of one grade's flats, each emitted once, by its parent.
 
-    ``tops``, ``pivots`` and ``rows`` hold, per flat, the last point of its
-    greedy basis, its pivot columns (F x k) and its echelon rows (F x k x d).
-    Blocks of flats reduce every point at once; the flat F emits the cover
-    F + C of a residue class C only when min(C) > top(F).  Returns the
-    covers with the same three arrays for them.  ValueError once the
-    covers and the ``built`` flats of the earlier grades pass
-    ``FLAT_LIMIT``, checked after each block, so the covers listed never
-    pass it by more than one block's worth.
+    ``tops`` and ``normals`` hold, per flat, the last point of its greedy
+    basis and a basis of its normals (F x c x d, c = d - k).  Blocks of
+    flats compute every point's coordinates at once; the flat F emits the
+    cover F + C of a class C only when min(C) > top(F).  Returns the
+    covers with the same two arrays for them.  ValueError once the covers
+    and the ``built`` flats of the earlier grades pass ``FLAT_LIMIT``,
+    checked after each block, so the covers listed never pass it by more
+    than one block's worth.
+
+    The coordinates N_F . x sum d products, each at most (p - 1)^2, so they
+    are reduced mod p at least every floor((2^63 - p) / (p - 1)^2) terms:
+    a reduced sum below p plus that many products stays below 2^63.  That
+    is at least one term for every prime up to ``_EXACT_PRIME_LIMIT``.
+
+    Let u be the coordinates of x = min(C) scaled to a leading 1 at l, so
+    N_i . x = s u_i for some s != 0.  The rows N_i - u_i N_l, i != l, are
+    c - 1 independent normals of F (they and N_l span F's normals), and
+    each annihilates x, since s u_i - u_i s u_l = 0.  The normals of
+    span(F + C) = span(F) + <x> are those of F that annihilate x, a space
+    of dimension c - 1, so these rows are a basis of it.
     """
     n, d = pts.shape
+    c = normals.shape[1]
     step = max(1, _BLOCK_CELLS // (n * d))
+    terms = ((1 << 63) - p) // (p - 1) ** 2
     covers: list[ElementSet] = []
     parts = []
     for lo in range(0, len(flats), step):
-        piv, ech = pivots[lo : lo + step], rows[lo : lo + step]
-        b = len(piv)
-        res = np.broadcast_to(pts, (b, n, d))
-        for j in range(piv.shape[1]):
-            res = (res - res[np.arange(b), :, piv[:, j]][:, :, None] * ech[:, None, j]) % p
-        own, pt = np.nonzero(res.any(axis=2))
-        res = res[own, pt]
-        lead = res[np.arange(len(res)), (res != 0).argmax(axis=1)]
-        values, which = np.unique(lead, return_inverse=True)
-        inverses = np.array([pow(int(c), -1, p) for c in values], dtype=np.int64)
-        res = res * inverses[which][:, None] % p
-        # The rows arrive by (flat, point) and lexsort is stable, so each
+        block = normals[lo : lo + step]
+        b = len(block)
+        coords = np.zeros((b, n, c), dtype=np.int64)
+        for j in range(0, d, terms):
+            coords += pts[:, j : j + terms] @ block[:, :, j : j + terms].transpose(0, 2, 1)
+            coords %= p
+        coords = coords.reshape(b * n, c)
+        lead = (coords != 0).argmax(axis=1)
+        # Rows inside span F are all zero and stay so, whatever their "inverse".
+        coords *= _inverse(coords[np.arange(b * n), lead], p)[:, None]
+        coords %= p
+        own = np.arange(b * n) // n
+        # The flat index and the c coordinates are the digits of as few keys as fit.
+        keys, key, room = [], own, b
+        for i in range(c):
+            if room * p > 1 << 63:
+                keys.append(key)
+                key, room = coords[:, i], p
+            else:
+                key, room = key * p + coords[:, i], room * p
+        keys.append(key)
+        # The rows arrive by (flat, point) and both sorts are stable, so each
         # class lists its points ascending: its first row holds min(C).
-        order = np.lexsort((*res.T[::-1], own))
-        own, pt, res = own[order] + lo, pt[order], res[order]
-        split = np.ones(len(own), dtype=bool)
-        split[1:] = (own[1:] != own[:-1]) | (res[1:] != res[:-1]).any(axis=1)
-        starts = np.flatnonzero(split)
-        ends = np.append(starts[1:], len(own))
-        keep = pt[starts] > tops[own[starts]]
-        starts, ends = starts[keep], ends[keep]
+        if len(keys) == 1:
+            # numpy sorts 16-bit keys stably by radix, an order faster.
+            order = np.argsort(key.astype(np.uint16) if room <= 1 << 16 else key, kind="stable")
+        else:
+            order = np.lexsort(keys[::-1])
+        change = np.zeros(b * n - 1, dtype=bool)
+        for key in keys:
+            key = key[order]
+            change |= key[1:] != key[:-1]
+        starts = np.flatnonzero(np.concatenate(([True], change)))
+        ends = np.append(starts[1:], b * n)
+        first = order[starts]
+        pt = order % n
+        keep = coords[first].any(axis=1) & (pt[starts] > tops[lo + own[first]])
+        starts, ends, first = starts[keep], ends[keep], first[keep]
+        owner = own[first]
         members = pt.tolist()
-        for f, s, e in zip(own[starts].tolist(), starts.tolist(), ends.tolist()):
-            covers.append(flats[f].union(members[s:e]))
-        if built + len(covers) > FLAT_LIMIT:
-            raise ValueError(f"the configuration has more than {FLAT_LIMIT} flats, the limit")
-        parts.append((own[starts], pt[starts], res[starts]))
-    owner, tops, residues = (np.concatenate(arrays) for arrays in zip(*parts))
-    pivots = np.concatenate([pivots[owner], (residues != 0).argmax(axis=1)[:, None]], axis=1)
-    rows = np.concatenate([rows[owner], residues[:, None]], axis=1)
-    return covers, tops, pivots, rows
+        for f, s, e in zip(owner.tolist(), starts.tolist(), ends.tolist()):
+            covers.append(flats[lo + f].union(members[s:e]))
+        _refuse_past_limit(built + len(covers))
+        parent, u, at = block[owner], coords[first], lead[first]
+        derived = (parent - u[:, :, None] * parent[np.arange(len(first)), at][:, None]) % p
+        derived = derived[np.arange(c) != at[:, None]].reshape(len(first), c - 1, d)
+        parts.append((pt[starts], derived))
+    tops, normals = (np.concatenate(arrays) for arrays in zip(*parts))
+    return covers, tops, normals
 
 
 def matroid_from_points(cfg: PointConfig) -> Matroid:
@@ -184,10 +238,13 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     Grade k holds the rank-k flats; the grading is the span dimension of
     the flat's coordinate vectors.  Grade k + 1 is built from grade k in
     blocks of flats, each cover once, by the flat spanned by all but the
-    last point of its greedy basis (see the module docstring).  Points in
-    general position have a number of flats that grows as a power of
-    their count, so a configuration with more than ``core.FLAT_LIMIT``
-    flats is a ValueError, raised while that many are being listed.
+    last point of its greedy basis (see the module docstring).  A proper
+    flat with one normal is a hyperplane: its quotient is a line, so the
+    ground set is its only cover, and that grade is followed by the top
+    grade with no pass over the points.  Points in general position have
+    a number of flats that grows as a power of their count, so a
+    configuration with more than ``core.FLAT_LIMIT`` flats is a
+    ValueError, raised while that many are being listed.
     """
     n, d, p = len(cfg.points), cfg.dim, cfg.prime
     if p > _EXACT_PRIME_LIMIT:
@@ -195,13 +252,17 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     pts = np.array(cfg.points, dtype=np.int64).reshape(n, d)
     flats: list[ElementSet] = [frozenset()]
     tops = np.array([-1])
-    pivots = np.zeros((1, 0), dtype=np.int64)
-    rows = np.zeros((1, 0, d), dtype=np.int64)
+    normals = np.eye(d, dtype=np.int64)[None]
     grades = [flats]
     built = 1
     # The flats of a grade are incomparable, so the ground set comes alone.
     while len(flats[0]) < n:
-        flats, tops, pivots, rows = _next_grade(pts, p, flats, tops, pivots, rows, built)
+        if normals.shape[1] == 1:
+            # Proper flats with one normal have a 1-dimensional quotient: E covers them.
+            flats = [frozenset(range(n))]
+            _refuse_past_limit(built + 1)
+        else:
+            flats, tops, normals = _next_grade(pts, p, flats, tops, normals, built)
         grades.append(flats)
         built += len(flats)
     return Matroid(n, grades, name=cfg.name)

@@ -546,6 +546,39 @@ def test_generate_usage_errors_exit_2(tmp_path, capsys, argv, message):
     assert not (tmp_path / "never.mat").exists()
 
 
+@pytest.mark.parametrize("kind", [["uniform", "--r", "2", "--n", "4"], ["vamos"]])
+def test_generate_refuses_pts_for_a_kind_without_points(tmp_path, capsys, monkeypatch, kind):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before --pts was refused")
+
+    for name in ("uniform", "vamos"):
+        monkeypatch.setattr(cli.realize, name, unreachable)
+    argv = ["generate", *kind, "-o", str(tmp_path / "never.mat"), "--pts", str(tmp_path / "never.pts")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --pts is only for pg3")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calls_in_one_process_share_a_parser_but_not_options(workdir, capsys):
+    # PG(3,2) has 15 elements, one past the exhaustive limit, so verify samples.
+    path = str(workdir / "pg32.mat")
+    rc, out = run(capsys, ["verify", path, "--seed", "3", "--trials", "7", "--machine"])
+    assert rc == 0 and machine_dict(out)["rank_mode"] == "sampled seed=3 trials=7"
+    parser = cli._parser
+    rc, out = run(capsys, ["verify", path, "--machine"])
+    assert rc == 0 and machine_dict(out)["rank_mode"] == "sampled seed=0 trials=10000"
+    assert cli._parser is parser
+
+
+def test_main_calls_the_verb_bound_at_call_time(workdir, capsys, monkeypatch):
+    main(["analyze", str(workdir / "pg32.mat")])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.path) or 0)
+    assert main(["analyze", "anything.mat"]) == 0
+    assert seen == ["anything.mat"] and capsys.readouterr().out.count("profile") == 1
+
+
 UNWRITABLE_OUTPUTS = [
     (verb, output)
     for verb in ["complete", "extend", "generate", "generate --pts"]

@@ -211,10 +211,66 @@ _PARENT_RULE_CASES = {
 }
 
 
-@pytest.mark.parametrize("cfg", _PARENT_RULE_CASES.values(), ids=_PARENT_RULE_CASES)
+def _near_the_bound() -> PointConfig:
+    """Points with coordinates within 50 of p - 1 after a leading 1, and differences.
+
+    The first three lead at the second coordinate, the next three at the
+    first.  The normals of a line through two of the first hold residues
+    anywhere in the field at two places where the next three hold
+    coordinates near p - 1, so those coordinates sum two products of up
+    to (p - 1)^2 each, past 2^63 for about half the lines.  The difference
+    z - x of such points, with x on the line, lies in the plane of the
+    line and z, but its coordinates sum one such product.
+    """
+    p = 3037000493
+    rng = random.Random(7)
+    lead1 = [(0, 1, *(p - 1 - rng.randrange(51) for _ in range(2))) for _ in range(3)]
+    lead0 = [(1, *(p - 1 - rng.randrange(51) for _ in range(3))) for _ in range(3)]
+    differences = [tuple(a - b for a, b in zip(z, x)) for z in lead0 for x in lead1]
+    return PointConfig(prime=p, dim=4, points=(*lead1, *lead0, *differences))
+
+
+# Flats carry their normals.  The first two configurations span a line and a
+# plane of GF(p)^4, so the ground set arrives while flats have two or more
+# normals; the third sums products near (p - 1)^2, past 2^63 unless reduced
+# after each one; at p = 2 the inverse x^(p - 2) is x^0.
+_NORMAL_CASES = {
+    "rank 2 in dim 4": PointConfig(
+        prime=5,
+        dim=4,
+        points=((1, 2, 3, 4), (0, 1, 1, 2), (1, 3, 4, 1), (1, 4, 0, 3), (0, 2, 2, 4), (2, 4, 1, 3)),
+    ),
+    "rank 3 in dim 4": PointConfig(
+        prime=3,
+        dim=4,
+        points=tuple(v for v in pg_point_list(3) if (v[0] + v[1] - v[3]) % 3 == 0),
+    ),
+    "dependent dim 4 near the exact bound": _near_the_bound(),
+    "p = 2": PointConfig(
+        prime=2,
+        dim=4,
+        points=tuple(v for v in pg_point_list(2) if v[3] == 0) + ((0, 0, 0, 1), (1, 1, 1, 1), (1, 1, 0, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg", [*_PARENT_RULE_CASES.values(), *_NORMAL_CASES.values()], ids=[*_PARENT_RULE_CASES, *_NORMAL_CASES]
+)
 def test_each_flat_is_built_once_from_its_parent(cfg):
     M = matroid_from_points(cfg)
     assert [set(grade) for grade in M.flats_by_rank] == modp_flats(cfg.points, cfg.prime)
+
+
+@pytest.mark.parametrize("limit", [66, 67])
+def test_the_flat_limit_counts_the_top_flat(monkeypatch, limit):
+    # PG(3,2) has 1 + 15 + 35 + 15 + 1 = 67 flats; the last is the ground set.
+    monkeypatch.setattr(realize, "FLAT_LIMIT", limit)
+    if limit < 67:
+        with pytest.raises(ValueError, match="more than 66 flats, the limit"):
+            pg3(2)
+    else:
+        assert profile(pg3(2)).counts == (1, 15, 35, 15, 1)
 
 
 def test_no_points_give_the_empty_matroid():
