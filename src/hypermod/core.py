@@ -12,12 +12,21 @@ flats are mirrored as integer bitmasks, which keeps closure and rank
 queries cheap even for lattices with a few thousand flats: a closure
 ANDs the bits of the flats holding each element, and stops once only
 the top flat is left, which on a spanning set comes after a handful of
-elements.  The constructor also builds the containment order of the
-stored flats once, as bits over flat indices (:func:`_flat_relation`);
-the shape check, :func:`contract`, the pair table and
-:func:`verify_flat_axioms` all read it, the last packed into rows, to
-find the covers of every flat, a block of flats at a time, for the
-cover axiom F2 and the grading.
+elements.  One row builder, :meth:`Matroid._build`, makes every
+matroid but a one-element extension from each grade's flats, given as
+sorted members, mask and frozenset, with their unpacked 0/1 rows: the
+constructor converts its input to those once, and :func:`_minor` and
+:func:`hypermod.realize.matroid_from_points` hand over the masks and
+rows they hold, so no frozenset is turned back into a mask.  It checks
+the shape, sorts each grade by its member lists and builds the
+containment order of the stored flats once, as bits over flat indices
+(:func:`_flat_relation`): the element rows are the columns of the
+unpacked rows, transposed and packed a block at a time, and each
+up-set is the AND of its members' rows.  The shape
+check, :func:`contract`, the pair table and :func:`verify_flat_axioms`
+all read that order, the last packed into rows, to find the covers of
+every flat, a block of flats at a time, for the cover axiom F2 and the
+grading.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.  :func:`is_isomorphic` places elements one at a
@@ -49,8 +58,10 @@ those covers, by size, so that corrupt input files are caught loudly
 instead of silently re-ranked.  Every report lists at most
 ``_VIOLATION_CAP`` witnesses per axiom, with an exact verdict.
 :func:`restrict` and :func:`contract`
-build through one minor builder (:func:`_minor`) that re-indexes the
-kept elements and keeps each flat with the first grade it arrives with:
+build through one minor builder (:func:`_minor`) that keeps each mask
+with the first grade it arrives with, re-indexes the kept elements with
+one column selection, none when they are a prefix, and reads the
+members off the unpacked masks:
 a restriction grades F ∩ S by the first flat that yields it, which is
 cl(F ∩ S) on a valid lattice, so it makes no closure query, and a
 contraction grades L - F by rank drop.  A matroid carries its flat-axiom report once
@@ -74,6 +85,9 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 ElementSet = frozenset[int]
+
+# A flat as the row builder takes it: its members ascending, its mask, itself.
+_Flat = tuple[list[int], int, ElementSet]
 
 # Exhaustive rank verification tabulates the rank of all 2^n subsets when
 # R1 or R3 can fail, and then lists R3 witnesses from all 4^n subset pairs
@@ -162,11 +176,13 @@ class Matroid:
     """A matroid given by its graded flats.
 
     ``flats_by_rank[k]`` holds the rank-``k`` flats.  The constructor
-    canonicalizes order and enforces the cheap shape invariants (dense
-    indices in range, exactly one bottom flat, the top grade is exactly
-    the full ground set, no duplicates, no nesting within a grade).  The
-    lattice axioms themselves are *not* assumed here; run
-    :func:`verify_flat_axioms` on untrusted input.
+    checks that every element is in range, the smallest one out of range
+    being named, converts each flat to its sorted members and mask, and
+    builds through :meth:`_build`, which canonicalizes order and enforces
+    the other cheap shape invariants (exactly one bottom flat, the top
+    grade is exactly the full ground set, no duplicates, no nesting
+    within a grade).  The lattice axioms themselves are *not* assumed
+    here; run :func:`verify_flat_axioms` on untrusted input.
     """
 
     def __init__(
@@ -180,57 +196,103 @@ class Matroid:
         n = int(ground_size)
         if n < 0:
             raise ValueError("ground_size must be nonnegative")
-        grades: list[tuple[ElementSet, ...]] = []
-        seen: set[ElementSet] = set()
-        for k, grade in enumerate(flats_by_rank):
-            flats = [frozenset(f) for f in grade]
-            for f in flats:
-                for e in f:
-                    if not (0 <= e < n):
-                        raise ValueError(f"element {e} out of range for ground size {n}")
-                if f in seen:
-                    raise ValueError(f"duplicate flat {sorted(f)} (grade {k})")
-                seen.add(f)
-            flats.sort(key=flat_key)
-            grades.append(tuple(flats))
+        grades: list[list[_Flat]] = []
+        for grade in flats_by_rank:
+            flats = []
+            for f in map(frozenset, grade):
+                members = sorted(f)
+                if members and (members[0] < 0 or members[-1] >= n):
+                    e = next(e for e in members if not 0 <= e < n)
+                    raise ValueError(f"element {e} out of range for ground size {n}")
+                flats.append((members, _mask_of(members), f))
+            grades.append(flats)
+        bits = _unpacked([mask for grade in grades for _, mask, _ in grade], n)
+        self._build(n, grades, bits, name=name, element_map=element_map)
+
+    def _build(
+        self,
+        n: int,
+        grades: list[list[_Flat]],
+        bits: np.ndarray,
+        *,
+        name: str | None = None,
+        element_map: tuple[int, ...] | None = None,
+    ) -> "Matroid":
+        """Build this matroid on ``0..n-1`` from each grade's flats, and return it.
+
+        ``grades[k]`` lists the grade-k flats as ``(members, mask, flat)``:
+        the members ascending and below ``n``, their bitmask, and the flat
+        as the frozenset that ``flats_by_rank`` will hold.  ``bits`` holds
+        the same flats unpacked, one row of ``n`` 0/1 bytes per flat, in
+        the order they are listed, grade by grade.  Every caller hands over
+        what it holds: the constructor its input flats, converted, and so
+        parsing too; :func:`_minor` its masks with their unpacked rows; and
+        :func:`hypermod.realize.matroid_from_points` the flats it lists
+        with their rows over the points.
+
+        The shape is checked, in this order, each refusal a ValueError: a
+        flat listed twice, no grade, a top grade other than the ground
+        set alone, a bottom grade of more or fewer than one flat, and two
+        nested flats of one grade.  No flat axiom is assumed, so the rows
+        are exact on any family that passes.  Each grade is sorted by its
+        member lists, and every attribute is set by :meth:`_set_rows`,
+        with the rows of :func:`_flat_relation`.
+        """
+        seen: set[int] = set()
+        for k, grade in enumerate(grades):
+            for members, mask, _ in grade:
+                if mask in seen:
+                    raise ValueError(f"duplicate flat {members} (grade {k})")
+                seen.add(mask)
         if not grades:
             raise ValueError("at least one grade is required")
-        full = frozenset(range(n))
-        if grades[-1] != (full,):
+        if len(grades[-1]) != 1 or grades[-1][0][1] != (1 << n) - 1:
             raise ValueError("top grade must contain exactly the full ground set")
         if len(grades[0]) != 1:
             raise ValueError("grade 0 must contain exactly one flat")
 
-        self._set_rows(n, tuple(grades), name=name, element_map=element_map)
+        flats = [flat for grade in grades for flat in grade]
+        # Canonical order: grade ascending, member lists ascending inside a grade.
+        order: list[int] = []
+        starts = [0]
+        for grade in grades:
+            a = starts[-1]
+            starts.append(a + len(grade))
+            order.extend(sorted(range(a, starts[-1]), key=flats.__getitem__))
+        members, masks, flat_list = map(list, zip(*[flats[i] for i in order]))
+        self._set_rows(
+            n,
+            tuple(tuple(flat_list[a:b]) for a, b in itertools.pairwise(starts)),
+            (masks, *_flat_relation(members, bits, order)),
+            name=name,
+            element_map=element_map,
+        )
         # A flat inside another of its own grade breaks the shape.  One inside
         # a flat of lower grade is left to verify_flat_axioms.
-        flat_list, grade_of = self._flat_list, self._grade_of_index
-        starts = self._grade_starts
-        for i, up in enumerate(self._sup_bits):
-            k = grade_of[i]
-            a, b = starts[k], starts[k + 1]
-            peers = ((up >> a) & ((1 << (b - a)) - 1)) ^ (1 << (i - a))
+        spans = [(1 << b) - (1 << a) for a, b in itertools.pairwise(starts)]
+        for i, (up, k) in enumerate(zip(self._sup_bits, self._grade_of_index)):
+            peers = up & spans[k] ^ 1 << i
             if peers:
                 raise ValueError(
                     f"grade {k} flats must be pairwise incomparable: "
-                    f"{sorted(flat_list[i])} vs {sorted(flat_list[a + _lsb_index(peers)])}"
+                    f"{members[i]} vs {members[_lsb_index(peers)]}"
                 )
+        return self
 
     def _set_rows(
         self,
         n: int,
         grades: tuple[tuple[ElementSet, ...], ...],
-        rows: tuple[list[int], list[int], list[int]] | None = None,
+        rows: tuple[list[int], list[int], list[int]],
         *,
         name: str | None = None,
         element_map: tuple[int, ...] | None = None,
     ) -> None:
-        """Set every attribute from canonical ``grades`` and, if given, their rows.
+        """Set every attribute from canonical ``grades`` and their rows.
 
         ``rows`` is ``(masks, elem_flatbits, sup_bits)`` in the global flat
-        order; without it they are computed from the flats.  The only
-        setter of a matroid's attributes, for the constructor and for
-        :func:`_extension`.
+        order.  The only setter of a matroid's attributes, for
+        :meth:`_build` and for :func:`_extension`.
         """
         self.ground_size = n
         self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = grades
@@ -243,8 +305,6 @@ class Matroid:
         for k, grade in enumerate(grades):
             flat_list.extend(grade)
             grade_of.extend([k] * len(grade))
-        if rows is None:
-            rows = ([_mask_of(f) for f in flat_list], *_flat_relation(n, flat_list))
         self._flat_list = flat_list
         self._flat_masks, self._elem_flatbits, self._sup_bits = rows
         self._grade_of_index = grade_of
@@ -336,19 +396,25 @@ class Matroid:
         return tuple(starts)
 
 
-def _flat_relation(n: int, members: list[Iterable[int]]) -> tuple[list[int], list[int]]:
-    """Element and containment bits of a family of subsets of ``0..n-1``, given by their members.
+def _flat_relation(
+    members: list[list[int]], bits: np.ndarray, order: list[int]
+) -> tuple[list[int], list[int]]:
+    """Element and containment bits of a family of subsets of ``0..n-1``.
 
-    Bit i of ``elem_bits[e]`` says that set i holds element e.  Bit j of
-    ``sup_bits[i]`` says that set i lies inside set j, itself included:
-    the AND of ``elem_bits`` over the elements of set i, exact for any
-    family, lattice or not.
+    Set i has the members ``members[i]`` and the row ``bits[order[i]]``,
+    one 0/1 byte per element.  Bit i of ``elem_bits[e]`` says that set i
+    holds element e: column e of those rows, packed.  The columns are
+    gathered, transposed and packed a block of about ``_BLOCK_BYTES`` at
+    a time.  Bit j of ``sup_bits[i]`` says that set i lies inside set j,
+    itself included: the AND of ``elem_bits`` over the members of set i,
+    exact for any family, lattice or not.
     """
-    elem_bits = [0] * n
-    for i, elems in enumerate(members):
-        bit = 1 << i
-        for e in elems:
-            elem_bits[e] |= bit
+    rows = np.asarray(order)
+    step = max(1, _BLOCK_BYTES // len(rows))
+    elem_bits: list[int] = []
+    for e0 in range(0, bits.shape[1], step):
+        columns = np.ascontiguousarray(bits[rows, e0 : e0 + step].T)
+        elem_bits += _ints(np.packbits(columns, axis=1, bitorder="little"))
     everything = (1 << len(members)) - 1
     sup_bits = []
     for elems in members:
@@ -417,6 +483,26 @@ def _packed(ints: list[int], bits: int) -> np.ndarray:
         block = ints[k : k + step]
         raw[k * width : (k + len(block)) * width] = b"".join(m.to_bytes(width, "little") for m in block)
     return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width // 8)
+
+
+def _unpacked(masks: list[int], bits: int) -> np.ndarray:
+    """Nonnegative ints below ``2**bits`` as rows of ``bits`` 0/1 bytes, bit e in column e."""
+    words = _packed(masks, max(1, bits)).view(np.uint8)
+    return np.unpackbits(words, axis=1, count=bits, bitorder="little")
+
+
+def _members(rows: np.ndarray) -> list[list[int]]:
+    """The columns set in each row of 0/1 rows, ascending, read off one ``np.flatnonzero``."""
+    r, c = np.divmod(np.flatnonzero(rows.view(bool)), max(1, rows.shape[1]))
+    ends = np.cumsum(np.bincount(r, minlength=len(rows))).tolist()
+    c = c.tolist()
+    return [c[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _ints(rows: np.ndarray) -> list[int]:
+    """Rows of little-endian bytes as ints, one per row."""
+    raw, width = rows.tobytes(), rows.shape[1]
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, width * len(rows), width)]
 
 
 def _meet_index(M: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1021,22 +1107,32 @@ def _exhaustive_rank_violations(M: Matroid, r3_fails: bool) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-def _minor(ground: int, graded: Iterable[tuple[int, int]]) -> Matroid:
+def _minor(ground: int, masks: list[int], ranks: list[int]) -> Matroid:
     """The matroid on the elements of the mask ``ground``, re-indexed densely in order.
 
-    Its flats are the masks of ``graded``, a stream of ``(mask, grade)``
-    pairs inside ``ground``, each kept with the first grade it arrives
-    with.  ``element_map`` records the original element of each new index.
+    Its flats are ``masks``, all inside ``ground``, each with the grade
+    ``ranks`` gives its first occurrence.  The kept masks are unpacked
+    once, grade by grade, and the rows go to :meth:`Matroid._build` with
+    them.  When the kept elements are a prefix, the masks already index
+    them; otherwise their columns are selected once and the new masks
+    packed from them.  Every flat's members are read off one
+    ``np.flatnonzero``.  ``element_map`` records the original element of
+    each new index.
     """
-    elems = _bits(ground)
-    reindex = {old: new for new, old in enumerate(elems)}
-    first: dict[int, int] = {}
-    for mask, grade in graded:
-        first.setdefault(mask, grade)
-    grades: list[list[ElementSet]] = [[] for _ in range(max(first.values()) + 1)]
+    first = dict(zip(reversed(masks), reversed(ranks)))  # the earliest occurrence is set last
+    by_grade: list[list[int]] = [[] for _ in range(max(first.values()) + 1)]
     for mask, grade in first.items():
-        grades[grade].append(frozenset([reindex[e] for e in _bits(mask)]))
-    return Matroid(len(elems), grades, element_map=tuple(elems))
+        by_grade[grade].append(mask)
+    kept = [mask for grade in by_grade for mask in grade]
+    elems = _bits(ground)
+    bits = _unpacked(kept, ground.bit_length())
+    if ground & (ground + 1):
+        bits = bits[:, elems]
+        kept = _ints(np.packbits(bits, axis=1, bitorder="little"))
+    members = _members(bits)
+    flats = zip(members, kept, map(frozenset, members))
+    grades = [list(itertools.islice(flats, len(grade))) for grade in by_grade]
+    return Matroid.__new__(Matroid)._build(len(elems), grades, bits, element_map=tuple(elems))
 
 
 def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
@@ -1053,12 +1149,15 @@ def restrict(M: Matroid, subset: Iterable[int]) -> Matroid:
     a longest-chain length of the restriction.  M must pass the flat
     axioms; an invalid lattice may be graded differently, or refused by
     the constructor.  The returned matroid records which original element
-    each new index came from in ``element_map``.
+    each new index came from in ``element_map``.  The masks F ∩ S go to
+    :func:`_minor` as they are; a restriction to ``range(m)``, such as
+    the round trip of :func:`hypermod.extension.extend_once`, keeps a
+    prefix and re-indexes nothing.
     """
     mask = M._subset_mask(subset)
     if mask == 0:
         raise ValueError("cannot restrict to the empty set")
-    return _minor(mask, zip([fm & mask for fm in M._flat_masks], M._grade_of_index))
+    return _minor(mask, [fm & mask for fm in M._flat_masks], M._grade_of_index)
 
 
 def delete(M: Matroid, removed: Iterable[int]) -> Matroid:
@@ -1077,14 +1176,20 @@ def contract(M: Matroid, flat: Iterable[int]) -> Matroid:
     the rank drop ``r(L) - r(F)`` and built as :func:`restrict` builds
     its flats; distinct flats above F leave distinct differences.  The
     returned matroid records which original element each new index came
-    from in ``element_map``: the complement of F, in order.
+    from in ``element_map``: the complement of F, in order.  A flat L of
+    lower grade than F, which only a family that fails the flat axioms
+    has, has no rank drop, and is refused.
     """
     idx = M._flat_index(flat)
     fmask, base = M._flat_masks[idx], M._grade_of_index[idx]
-    graded = (
-        (M._flat_masks[j] & ~fmask, M._grade_of_index[j] - base) for j in _bits(M._sup_bits[idx])
-    )
-    return _minor(_ground_mask(M) & ~fmask, graded)
+    above = _bits(M._sup_bits[idx])
+    drops = [M._grade_of_index[j] - base for j in above]
+    lower = [j for j, drop in zip(above, drops) if drop < 0]
+    if lower:
+        inner, outer = sorted(M._flat_list[idx]), sorted(M._flat_list[lower[0]])
+        raise ValueError(f"{inner} lies inside {outer}, a flat of lower grade")
+    masks = [M._flat_masks[j] & ~fmask for j in above]
+    return _minor(_ground_mask(M) & ~fmask, masks, drops)
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,12 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
         if not (0 <= k <= rank):
             raise ParseError(f"grade {k} out of range 0..{rank}", lineno)
         try:
-            members = frozenset(int(tok) for tok in rest.split())
+            members = frozenset(map(int, rest.split()))
         except ValueError:
             raise ParseError(f"bad element list {rest.strip()!r}", lineno) from None
-        for e in members:
-            if not (0 <= e < ground):
-                raise ParseError(f"element {e} out of range for ground {ground}", lineno)
+        if members and (min(members) < 0 or max(members) >= ground):
+            e = next(e for e in members if not 0 <= e < ground)
+            raise ParseError(f"element {e} out of range for ground {ground}", lineno)
         by_grade.setdefault(k, []).append(members)
         count += 1
 

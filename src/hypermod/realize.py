@@ -17,6 +17,9 @@ every flat of the block in one accumulation, scale them to a leading 1
 with one vectorized inverse x^(p - 2), and sort the rows by (flat,
 coordinates), packed into as few int64 keys as fit, once; each run of
 equal rows is one class, and its first row holds its smallest point.
+A cover's row over the points marks the points of zero coordinates,
+its parent's, and its class; one ``np.flatnonzero`` over a grade's rows
+gives every member list, and the rows go to the row builder with them.
 A flat with one normal is a hyperplane, whose only cover is the ground
 set, so the top grade takes no pass.
 
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, FLAT_LIMIT, ElementSet, Matroid
+from .core import _BLOCK_CELLS, FLAT_LIMIT, ElementSet, Matroid, _Flat, _ints, _members
 
 
 # Miller-Rabin with every prime base up to 41 decides primality exactly
@@ -146,21 +149,21 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
 def _next_grade(
     pts: np.ndarray,
     p: int,
-    flats: list[ElementSet],
     tops: np.ndarray,
     normals: np.ndarray,
     built: int,
-) -> tuple[list[ElementSet], np.ndarray, np.ndarray]:
+) -> tuple[list[_Flat], np.ndarray, np.ndarray, np.ndarray]:
     """Every cover of one grade's flats, each emitted once, by its parent.
 
     ``tops`` and ``normals`` hold, per flat, the last point of its greedy
     basis and a basis of its normals (F x c x d, c = d - k).  Blocks of
     flats compute every point's coordinates at once; the flat F emits the
     cover F + C of a class C only when min(C) > top(F).  Returns the
-    covers with the same two arrays for them.  ValueError once the covers
-    and the ``built`` flats of the earlier grades pass ``FLAT_LIMIT``,
-    checked after each block, so the covers listed never pass it by more
-    than one block's worth.
+    covers, each as its sorted members, mask and frozenset, their 0/1 rows
+    over the points, and the same two arrays for them.  ValueError once
+    the covers and the ``built`` flats of the earlier grades pass
+    ``FLAT_LIMIT``, checked after each block, so the covers listed never
+    pass it by more than one block's worth.
 
     The coordinates N_F . x sum d products, each at most (p - 1)^2, so they
     are reduced mod p at least every floor((2^63 - p) / (p - 1)^2) terms:
@@ -178,9 +181,9 @@ def _next_grade(
     c = normals.shape[1]
     step = max(1, _BLOCK_CELLS // (n * d))
     terms = ((1 << 63) - p) // (p - 1) ** 2
-    covers: list[ElementSet] = []
-    parts = []
-    for lo in range(0, len(flats), step):
+    rows, parts = [], []
+    count = 0
+    for lo in range(0, len(normals), step):
         block = normals[lo : lo + step]
         b = len(block)
         coords = np.zeros((b, n, c), dtype=np.int64)
@@ -189,8 +192,9 @@ def _next_grade(
             coords %= p
         coords = coords.reshape(b * n, c)
         lead = (coords != 0).argmax(axis=1)
+        pivot = coords[np.arange(b * n), lead]
         # Rows inside span F are all zero and stay so, whatever their "inverse".
-        coords *= _inverse(coords[np.arange(b * n), lead], p)[:, None]
+        coords *= _inverse(pivot, p)[:, None]
         coords %= p
         own = np.arange(b * n) // n
         # The flat index and the c coordinates are the digits of as few keys as fit.
@@ -220,16 +224,23 @@ def _next_grade(
         keep = coords[first].any(axis=1) & (pt[starts] > tops[lo + own[first]])
         starts, ends, first = starts[keep], ends[keep], first[keep]
         owner = own[first]
-        members = pt.tolist()
-        for f, s, e in zip(owner.tolist(), starts.tolist(), ends.tolist()):
-            covers.append(flats[lo + f].union(members[s:e]))
-        _refuse_past_limit(built + len(covers))
+        # A cover's row: the points inside its parent's span, then its class.
+        held = (pivot == 0).reshape(b, n)[owner]
+        sizes = ends - starts
+        at = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        held[np.repeat(np.arange(len(owner)), sizes), pt[at]] = True
+        rows.append(held)
+        count += len(owner)
+        _refuse_past_limit(built + count)
         parent, u, at = block[owner], coords[first], lead[first]
         derived = (parent - u[:, :, None] * parent[np.arange(len(first)), at][:, None]) % p
         derived = derived[np.arange(c) != at[:, None]].reshape(len(first), c - 1, d)
         parts.append((pt[starts], derived))
+    held = np.concatenate(rows)
+    members = _members(held)
+    masks = _ints(np.packbits(held, axis=1, bitorder="little"))
     tops, normals = (np.concatenate(arrays) for arrays in zip(*parts))
-    return covers, tops, normals
+    return list(zip(members, masks, map(frozenset, members))), held, tops, normals
 
 
 def matroid_from_points(cfg: PointConfig) -> Matroid:
@@ -244,28 +255,33 @@ def matroid_from_points(cfg: PointConfig) -> Matroid:
     grade with no pass over the points.  Points in general position have
     a number of flats that grows as a power of their count, so a
     configuration with more than ``core.FLAT_LIMIT`` flats is a
-    ValueError, raised while that many are being listed.
+    ValueError, raised while that many are being listed.  Each flat is
+    listed as its sorted members, mask and frozenset, which go to the
+    row builder (``core.Matroid._build``) as they are, with every flat's
+    0/1 row over the points.
     """
     n, d, p = len(cfg.points), cfg.dim, cfg.prime
     if p > _EXACT_PRIME_LIMIT:
         raise ValueError(f"field order {p} exceeds {_EXACT_PRIME_LIMIT}, the int64-exact bound")
     pts = np.array(cfg.points, dtype=np.int64).reshape(n, d)
-    flats: list[ElementSet] = [frozenset()]
+    flats: list[_Flat] = [([], 0, frozenset())]
     tops = np.array([-1])
     normals = np.eye(d, dtype=np.int64)[None]
-    grades = [flats]
+    grades, rows = [flats], [np.zeros((1, n), dtype=bool)]
     built = 1
     # The flats of a grade are incomparable, so the ground set comes alone.
-    while len(flats[0]) < n:
+    while len(flats[0][0]) < n:
         if normals.shape[1] == 1:
             # Proper flats with one normal have a 1-dimensional quotient: E covers them.
-            flats = [frozenset(range(n))]
+            flats = [(list(range(n)), (1 << n) - 1, frozenset(range(n)))]
+            held = np.ones((1, n), dtype=bool)
             _refuse_past_limit(built + 1)
         else:
-            flats, tops, normals = _next_grade(pts, p, flats, tops, normals, built)
+            flats, held, tops, normals = _next_grade(pts, p, tops, normals, built)
         grades.append(flats)
+        rows.append(held)
         built += len(flats)
-    return Matroid(n, grades, name=cfg.name)
+    return Matroid.__new__(Matroid)._build(n, grades, np.concatenate(rows), name=cfg.name)
 
 
 def pg3_points(q: int) -> PointConfig:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -88,6 +89,12 @@ def direct_sum_u12():
 def loop_fixture():
     # Rank 1 on three elements: 2 is a loop, 0 and 1 are parallel.
     return Matroid(3, [[{2}], [{0, 1, 2}]])
+
+
+@pytest.fixture(scope="session")
+def looped_u44():
+    # U(4,4) plus a loop: rank 4, but not loopless.
+    return Matroid(5, [[{4} | set(c) for c in itertools.combinations(range(4), k)] for k in range(5)])
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,15 @@ def test_classify(pg32, del32):
         classify(uniform(3, 4))
 
 
+def test_arrangement_refuses_a_matroid_with_a_loop(looped_u44):
+    with pytest.raises(ValueError) as error:
+        classify(looped_u44)
+    assert str(error.value) == "classification requires a loopless matroid"
+    with pytest.raises(ValueError) as error:
+        check_line_connectivity(looped_u44)
+    assert str(error.value) == "line connectivity requires a loopless matroid"
+
+
 def test_subspace_census(pg32):
     census = subspace_census(uniform(3, 4))
     assert {d: len(fs) for d, fs in census.items()} == {2: 1, 1: 4, 0: 6}

@@ -229,6 +229,14 @@ def test_extend_bad_flag(workdir, capsys):
     assert rc == 2
 
 
+def test_extend_refuses_a_bad_element_list(workdir, capsys):
+    rc = main(["extend", str(workdir / "pg32m0.mat"), "--f", "0 x", "--l", "1,2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: bad element list '0 x'\n"
+    assert captured.out == ""
+
+
 def test_extend_outside_the_theory_is_a_usage_error(tmp_path, capsys):
     # rank 3, and rank 4 but not hypermodular
     for name, M in (("u35", uniform(3, 5)), ("vamos", vamos())):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     pg_point_list,
     uniform_rank,
 )
+from test_modularity import _corrupt_or_mutated, _small_families
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +62,22 @@ def test_constructor_rejects_bad_shapes():
         Matroid(2, [[frozenset()], [{0}, {0}], [{0, 1}]])
     with pytest.raises(ValueError, match="incomparable"):
         Matroid(3, [[frozenset()], [{0}, {0, 1}], [{0, 1, 2}]])
+
+
+@pytest.mark.parametrize(
+    "n, grades, message",
+    [
+        (-1, [[()]], "ground_size must be nonnegative"),
+        (2, [], "at least one grade is required"),
+        # Of two elements out of range, the smallest is named.
+        (2, [[()], [{9, 5}], [{0, 1}]], "element 5 out of range for ground size 2"),
+        (2, [[()], [{1, -3, 7}], [{0, 1}]], "element -3 out of range for ground size 2"),
+    ],
+)
+def test_constructor_refusals_name_their_cause(n, grades, message):
+    with pytest.raises(ValueError) as refused:
+        Matroid(n, grades)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +342,89 @@ def test_minors_make_no_closure_query(monkeypatch, pg33):
     for grade in pg33.flats_by_rank:
         contract(pg33, grade[0])
     assert not calls
+
+
+def _first_grade_family(ground: frozenset[int], graded) -> tuple[int, list, tuple[int, ...]]:
+    """A minor's flats by definition: each set of ``graded`` re-indexed into ``ground``.
+
+    ``graded`` lists ``(subset of ground, grade)`` pairs; a set listed
+    twice keeps the grade it is first listed with.  Returns the ground
+    size, the grades and the element map that the constructor takes.
+    """
+    elems = tuple(sorted(ground))
+    first: dict[frozenset[int], int] = {}
+    for subset, grade in graded:
+        first.setdefault(subset, grade)
+    grades: list[list[list[int]]] = [[] for _ in range(max(first.values()) + 1)]
+    for subset, grade in first.items():
+        grades[grade].append([i for i, e in enumerate(elems) if e in subset])
+    return len(elems), grades, elems
+
+
+def _assert_minor_is_the_family(minor, family, constructor_rows):
+    """``minor()`` refuses the family as the constructor does, or builds it with exact rows.
+
+    The rows are checked against the constructor and, since the
+    constructor shares their builder, against the oracles: the up-sets
+    are ``brute_containment``, each element row lists the flats holding
+    the element, and each grade is an antichain.
+    """
+    n, grades, elems = family
+    try:
+        expected = Matroid(n, grades, element_map=elems)
+    except ValueError as error:
+        event("refused")
+        with pytest.raises(ValueError) as refused:
+            minor()
+        assert str(refused.value) == str(error)
+        return
+    N = minor()
+    assert N == expected and N.element_map == elems
+    constructor_rows(N)
+    flats = N._flat_list
+    assert N._sup_bits == brute_containment(N)
+    assert N._elem_flatbits == [
+        sum(1 << i for i, f in enumerate(flats) if e in f) for e in range(N.ground_size)
+    ]
+    assert all(not f < g for grade in N.flats_by_rank for f in grade for g in grade)
+
+
+@functools.cache
+def _accepted_families(pg32, vamos_m):
+    fano = restrict(pg32, pg32.flats_by_rank[3][0])
+    zoo = [fano, vamos_m, uniform(3, 6), uniform(4, 7)]
+    return st.one_of(_small_families(), _corrupt_or_mutated(pg32, vamos_m), st.sampled_from(zoo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_restriction_of_any_accepted_family_is_its_first_grade_family(
+    pg32, vamos_m, constructor_rows, data
+):
+    M = data.draw(_accepted_families(pg32, vamos_m))
+    subset = data.draw(st.sets(st.integers(0, M.ground_size - 1), min_size=1))
+    event("prefix" if subset == set(range(len(subset))) else "columns selected")
+    graded = [(f & subset, k) for k, grade in enumerate(M.flats_by_rank) for f in grade]
+    family = _first_grade_family(frozenset(subset), graded)
+    _assert_minor_is_the_family(lambda: restrict(M, subset), family, constructor_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_contraction_of_any_accepted_family_is_its_rank_drop_family(
+    pg32, vamos_m, constructor_rows, data
+):
+    M = data.draw(_accepted_families(pg32, vamos_m))
+    graded = [(f, k) for k, grade in enumerate(M.flats_by_rank) for f in grade]
+    F, k = data.draw(st.sampled_from(graded))
+    above = [(L, j) for L, j in graded if F <= L]
+    if any(j < k for _, j in above):
+        event("a flat above F has a lower grade")
+        with pytest.raises(ValueError, match="a flat of lower grade"):
+            contract(M, F)
+        return
+    family = _first_grade_family(M.ground_set - F, [(L - F, j - k) for L, j in above])
+    _assert_minor_is_the_family(lambda: contract(M, F), family, constructor_rows)
 
 
 def test_contract_rank1_of_hypermodular_is_modular(pg32, del32):

@@ -517,6 +517,18 @@ def test_extension_refuses_input_that_is_not_hypermodular(pg33):
         assert str(error.value) == "extension requires a hypermodular matroid"
 
 
+def test_extension_refuses_a_matroid_with_a_loop(looped_u44):
+    M = looped_u44
+    for step in (
+        lambda: build_context(M, flats_of_rank(M, 3)[0], flats_of_rank(M, 2)[0]),
+        lambda: first_extendable_flag(M),
+        lambda: complete_to_modular(M),
+    ):
+        with pytest.raises(ValueError) as error:
+            step()
+        assert str(error.value) == "extension requires a loopless matroid"
+
+
 def test_extension_refuses_input_that_fails_the_flat_axioms(del32):
     # PG(3,2)∖{0} with one plane left out fails F2.  Parsed unverified, 8 of
     # the 15 such lattices still have an extendable flag (the other 7 leave

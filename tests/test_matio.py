@@ -100,6 +100,20 @@ def test_serialize_of_parse_canonicalizes():
     assert serialize_matroid(again.matroid, name=again.name) == U23_DOC
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("matroid m\nground -1\nrank 1\n", "ground and rank must be nonnegative"),
+        ("matroid m\nground 2\nrank -1\n", "ground and rank must be nonnegative"),
+        ("matroid m\nground 1\nrank 1\nflat 1: 0\n", "missing the rank-0 flat"),
+    ],
+)
+def test_parse_refusals_without_a_line(text, message):
+    with pytest.raises(ParseError) as refused:
+        parse_matroid(text)
+    assert str(refused.value) == message and refused.value.line is None
+
+
 def test_parse_errors():
     with pytest.raises(ParseError, match="missing 'matroid'"):
         parse_matroid("")
