@@ -191,7 +191,7 @@ def cmd_analyze(args) -> int:
     report = total_modular_defect(M)
     rep.add("total_defect", report.total)
     if M.rank == 4 and M.is_loopless:
-        rep.add("disjoint_flags", len(report.disjoint_flags))
+        rep.add("disjoint_flags", report.flag_count)
     else:
         rep.add("disjoint_flags", "n/a")
     rep.emit()

@@ -70,8 +70,8 @@ of a loopless matroid, whose axioms hold iff a check on its modular cut,
 the parent's flats that gain the new element, passes
 (:func:`_extension_passes_flat_axioms`), carries a passing one from the
 start; its rows are built from its parent's and that cut, with no call
-to the constructor (:func:`_extension`), and its defects are read off
-its parent's report and that cut, so it builds no pair table.
+to the constructor (:func:`_extension`), and its defects are counted
+off its own incidences, so it builds no pair table.
 """
 
 from __future__ import annotations

@@ -22,19 +22,19 @@ the *cut*, fix the extension (a modular cut, Crapo 1965).  Given its
 parent's flat axioms, the new lattice passes them exactly when a check
 on the cut passes (:func:`hypermod.core._extension_passes_flat_axioms`),
 and the full check runs only to name a refusal; a passing extension's
-rows are built from its parent's and the cut.  Its defect report is
-read off its parent's: each pair keeps its defect, but a pair of cut
-flats whose meet is outside the cut loses one, and the disjoint flags
-are the parent's less those of two cut flats
-(:func:`hypermod.modularity._extension_report`).  So no defect grows
-and the extension stays hypermodular, and :func:`extend_once` proves
-that the total strictly drops rather than re-checking it.  Only the
-first matroid of a completion has its flat axioms checked and its
-defect report computed: over the pair table, or off incidences when it
-already carries a passing flat report, as a parsed input does.
-:func:`first_extendable_flag` picks the first flag whose criterion
-holds, and :func:`complete_to_modular` repeats the step until no
-disjoint flag is left.
+rows are built from its parent's and the cut, and it carries its
+passing flat report.  So its total defect, flag count and
+hypermodularity verdict are counted off its own incidences, as a parsed
+input's are (:func:`hypermod.modularity.total_modular_defect`), and its
+positive pairs and disjoint flags are listed only if a caller reads
+them.  No defect grows, so the extension stays hypermodular, and
+:func:`extend_once` proves that the total strictly drops.  Only the
+first matroid of a completion has its flat axioms checked (a parsed
+input when it was parsed, a built one by the first step), and only a
+built first matroid's defect report is scanned over the pair table.
+:func:`first_extendable_flag` walks the flags plane by plane and stops
+at the first whose criterion holds, and :func:`complete_to_modular`
+repeats the step until no disjoint flag is left.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .core import (
     restrict,
     verify_flat_axioms,
 )
-from .modularity import _extension_report, is_hypermodular, total_modular_defect
+from .modularity import _walk_flags, is_hypermodular, total_modular_defect
 
 
 class InternalConsistencyError(RuntimeError):
@@ -328,10 +328,17 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
     and the cut (:func:`hypermod.core._extension`); when it fails, the
     constructor builds N and the full check on it names the first
     violation.  ``enlarged`` lists the input's flats that gained m, the
-    cut less the top flat.  N's defect report is read off the input's
-    report and the cut and cached on N for the next step, as are its
-    passing flat report and, since no defect grows, its hypermodularity
-    witness None.
+    cut less the top flat.  N keeps its passing flat report, so its
+    defect report, cached on N for the next step, is counted off its own
+    incidences and lists nothing.
+
+    No defect grows.  The images of M's flats keep their grades and
+    containments, and the cut is up-closed, so the join of two images is
+    the image of their join, and so is their meet G, unless both are cut
+    flats and G is not: then their meet in N holds m and no image of a
+    cut flat, so it is {m} and G is ∅, and the pair loses one.  {m}, a
+    point, has defect zero with every flat.  So N is hypermodular when M
+    is.
 
     The total modular defect strictly drops.  F1 in N makes the cut lines
     pairwise disjoint, since two cut lines meeting at p would make {p, m}
@@ -386,20 +393,21 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
         new_element=m,
         enlarged=tuple(sorted((flats[i] for i in cut[:-1]), key=flat_key)),
         defect_before=total_modular_defect(M).total,
-        defect_after=_extension_report(M, extended, cut).total,
+        defect_after=total_modular_defect(extended).total,
     )
 
 
 def first_extendable_flag(M: Matroid) -> ExtensionContext | tuple[FlagFailure, ...]:
     """The context of the first disjoint flag whose criterion holds.
 
-    Flags are tried in canonical order.  If none passes, the result is
-    one :class:`FlagFailure` per flag instead; it is empty exactly when
-    the matroid has no disjoint flag, that is, when it is modular.
+    Flags are walked in canonical order, plane by plane, and the walk
+    stops at the first that passes.  If none passes, the result is one
+    :class:`FlagFailure` per flag instead; it is empty exactly when the
+    matroid has no disjoint flag, that is, when it is modular.
     """
     _require_extendable(M)
     failures = []
-    for f3, f2 in total_modular_defect(M).disjoint_flags:
+    for f3, f2 in _walk_flags(M):
         ctx = build_context(M, f3, f2)
         verdict = criterion_holds(M, ctx)
         if verdict.holds:

@@ -10,50 +10,101 @@ enumerates and the extension machinery repairs.
 
 Defects are defined only between flats; close arbitrary sets first.
 
-Two paths list a matroid's positive pairs.  The pair table of
+Two paths give a matroid's defect report.  The pair table of
 :mod:`hypermod.core` meets every flat with every other; it is exact on
 any family the constructor accepts, lattice or not, of any rank, and it
 is the reference the tests hold the other path to.  A loopless rank-4
 matroid that already carries a passing flat report, stored by parsing,
 by :func:`hypermod.core.verify_flat_axioms` or by
 :func:`hypermod.extension.extend_once`, is the lattice of flats of a
-matroid, so its positive pairs are of three kinds only
-(:func:`total_modular_defect`).  Its report and its hypermodularity
-witness are read off plane–line incidences (:func:`_incidence_report`)
-at a cost that follows the output.  That second path earns its lines
-because such a matroid is the input of a parsed completion, the paper's
-headline operation, where the all-pairs scan was the largest cost: on
-PG(3,5) less two points it visits 627 000 pairs to find 2 480.  No
-report is computed to take it.
-
-The report of a one-element extension is not scanned: given the modular
-cut that fixes it, its defects are its parent's, less one on each pair
-of cut flats whose meet is outside the cut, and its disjoint flags are
-its parent's, less those of two cut flats (:func:`_extension_report`).
+matroid, so its positive pairs are of three kinds only, and their
+numbers follow from point, line and plane incidence counts
+(:func:`total_modular_defect`).  Its total, its flag count and its
+hypermodularity verdict are counted off the up-set rows; its positive
+pairs (:func:`_incidence_pairs`) and its disjoint flags
+(:func:`_walk_flags`) are listed off incidences only when a caller reads
+them, and a witness of a matroid that is not hypermodular is the first
+pair of planes sharing no line (:func:`_first_apart_planes`).  That
+second path earns its lines because such matroids are what a completion
+visits: a parsed input, and every extension, which carries its passing
+flat report.  On PG(3,5) less two points the pair table visits 627 000
+pairs to find 2 480; the counts read the up-set rows of its 960 points
+and lines.  No report is computed to take it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import FrozenInstanceError
+from functools import cached_property
+from types import SimpleNamespace
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .core import ElementSet, Matroid, _bits, _defect_block, _defect_by_index, _upper_cells, pair_key
-from .core import _has_passing_flat_report, _lsb_index
+from .core import _BLOCK_BYTES, _has_passing_flat_report, _unpacked
 
 
-@dataclass(frozen=True)
 class DefectReport:
     """All strictly positive pair defects, their sum, and the disjoint flags.
 
     ``pair_defects`` maps canonically ordered flat pairs to their defect;
     zero-defect pairs are omitted, since they add nothing to ``total``.  For
     loopless rank-4 matroids ``disjoint_flags`` lists the disjoint
-    (rank-3, rank-2) pairs; it is empty for other ranks.
+    (rank-3, rank-2) pairs; it is empty for other ranks.  ``flag_count`` is
+    their number.
+
+    ``DefectReport(pair_defects, total, disjoint_flags)`` holds all three.
+    A report counted off incidences holds ``total`` and ``flag_count`` and
+    lists ``pair_defects`` and ``disjoint_flags`` when they are first
+    read.  The fields are read-only: assigning one raises
+    :class:`dataclasses.FrozenInstanceError`.  Two reports are equal when
+    their pairs, totals and flags are.
     """
 
-    pair_defects: dict[tuple[ElementSet, ElementSet], int]
-    total: int
-    disjoint_flags: tuple[tuple[ElementSet, ElementSet], ...]
+    def __init__(self, pair_defects: dict, total: int, disjoint_flags: tuple) -> None:
+        vars(self).update(
+            pair_defects=pair_defects, total=total, disjoint_flags=disjoint_flags, flag_count=len(disjoint_flags)
+        )
+
+    @classmethod
+    def _counted(cls, M: Matroid, total: int, flag_count: int) -> "DefectReport":
+        """The report of ``M``, which :func:`_by_incidence` accepts, listing nothing yet.
+
+        It keeps the rows the listings read, not ``M``, whose cache holds
+        the report: so no reference cycle keeps ``M`` alive.
+        """
+        report = cls.__new__(cls)
+        rows = SimpleNamespace(**{name: getattr(M, name) for name in _LISTED_ROWS})
+        vars(report).update(total=total, flag_count=flag_count, _rows=rows)
+        return report
+
+    @cached_property
+    def pair_defects(self) -> dict[tuple[ElementSet, ElementSet], int]:
+        return _incidence_pairs(self._rows)
+
+    @cached_property
+    def disjoint_flags(self) -> tuple[tuple[ElementSet, ElementSet], ...]:
+        return tuple(_walk_flags(self._rows))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DefectReport):
+            return NotImplemented
+        return (self.pair_defects, self.total, self.disjoint_flags) == (
+            other.pair_defects, other.total, other.disjoint_flags
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DefectReport(total={self.total}, flag_count={self.flag_count})"
+
+
+# What the listings of a counted report read off its matroid.
+_LISTED_ROWS = ("_grade_starts", "_flat_list", "_flat_masks", "_sup_bits", "_elem_flatbits")
 
 
 def _defective_pairs(
@@ -97,10 +148,11 @@ def hypermodularity_witness(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
         raise ValueError(f"hypermodularity is defined for rank >= 3, got rank {M.rank}")
     if "hm_witness" not in M._cache:
         if _by_incidence(M):
-            _incidence_report(M)
+            witness = None if _incidence_counts(M).hypermodular else _first_apart_planes(M)
         else:
             first = next(_defective_pairs(M, M.rank - 1), None)
-            M._cache["hm_witness"] = None if first is None else first[:2]
+            witness = None if first is None else first[:2]
+        M._cache["hm_witness"] = witness
     return M._cache["hm_witness"]
 
 
@@ -114,9 +166,10 @@ def total_modular_defect(M: Matroid) -> DefectReport:
 
     The pairs are listed in the global flat order, A before B, and keyed
     canonically.  A loopless rank-4 matroid that carries a passing flat
-    report has positive pairs of three kinds only, which
-    :func:`_incidence_report` lists; any other matroid is scanned over
-    the pair table.
+    report has positive pairs of three kinds only; its total and its flag
+    count are counted off incidences (:func:`_incidence_counts`), and its
+    pairs and flags are listed when first read.  Any other matroid is
+    scanned over the pair table.
 
     Proof of the three kinds.  A family that passes F1, F2 and grading is
     the lattice of flats of a matroid, graded by height (Oxley, *Matroid
@@ -136,13 +189,44 @@ def total_modular_defect(M: Matroid) -> DefectReport:
     * two distinct planes join in the top flat, with defect 2 - g(G):
       positive when they share no line, 2 when disjoint and 1 when they
       meet in a point.
+
+    Proof of the counts.  Write X, L, P for the points, lines and planes;
+    c_L and n_L for the planes above and the points below a line L; d_x
+    and m_x for the planes and the lines above a point x; k_P for the
+    lines below a plane P.  The meet of two flats strictly inside both is
+    ∅ or a point when one of them is a line, and ∅, a point or a line
+    when both are planes.
+
+    * Flags.  A plane P and a line L ⊄ P meet in ∅ or in exactly one
+      point.  The pairs (P, L) with a point x in both number
+      Σ_x m_x·d_x; a pair with L ⊆ P is among them n_L times, and one
+      meeting in a point once.  So |L|·|P| - Σ_L c_L - Σ_x m_x·d_x
+      + Σ_L n_L·c_L pairs are disjoint.
+    * Disjoint coplanar lines.  Two distinct lines lie in at most one
+      common plane, since two planes holding both would hold their join,
+      of grade 3, so Σ_P C(k_P, 2) counts the coplanar pairs once each.
+      Two distinct lines through a point x meet only in x, and by R3
+      their join has grade at most 2 + 2 - 1 = 3, so they are coplanar:
+      Σ_x C(m_x, 2) of those pairs meet, and the rest are disjoint.
+    * Plane pairs.  Two distinct planes share at most one line, their
+      meet, so A2 = Σ_L C(c_L, 2) pairs meet in a line.  Σ_x C(d_x, 2)
+      counts each pair once per point of its meet: n_L times when the
+      meet is L, once when it is a point.  So A1 = Σ_x C(d_x, 2)
+      - Σ_L n_L·C(c_L, 2) pairs meet in a point, and the other
+      A0 = C(|P|, 2) - A1 - A2 are disjoint.
+
+    So the total is flags + coplanar + A1 + 2·A0, and the matroid is
+    hypermodular exactly when A0 + A1 = 0.
     """
     if "defect_report" not in M._cache:
         if _by_incidence(M):
-            return _incidence_report(M)
-        pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
-        flags = tuple(disjoint_rank32_pairs(M)) if M.rank == 4 and M.is_loopless else ()
-        M._cache["defect_report"] = DefectReport(pairs, sum(pairs.values()), flags)
+            counts = _incidence_counts(M)
+            report = DefectReport._counted(M, counts.total, counts.flags)
+        else:
+            pairs = {pair_key(a, b): d for a, b, d in _defective_pairs(M)}
+            flags = tuple(disjoint_rank32_pairs(M)) if M.rank == 4 and M.is_loopless else ()
+            report = DefectReport(pairs, sum(pairs.values()), flags)
+        M._cache["defect_report"] = report
     return M._cache["defect_report"]
 
 
@@ -151,29 +235,108 @@ def _by_incidence(M: Matroid) -> bool:
     return M.rank == 4 and M.is_loopless and _has_passing_flat_report(M)
 
 
-def _incidence_report(M: Matroid) -> DefectReport:
-    """The defect report of ``M``, cached with its hypermodularity witness, from incidences.
+class _Counts(NamedTuple):
+    """The pair counts of :func:`total_modular_defect`'s proof."""
 
-    ``M`` is what :func:`_by_incidence` accepts, so only the three kinds
-    of :func:`total_modular_defect` are listed, row by row in the global
-    flat order.  Each line's row holds the lines after it in the planes
-    through it, and all planes, less the flats that share an element
-    with it; the join of two disjoint coplanar lines is their one common
-    plane, so each such pair appears once.  Such a line and plane are
-    keyed by their least elements: two disjoint nonempty flats' sorted
-    members differ at position 0, so the flat holding the smaller least
-    element comes first in canonical order.  Each plane's row holds the
-    planes after it outside the OR of the up-sets of its lines, the
-    planes sharing no line with it; one it shares an element with meets
-    it in a point.  The first plane with a nonempty row gives the first
-    non-modular pair of planes, the hypermodularity witness.
+    flags: int
+    coplanar: int
+    line_meets: int  # A2
+    point_meets: int  # A1
+    apart: int  # A0
+
+    @property
+    def total(self) -> int:
+        return self.flags + self.coplanar + self.point_meets + 2 * self.apart
+
+    @property
+    def hypermodular(self) -> bool:
+        return self.point_meets + self.apart == 0
+
+
+def _incidence_counts(M: Matroid) -> _Counts:
+    """The counts of ``M``, which :func:`_by_incidence` accepts, cached on it.
+
+    c_L, d_x and m_x are bit counts of up-set rows; n_L and k_P are
+    column sums of the rows of the points over the lines and of the
+    lines over the planes (:func:`_column_counts`).
+    """
+    counts = M._cache.get("incidence_counts")
+    if counts is None:
+        starts, sup = M._grade_starts, M._sup_bits
+        x0, l0, p0, top = starts[1:5]
+        lines, planes = p0 - l0, top - p0
+        over_lines = [sup[x] >> l0 & (1 << lines) - 1 for x in range(x0, l0)]
+        over_planes = [sup[x] >> p0 & (1 << planes) - 1 for x in range(x0, p0)]
+        m = np.array([row.bit_count() for row in over_lines], dtype=np.int64)
+        above = np.array([row.bit_count() for row in over_planes], dtype=np.int64)
+        d, c = above[: l0 - x0], above[l0 - x0 :]
+        n = _column_counts(over_lines, lines)
+        k = _column_counts(over_planes[l0 - x0 :], planes)
+        line_meets = int(_pairs(c).sum())
+        point_meets = int(_pairs(d).sum() - n @ _pairs(c))
+        counts = M._cache["incidence_counts"] = _Counts(
+            flags=int(lines * planes - c.sum() - m @ d + n @ c),
+            coplanar=int(_pairs(k).sum() - _pairs(m).sum()),
+            line_meets=line_meets,
+            point_meets=point_meets,
+            apart=planes * (planes - 1) // 2 - line_meets - point_meets,
+        )
+    return counts
+
+
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """C(v, 2), elementwise."""
+    return v * (v - 1) // 2
+
+
+def _column_counts(rows: list[int], width: int) -> np.ndarray:
+    """Per bit below ``width``, how many of ``rows`` set it.
+
+    The rows are unpacked a block of about ``_BLOCK_BYTES`` at a time.
+    """
+    counts = np.zeros(width, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // max(1, width))
+    for a in range(0, len(rows), step):
+        counts += _unpacked(rows[a : a + step], width).sum(axis=0, dtype=np.int64)
+    return counts
+
+
+def _first_apart_planes(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
+    """The first pair of planes, in canonical order, that shares no line; None if there is none.
+
+    ``M`` is what :func:`_by_incidence` accepts, so the common elements
+    of two planes form a flat, their meet, and they share no line when
+    its grade is below 2.  The scan stops at the first such pair.
+    """
+    masks, index, grade, flats = M._flat_masks, M._index_of_mask, M._grade_of_index, M._flat_list
+    p0, top = M._grade_starts[3:5]
+    for p in range(p0, top):
+        for q in range(p + 1, top):
+            if grade[index[masks[p] & masks[q]]] < 2:
+                return flats[p], flats[q]
+    return None
+
+
+def _incidence_pairs(M: Matroid) -> dict[tuple[ElementSet, ElementSet], int]:
+    """The positive pairs of ``M``, which :func:`_by_incidence` accepts, with their defects.
+
+    Only the three kinds of :func:`total_modular_defect` are listed, row
+    by row in the global flat order.  Each line's row holds the lines
+    after it in the planes through it, and all planes, less the flats
+    that share an element with it; the join of two disjoint coplanar
+    lines is their one common plane, so each such pair appears once.
+    Such a line and plane are keyed by their least elements: two
+    disjoint nonempty flats' sorted members differ at position 0, so the
+    flat holding the smaller least element comes first in canonical
+    order.  Each plane's row holds the planes after it outside the OR of
+    the up-sets of its lines, the planes sharing no line with it; one it
+    shares an element with meets it in a point.
     """
     starts, flats, masks, sup = M._grade_starts, M._flat_list, M._flat_masks, M._sup_bits
     l0, p0, top = starts[2], starts[3], starts[4]
     planes = (1 << top) - (1 << p0)
-    plane_meets = _meet_rows(M, 3)
     through = [_bits(sup[x] >> p0 & (1 << top - p0) - 1) for x in range(l0, p0)]
-    plane_lines = [0] * len(plane_meets)
+    plane_lines = [0] * (top - p0)
     for x, offsets in enumerate(through, l0):
         for p in offsets:
             plane_lines[p] |= 1 << x
@@ -191,74 +354,13 @@ def _incidence_report(M: Matroid) -> DefectReport:
         least = masks[x] & -masks[x]
         for y in _bits(planes & ~meets):
             pairs[(flats[x], flats[y]) if least < masks[y] & -masks[y] else (flats[y], flats[x])] = 1
-    witness = None
-    for p, meets, inner in zip(range(p0, top), plane_meets, plane_lines):
+    for p, meets, inner in zip(range(p0, top), _meet_rows(M, 3), plane_lines):
         shared = 0
         for x in _bits(inner):
             shared |= sup[x]
-        apart = planes & -(2 << p) & ~shared
-        if apart and witness is None:
-            witness = flats[p], flats[_lsb_index(apart)]
-        for q in _bits(apart):
+        for q in _bits(planes & -(2 << p) & ~shared):
             pairs[flats[p], flats[q]] = 1 if meets >> q & 1 else 2
-
-    M._cache["hm_witness"] = witness
-    report = DefectReport(pairs, sum(pairs.values()), tuple(_flags(M, plane_meets)))
-    M._cache["defect_report"] = report
-    return report
-
-
-def _extension_report(M: Matroid, N: Matroid, cut: list[int]) -> DefectReport:
-    """The defect report of ``N``, cached on ``N``, read off ``M``'s report and the cut.
-
-    ``N`` is a one-element extension of ``M`` as :func:`hypermod.extension.extend_once`
-    builds it: the new element m is added to each flat of the cut D, M's
-    flats listed by index in ``cut``, and {m} is a new flat.  If N passes
-    the flat axioms and restricts back to M, each image of M's flats keeps
-    its grade and containments, so nestedness, and D is up-closed, so the
-    join of two images is the image of their join.  So is their meet G,
-    unless both are cut flats and G is not in D (a flat under one outside
-    D is outside D); then G + m, a flat of N holding m and no image of a
-    flat of D, is {m}: G is the empty bottom flat, and the pair loses
-    one.  {m}, a point, has defect zero with every flat.  N is
-    submodular, so only M's positive pairs need reading, and adding m,
-    the largest element, to flats neither of which holds the other keeps
-    their canonical order.
-
-    The meet test matters only from rank 5 on.  A pair of positive defect
-    r(A) + r(B) - r(A∨B) - r(A∧B) is not nested, so its join is a grade
-    above each flat, neither of which is the top flat: it meets in grade
-    at most rank - 3.  In rank 4 that is grade 1 or less, which D never
-    holds, so there lowering every pair of cut flats is the same rule,
-    and no rank-4 test tells the two apart.
-
-    No defect grows, so N is hypermodular when M is, and then its
-    witness is cached as None; otherwise :func:`hypermodularity_witness`
-    scans N when asked.  N has no new lines or planes, and a flag (P, L)
-    of M stays disjoint in N unless m joins both, so N's disjoint flags
-    are M's, mapped to their images in the same order, less those whose
-    plane and line are both cut flats.
-    """
-    new = frozenset([M.ground_size])
-    image = {M._flat_list[i]: M._flat_list[i] | new for i in cut}
-    parent = total_modular_defect(M)
-    pairs = {}
-    for (a, b), d in parent.pair_defects.items():
-        if a in image and b in image and a & b not in image:
-            d -= 1
-        if d:
-            pairs[image.get(a, a), image.get(b, b)] = d
-    flags = ()
-    if N.rank == 4 and N.is_loopless:
-        flags = tuple(
-            (image.get(p, p), image.get(x, x))
-            for p, x in parent.disjoint_flags
-            if not (p in image and x in image)
-        )
-    if M.rank >= 3 and hypermodularity_witness(M) is None:
-        N._cache["hm_witness"] = None
-    N._cache["defect_report"] = report = DefectReport(pairs, sum(pairs.values()), flags)
-    return report
+    return pairs
 
 
 def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
@@ -266,37 +368,36 @@ def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
 
     For a loopless rank-4 hypermodular matroid this list is empty
     exactly when the matroid is modular, so it enumerates the defects
-    the completion loop must repair.  A line misses a plane when it is
-    outside the OR of the element bits of the plane's members.
+    the completion loop must repair.
     """
     if M.rank != 4:
         raise ValueError(f"defined for rank-4 matroids, got rank {M.rank}")
     if not M.is_loopless:
         raise ValueError("defined for loopless matroids")
-    return _flags(M, _meet_rows(M, 3))
+    return list(_walk_flags(M))
 
 
-def _meet_rows(M: Matroid, grade: int) -> list[int]:
+def _meet_rows(M: Matroid, grade: int) -> Iterator[int]:
     """Per flat of ``grade``, in order, the flats sharing an element with it, as bits.
 
     Each row is the OR of the element bits of the flat's members.
     """
     starts, elem = M._grade_starts, M._elem_flatbits
-    rows = []
     for mask in M._flat_masks[starts[grade] : starts[grade + 1]]:
         meets = 0
         for e in _bits(mask):
             meets |= elem[e]
-        rows.append(meets)
-    return rows
+        yield meets
 
 
-def _flags(M: Matroid, plane_meets: list[int]) -> list[tuple[ElementSet, ElementSet]]:
-    """The disjoint (plane, line) pairs in order, read off the planes' meet rows."""
+def _walk_flags(M: Matroid) -> Iterator[tuple[ElementSet, ElementSet]]:
+    """The disjoint (plane, line) pairs in canonical order, plane by plane, as they are read.
+
+    A line misses a plane when it is outside the plane's meet row.  Each
+    plane's row is built only when the walk reaches it.
+    """
     starts, flats = M._grade_starts, M._flat_list
     lines = (1 << starts[3]) - (1 << starts[2])
-    return [
-        (flats[p], flats[x])
-        for p, meets in enumerate(plane_meets, starts[3])
-        for x in _bits(lines & ~meets)
-    ]
+    for p, meets in enumerate(_meet_rows(M, 3), starts[3]):
+        for x in _bits(lines & ~meets):
+            yield flats[p], flats[x]

@@ -465,6 +465,21 @@ def test_arrangement(workdir, capsys):
     assert d["incidence_checks"] == "200"
 
 
+def test_arrangement_names_the_first_disconnected_points(tmp_path, capsys):
+    # The planes of U(4,6) are its triples; {0,1,2} and {0,3,4} share one
+    # element and no line.  The report lists the first four such pairs.
+    path = tmp_path / "u46.mat"
+    path.write_text(serialize_matroid(uniform(4, 6), name="u46"))
+    rc, out = run(capsys, ["arrangement", str(path), "--machine"])
+    assert rc == 1
+    d = machine_dict(out)
+    assert (d["points"], d["lines"], d["planes"], d["line_connectivity"]) == ("20", "15", "6", "fail")
+    assert [d[f"disconnected_{i}"] for i in range(4)] == [
+        "({0,1,2},{0,3,4})", "({0,1,2},{0,3,5})", "({0,1,2},{0,4,5})", "({0,1,2},{1,3,4})",
+    ]
+    assert "disconnected_4" not in d
+
+
 @pytest.mark.parametrize("seed,samples,meeting", [(0, 200, 91), (1, 10000, 4568), (7, 200, 90)])
 def test_arrangement_samples_repeat_per_seed(workdir, capsys, seed, samples, meeting):
     argv = ["arrangement", str(workdir / "pg32.mat"), "--seed", str(seed), "--samples", str(samples)]

@@ -446,6 +446,13 @@ def test_circuits_small():
     assert circuits_up_to(uniform(3, 3), 4) == []
 
 
+def test_circuits_of_a_looped_matroid_are_its_loops(looped_u44):
+    # U(4,4) plus the loop 4: {4} is the one circuit, of size 1, so it is
+    # listed from max_size 1 on, and no set holding the loop is tried.
+    assert circuits_up_to(looped_u44, 0) == []
+    assert [circuits_up_to(looped_u44, k) for k in range(1, 6)] == [[frozenset({4})]] * 5
+
+
 def test_circuits_pg32_lines(pg32):
     three = circuits_up_to(pg32, 3)
     assert set(three) == set(flats_of_rank(pg32, 2))

@@ -601,8 +601,10 @@ def test_the_extension_proof_is_sound(
     loopless it must hold exactly when the fresh lattice passes.
 
     Whenever the fresh lattice passes the flat axioms and restricts back
-    to M, proved or not, the report read off M's report and the cut must
-    equal its full scan, and so must its hypermodularity witness.
+    to M, proved or not, N's report, taken once N carries its passing flat
+    report, must equal the pair-table scan of a copy that carries none
+    (pairs in key order, total and flags), and so must its
+    hypermodularity witness.
     """
     source = data.draw(st.sampled_from(["small", "realized", "zoo", "projective"]))
     if source == "small":
@@ -660,12 +662,14 @@ def test_the_extension_proof_is_sound(
     if not valid or restrict(fresh, range(M.ground_size)) != M:
         return
     event(f"valid extension of a {kind} cut, {'proved' if proved else 'not proved'}")
-    read, scanned = modularity._extension_report(M, N, indices), total_modular_defect(fresh)
-    assert read.pair_defects == scanned.pair_defects
-    assert read.total == scanned.total
-    assert read.disjoint_flags == scanned.disjoint_flags
+    # N now carries its passing flat report; the scanned copy carries none.
+    assert verify_flat_axioms(N).passed
+    table = Matroid(N.ground_size, N.flats_by_rank)
+    counted, scanned = total_modular_defect(N), total_modular_defect(table)
+    assert list(counted.pair_defects.items()) == list(scanned.pair_defects.items())
+    assert (counted.total, counted.disjoint_flags) == (scanned.total, scanned.disjoint_flags)
     if N.rank >= 3:
-        assert hypermodularity_witness(N) == hypermodularity_witness(fresh)
+        assert hypermodularity_witness(N) == hypermodularity_witness(table)
 
 
 # ---------------------------------------------------------------------------

@@ -778,7 +778,7 @@ def test_flat_axioms_scan_all_pairs_only_when_f1_fails(monkeypatch, pg33, pg35, 
 
 
 def test_completion_scans_all_flat_pairs_once(monkeypatch, pg33, pg35):
-    # Later matroids take their defects from their parent and the changed flats.
+    # Later matroids carry their passing flat reports, so their defects are counted.
     scans = _count_calls(monkeypatch, modularity, "_defective_pairs")
     for space in (pg33, pg35):
         scans.clear()
@@ -841,6 +841,95 @@ def test_the_incidence_report_is_the_pair_table_report_on_named_matroids(
 @given(M=_realized_families().filter(lambda M: M.rank == 4))
 def test_the_incidence_report_is_the_pair_table_report_on_realized_families(rebuild, M):
     _assert_the_incidence_report_is_the_pair_table_report(M, rebuild)
+
+
+# -- the incidence counts against brute force ----------------------------------
+
+
+def _brute_plane_meets(M) -> tuple[int, int, int]:
+    """Pairs of distinct planes whose common elements have brute rank 0, 1 and 2."""
+    ranks: dict = {}
+    tally = [0, 0, 0]
+    for a, b in itertools.combinations(M.flats_by_rank[3], 2):
+        meet = a & b
+        if meet not in ranks:
+            ranks[meet] = brute_rank(M, meet)
+        tally[ranks[meet]] += 1
+    return tally[0], tally[1], tally[2]
+
+
+def _assert_the_counts_are_the_brute_counts(M, rebuild, summed):
+    """The counts of a copy of M that carries a passing flat report, against brute force.
+
+    The flags and the disjoint coplanar lines are ``brute_defect_identity``'s,
+    and the plane pairs meeting in ∅, in a point and in a line are counted
+    by the brute rank of their common elements.  When ``summed``, the total
+    is the sum of ``brute_defect`` over all flat pairs and the verdict that
+    of the brute scan of the corank-1 pairs; otherwise both are read off
+    the brute counts.  Returns the counts.
+    """
+    known = rebuild(M)
+    assert verify_flat_axioms(known).passed
+    counts = modularity._incidence_counts(known)
+    flags, coplanar = brute_defect_identity(M)
+    apart, point, line = _brute_plane_meets(M)
+    assert counts == (flags, coplanar, line, point, apart)
+    if summed:
+        flats = [f for grade in M.flats_by_rank for f in grade]
+        total = sum(brute_defect(M, a, b) for a, b in itertools.combinations(flats, 2))
+        planes = itertools.combinations(M.flats_by_rank[3], 2)
+        hypermodular = not any(brute_defect(M, a, b) for a, b in planes)
+    else:
+        total, hypermodular = flags + coplanar + point + 2 * apart, apart + point == 0
+    report = total_modular_defect(known)
+    assert (report.total, report.flag_count) == (counts.total, flags) == (total, flags)
+    assert counts.hypermodular == hypermodular == is_hypermodular(known)
+    return counts
+
+
+def test_the_counts_are_the_brute_counts_on_named_matroids(pg32, pg33, pg35, del32, del33ab, vamos_m, rebuild):
+    # The brute sum over all flat pairs costs about 0.4 s at PG(3,3); it is
+    # taken on the matroids of at most 150 flats and on PG(3,3) less two points.
+    spaces = {2: pg32, 3: pg33, 5: pg35}
+    named = [pg32, pg33, pg35, del32, del33ab, vamos_m]
+    named += [uniform(4, n) for n in range(5, 10)]
+    named += [delete(spaces[q], S) for q, S in CASES]
+    named += [delete(spaces[q], _ovoid(q)) for q in (3, 5)]
+    for line in _lines(3)[::40]:
+        named += [delete(pg33, line), delete(pg33, sorted(line)[1:])]
+    doubled = pg3_points(2).points
+    named.append(matroid_from_points(PointConfig(2, 4, doubled + doubled[:1])))
+    seen = set()
+    for M in named:
+        assert M.rank == 4 and M.is_loopless
+        summed = len(M._flat_list) <= 150 or M is del33ab
+        counts = _assert_the_counts_are_the_brute_counts(M, rebuild, summed)
+        seen |= {name for name, n in counts._asdict().items() if n}
+    assert seen == {"flags", "coplanar", "line_meets", "point_meets", "apart"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=_realized_families().filter(lambda M: M.rank == 4))
+def test_the_counts_are_the_brute_counts_on_realized_families(rebuild, M):
+    _assert_the_counts_are_the_brute_counts(M, rebuild, summed=True)
+
+
+def test_analyze_counts_u430_and_lists_nothing(monkeypatch, tmp_path, capsys):
+    # U(4,30) has 4527 flats, within FLAT_LIMIT: its lines are the 435 pairs
+    # and its planes the 4060 triples.  C(30,3)·C(27,2) = 1 425 060 flags, no
+    # coplanar lines (two disjoint pairs span the top), 30·C(29,2)·C(27,2)/2
+    # = 2 137 590 plane pairs meeting in a point and C(30,3)·C(27,3)/2
+    # = 5 937 750 disjoint ones.  Listing them would take about 1 GB.
+    path = tmp_path / "u430.mat"
+    path.write_text(serialize_matroid(uniform(4, 30)))
+    names = ("_incidence_pairs", "_walk_flags", "_defective_pairs", "disjoint_rank32_pairs")
+    listings = [_count_calls(monkeypatch, modularity, name) for name in names]
+    assert cli.main(["analyze", str(path), "--machine"]) == 0
+    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert out["total_defect"] == str(1_425_060 + 2_137_590 + 2 * 5_937_750) == "15438150"
+    assert out["disjoint_flags"] == "1425060"
+    assert out["hypermodular_witness"] == "({0,1,2},{0,3,4})"
+    assert listings == [[]] * len(names)
 
 
 @pytest.mark.parametrize("q", [3, 5])
