@@ -11,9 +11,10 @@ r(M) - 1, and hypermodularity says any two points lie on a common line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .core import AxiomReport, ElementSet, Matroid, Violation, closure
+from .core import _VIOLATION_CAP, AxiomReport, ElementSet, Matroid, Violation, closure
 from .extension import ExtensionContext
 from .modularity import _defective_pairs
 
@@ -95,7 +96,9 @@ def check_line_connectivity(M: Matroid) -> AxiomReport:
     For rank-4 loopless matroids this asks that any two distinct rank-3
     flats intersect in a rank-2 flat, which is exactly hypermodularity:
     two distinct planes A, B join to the top, so their modular defect is
-    2 - r(A∩B), nonzero exactly when they share no line.
+    2 - r(A∩B), nonzero exactly when they share no line.  The report
+    lists the first ``_VIOLATION_CAP`` such pairs, in the canonical pair
+    order, and the lazy scan stops there; the verdict is exact.
     """
     if M.rank != 4:
         raise ValueError(f"line connectivity requires rank 4, got {M.rank}")
@@ -108,7 +111,7 @@ def check_line_connectivity(M: Matroid) -> AxiomReport:
                 (a, b),
                 "two points of the arrangement lie on no common line",
             )
-            for a, b, _ in _defective_pairs(M, 3)
+            for a, b, _ in itertools.islice(_defective_pairs(M, 3), _VIOLATION_CAP)
         ]
     )
 

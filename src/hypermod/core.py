@@ -24,9 +24,13 @@ containment order of the stored flats once, as bits over flat indices
 unpacked rows, transposed and packed a block at a time, and each
 up-set is the AND of its members' rows.  The shape
 check, :func:`contract`, the pair table and :func:`verify_flat_axioms`
-all read that order, the last packed into rows, to find the covers of
-every flat, a block of flats at a time, for the cover axiom F2 and the
-grading.
+all read that order.  The last decides the cover axiom F2 and the
+grading on the declared grades: when a flat strictly above another
+always has a higher grade, and each flat but the bottom lies above one
+a grade lower, the flats one grade above a flat are among its covers,
+so one pass over those settles both.  The exact covers of every flat,
+its full up-set reduced a block of flats at a time, are found only to
+list witnesses.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.  :func:`is_isomorphic` places elements one at a
@@ -37,9 +41,10 @@ One packed pair table, exact on any family the constructor accepts,
 answers every all-pairs question in row blocks.  Its meet index, the
 packed flat masks and their sorted hashes (:func:`_meet_index`), is
 built apart from the rest: F1 meets every flat with the flats that are
-not the intersection of their covers, settles most cells by counting
-shared elements and looks up only the others there, and lists witnesses
-from all pairs only when it fails.  The flat-pair R3 check and the
+not the intersection of their covers, each such pair once, settles most
+cells by counting shared elements, nested pairs among them, and looks
+up only the others there, and lists witnesses from all pairs only when
+it fails.  The flat-pair R3 check and the
 defect scans of :mod:`hypermod.modularity` read the table's defects
 (:func:`_defect_block`), except on a loopless rank-4 matroid that
 carries a passing flat report, whose few positive pairs are read off
@@ -53,9 +58,9 @@ of :func:`verify_rank_axioms` give the exact verdict and its subset
 passes run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
-checks them against longest-chain lengths, found in the same pass over
-those covers, by size, so that corrupt input files are caught loudly
-instead of silently re-ranked.  Every report lists at most
+checks them against longest-chain lengths, proved equal by the two
+checks above or found along the exact covers, by size, so that corrupt
+input files are caught loudly instead of silently re-ranked.  Every report lists at most
 ``_VIOLATION_CAP`` witnesses per axiom, with an exact verdict.
 :func:`restrict` and :func:`contract`
 build through one minor builder (:func:`_minor`) that keeps each mask
@@ -79,7 +84,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -670,11 +676,28 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
 
     Grading: every declared grade equals the longest chain length from
     the bottom flat, along covers, since a longest chain of strict
-    inclusions has no room for a flat between two of its steps.  The
-    covers, the irreducible flats, F2 and the grading are read off
-    packed rows by :func:`_cover_violations`.  Violations are reported,
-    never thrown: the first ``_VIOLATION_CAP`` of each axiom, in the
-    order above, so the all-pairs F1 scan stops once it has listed them.
+    inclusions has no room for a flat between two of its steps.
+
+    F2 and the grading are decided on the declared grades, flat order
+    being grade-ascending, when two checks pass (:func:`_graded_irreducible`):
+
+    * *monotone*: no other flat of grade at most g lies above a flat F
+      of grade g, so a flat strictly above F has a higher grade;
+    * *downward*: every flat of grade g + 1 lies above one of grade g.
+
+    Then the grading holds.  The constructor keeps exactly one grade-0
+    flat.  Along a strict chain ending at F the grades rise, by
+    monotone, from at least 0, so the chain has at most grade(F) steps;
+    by downward, F has a chain of exactly grade(F) steps below it.  And
+    F2 holds if each flat F and the flats of the next grade above it
+    hold every element: by monotone nothing lies strictly between F and
+    such a flat, whose grade is one higher, so each of them covers F.
+    If any of this fails, :func:`_cover_violations` finds every flat's
+    covers and its longest chain, and lists the witnesses; it lists
+    none otherwise, so the report is the same either way.  Violations
+    are reported, never thrown: the first ``_VIOLATION_CAP`` of each
+    axiom, in the order above, so the all-pairs F1 scan stops once it
+    has listed them.
 
     The report is stored in ``M._cache["flat_report"]`` and returned as it
     is on later calls; the only other writer is
@@ -684,7 +707,9 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     stored = M._cache.get("flat_report")
     if stored is not None:
         return stored
-    irreducible, cover_violations = _cover_violations(M)
+    irreducible, cover_violations = _graded_irreducible(M), []
+    if irreducible is None:
+        irreducible, cover_violations = _cover_violations(M)
     violations: list[Violation] = []
     masks, flats = M._flat_masks, M._flat_list
 
@@ -707,6 +732,66 @@ def _has_passing_flat_report(M: Matroid) -> bool:
     """Whether ``M`` already carries a passing flat report; never computes one."""
     report = M._cache.get("flat_report")
     return report is not None and report.passed
+
+
+def _graded_irreducible(M: Matroid) -> Optional[np.ndarray]:
+    """The irreducible flats, if the declared grades decide F2 and the grading; else None.
+
+    None unless three checks pass: monotone, downward and F2 on the
+    next-grade flats above each flat, read off the declared grades as
+    :func:`verify_flat_axioms` sets out, where they are proved.  The
+    monotone and downward masks are Python ints.  By monotone only the
+    top flat lies strictly above a hyperplane, so it is a hyperplane's
+    one cover, and every hyperplane is irreducible.  The flats below the
+    hyperplanes, before index h, take one pass: each grade's next-grade
+    slices are packed, and one OR and one AND over the set bits of all
+    grades at once give what the next-grade flats of each flat hold and
+    share.  A flat equal to that meet is reducible, since by monotone
+    those flats are among its covers.  Every other flat is a candidate,
+    refined by its exact covers (:func:`_covers`), read off every flat's
+    packed strictly-above row: a cover may skip a grade where F1 fails.
+    """
+    starts, sup = M._grade_starts, M._sup_bits
+    words = _meet_index(M)[0]
+    ground = words[-1]  # the top flat is the ground set
+    h = starts[max(M.rank - 1, 0)]
+    r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for g in range(M.rank):
+        a, b, end = starts[g : g + 3]
+        below, full = (1 << b) - 1, (1 << (end - b)) - 1
+        if any(s & below != 1 << i for i, s in enumerate(sup[a:b], a)):
+            return None
+        slices = [s >> b & full for s in sup[a:b]]
+        if reduce(or_, slices, 0) != full:
+            return None
+        if full and g < M.rank - 1:
+            packed = _packed(slices, end - b)
+            step = max(1, _BLOCK_BYTES // (end - b))
+            for k in range(0, len(slices), step):
+                rows, cols = _set_bits(packed[k : k + step])
+                r.append(rows + a + k)
+                c.append(cols + b)
+    r, c = np.concatenate(r), np.concatenate(c)
+    held = words[:h].copy()
+    _reduce_rows(np.bitwise_or, words, r, c, held)
+    if (held != ground).any():
+        return None
+    meet = np.tile(ground, (h, 1))
+    _reduce_rows(np.bitwise_and, words, r, c, meet)
+    candidates = np.flatnonzero((meet != words[:h]).any(axis=1))
+
+    irreducible = []
+    if len(candidates):
+        count = len(sup)
+        above = _packed([s ^ 1 << i for i, s in enumerate(sup)], count)
+        step = max(1, _BLOCK_BYTES // count)
+        for k in range(0, len(candidates), step):
+            rows = candidates[k : k + step]
+            cr, cc = _set_bits(_covers(above, rows))
+            meet = np.tile(ground, (len(rows), 1))
+            _reduce_rows(np.bitwise_and, words, cr, cc, meet)
+            irreducible.append(rows[(meet != words[rows]).any(axis=1)])
+    return np.concatenate(irreducible + [np.arange(h, len(sup) - 1)])
 
 
 def _cover_violations(M: Matroid) -> tuple[np.ndarray, list[Violation]]:
@@ -812,19 +897,27 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
     """Whether every flat meets each flat of the index array ``cols`` in a stored flat.
 
     Per row block, each cell counts the elements its two flats share, by
-    popcount of the word ANDs.  Two rules settle a cell with no lookup,
+    popcount of the word ANDs.  Three rules settle a cell with no lookup,
     each exact on any family the constructor accepts, since each reads
     only the two masks: a count of 0 means the meet is ∅, settled if ∅ is
     stored; a count of 1 means it is a singleton, settled if every
-    singleton is stored.  Every other cell is looked up in the meet index
-    (:func:`_lookup`), and one not found there, a miss or a lost hash
-    collision, in ``M._index_of_mask``.
+    singleton is stored; a count equal to the size of either flat means
+    the two are nested, so the meet is one of them, and stored.  A cell
+    whose row is in ``cols`` too is the cell of its column's row and its
+    row's column read the other way, so only the one whose row index is
+    the smaller is checked.  Every other cell is looked up in the meet
+    index (:func:`_lookup`), and one not found there, a miss or a lost
+    hash collision, in ``M._index_of_mask``.
     """
     words, index, masks = _meet_index(M)[0], M._index_of_mask, M._flat_masks
     settled = [0] if 0 in index else []
     if all(1 << e in index for e in range(M.ground_size)):
         settled.append(1)
-    col_words = words[cols]
+    sizes = np.bitwise_count(words).sum(axis=1)
+    # Row i, at position p of cols, is read the other way in the columns up to p.
+    first_col = np.zeros(len(masks), dtype=np.intp)
+    first_col[cols] = np.arange(1, len(cols) + 1)
+    col_words, col_sizes = words[cols], sizes[cols]
     step = max(1, _BLOCK_CELLS // max(1, len(cols)))
     chunk = max(1, _BLOCK_CELLS // words.shape[1])
     for r0 in range(0, len(masks), step):
@@ -836,6 +929,9 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
         for k in settled:
             open_cells &= shared != k
         b, c = np.divmod(np.flatnonzero(open_cells), len(cols))
+        row, count = r0 + b, shared[b, c]
+        live = (count != sizes[row]) & (count != col_sizes[c]) & (c >= first_col[row])
+        b, c = b[live], c[live]
         for q0 in range(0, len(b), chunk):
             bb, cc = b[q0 : q0 + chunk], c[q0 : q0 + chunk]
             found = _lookup(M, [row_words[bb, w] & col_words[cc, w] for w in range(words.shape[1])])[1]

@@ -148,6 +148,14 @@ def _star_line_pairs(M: Matroid, lines) -> Iterator[tuple[ElementSet, ElementSet
         yield a, b, _join_index(M, i, j)
 
 
+def _first_escape(pairs, planes: set[int]) -> CriterionResult:
+    """The criterion's verdict on ``(a, b, join)`` triples: the first whose join is not in ``planes``."""
+    for a, b, join in pairs:
+        if join not in planes:
+            return CriterionResult(False, (a, b))
+    return CriterionResult(True, None)
+
+
 def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     """Assemble and validate the context of one disjoint flag.
 
@@ -215,9 +223,10 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
     ]
     star_lines = tuple(sorted((flats[x] for x in cross_lines + traces), key=flat_key))
     star_planes = [x for x in planes if any(M._sup_bits[t] >> x & 1 for t in traces)]
-    if not set(star_planes) <= {join for _, _, join in _star_line_pairs(M, star_lines)}:
+    pairs = list(_star_line_pairs(M, star_lines))
+    if not set(star_planes) <= {join for _, _, join in pairs}:
         raise InternalConsistencyError("a star plane is not a join of two star lines")
-    return ExtensionContext(
+    ctx = ExtensionContext(
         matroid=M,
         flat3=flats[i3],
         flat2=flats[i2],
@@ -227,6 +236,8 @@ def build_context(M: Matroid, flat3, flat2) -> ExtensionContext:
         star_lines=star_lines,
         star_planes=tuple(flats[x] for x in star_planes),
     )
+    M._cache["criterion"] = (star_lines, ctx.star_planes, _first_escape(pairs, set(star_planes)))
+    return ctx
 
 
 def join_spectrum(M: Matroid, flat, family, k: int) -> set[ElementSet]:
@@ -240,15 +251,19 @@ def criterion_holds(M: Matroid, ctx: ExtensionContext) -> CriterionResult:
     """Whether every join of two distinct star lines is a star plane.
 
     On failure the witness is the first (canonical order) pair of star
-    lines whose join escapes the star planes.
+    lines whose join escapes the star planes.  :func:`build_context`
+    walks every join once and keeps the verdict on ``M``, with the star
+    lines and star planes it holds for, so the checks of that context in
+    :func:`first_extendable_flag` and :func:`extend_once` read it; any
+    other star walks its joins here.
     """
     if ctx.matroid != M:
         raise ValueError("context was built for a different matroid")
+    lines, planes, verdict = M._cache.get("criterion", ((), (), None))
+    if verdict is not None and lines == ctx.star_lines and planes == ctx.star_planes:
+        return verdict
     planes = {M._flat_index(x) for x in ctx.star_planes}
-    for a, b, join in _star_line_pairs(M, ctx.star_lines):
-        if join not in planes:
-            return CriterionResult(False, (a, b))
-    return CriterionResult(True, None)
+    return _first_escape(_star_line_pairs(M, ctx.star_lines), planes)
 
 
 def verify_star_structure(M: Matroid, ctx: ExtensionContext) -> AxiomReport:

@@ -158,10 +158,10 @@ def serialize_matroid(M: Matroid, name: str | None = None) -> str:
         f"ground {M.ground_size}",
         f"rank {M.rank}",
     ]
-    for k, grade in enumerate(M.flats_by_rank):
-        for flat in grade:
-            members = " ".join(str(e) for e in sorted(flat))
-            out.append(f"flat {k}: {members}" if members else f"flat {k}:")
+    # Each element's text, with the space before it, built once.
+    spaced = [f" {e}" for e in range(M.ground_size)]
+    for k, flat in zip(M._grade_of_index, M._flat_list):
+        out.append(f"flat {k}:" + "".join(map(spaced.__getitem__, sorted(flat))))
     return "\n".join(out) + "\n"
 
 

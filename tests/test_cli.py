@@ -480,6 +480,28 @@ def test_arrangement_names_the_first_disconnected_points(tmp_path, capsys):
     assert "disconnected_4" not in d
 
 
+def test_arrangement_lists_few_disconnected_points_in_bounded_time_and_memory(tmp_path, capsys):
+    # U(4,20) has 1140 planes and about 620 000 pairs of them sharing no
+    # line; listing a witness for each took 1.4 s and about 100 MB.
+    path = tmp_path / "u420.mat"
+    path.write_text(serialize_matroid(uniform(4, 20), name="u420"))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rc, out = run(capsys, ["arrangement", str(path), "--machine"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    d = machine_dict(out)
+    assert d["line_connectivity"] == "fail"
+    assert [d[f"disconnected_{i}"] for i in range(4)] == [
+        "({0,1,2},{0,3,4})", "({0,1,2},{0,3,5})", "({0,1,2},{0,3,6})", "({0,1,2},{0,3,7})",
+    ]
+    assert elapsed < 1.0 and peak < 10_000_000
+
+
 @pytest.mark.parametrize("seed,samples,meeting", [(0, 200, 91), (1, 10000, 4568), (7, 200, 90)])
 def test_arrangement_samples_repeat_per_seed(workdir, capsys, seed, samples, meeting):
     argv = ["arrangement", str(workdir / "pg32.mat"), "--seed", str(seed), "--samples", str(samples)]

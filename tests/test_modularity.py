@@ -338,8 +338,9 @@ def test_defect_answers_match_the_oracle(
         top_pairs = [(a, b) for a, b in positive if a in tops and b in tops]
         assert hypermodularity_witness(M) == (top_pairs[0] if top_pairs else None)
         if M.rank == 4 and M.is_loopless:
-            violations = check_line_connectivity(M).violations
-            assert [v.witnesses for v in violations] == top_pairs
+            report = check_line_connectivity(M)
+            assert report.passed == (not top_pairs)
+            assert [v.witnesses for v in report.violations] == top_pairs[: core._VIOLATION_CAP]
 
 
 # -- the packed pair table against the scalar single-pair routine ----------
@@ -764,6 +765,81 @@ def test_f1_is_decided_on_the_irreducible_flats_of_the_zoo(
 def test_f1_is_decided_on_the_irreducible_flats_of_mutated_lattices(pg32, del32, vamos_m, data):
     M = data.draw(_mutated([pg32, del32, vamos_m, uniform(3, 6), uniform(4, 7)]))
     _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+def _graded_by_chains(n, masks) -> Matroid:
+    """The family of ``masks`` on ``0..n-1``, ∅ and the ground set added, graded by longest chain."""
+    masks = sorted(set(masks) - {0, (1 << n) - 1}, key=int.bit_count)
+    chain = {0: 0}
+    for m in masks:
+        chain[m] = 1 + max(k for x, k in chain.items() if x & m == x)
+    grades = [[] for _ in range(max(chain.values()) + 2)]
+    for m, k in chain.items():
+        grades[k].append([e for e in range(n) if m >> e & 1])
+    grades[-1].append(range(n))
+    return Matroid(n, grades)
+
+
+@st.composite
+def _regraded(draw, bases):
+    """A known lattice with a random subset added, then perhaps another change, graded by longest chain.
+
+    The second change adds a subset, or drops a flat or toggles one of
+    its elements.  Such a family is always accepted.  About one draw in
+    five passes the checks on the declared grades that decide F2 and the
+    grading, half of those failing F1; under one in twenty of
+    ``_small_families`` does.
+    """
+    base = draw(st.sampled_from(bases))
+    n, masks = base.ground_size, set(base._flat_masks)
+    masks.add(draw(st.integers(1, (1 << n) - 2)))
+    kind = draw(st.sampled_from(["none", "add", "drop", "toggle"]))
+    if kind == "add":
+        masks.add(draw(st.integers(1, (1 << n) - 2)))
+    elif kind != "none":
+        m = draw(st.sampled_from(sorted(masks)))
+        masks.remove(m)
+        if kind == "toggle":
+            masks.add(m ^ 1 << draw(st.integers(0, n - 1)))
+    return _graded_by_chains(n, masks)
+
+
+_PG32_LESS_012 = delete(pg3(2), {0, 1, 2})
+# {10} is covered by {0,2,3,10} of grade 3, two grades up, yet every check
+# on the declared grades passes; F1 fails.
+_SKIPPING_COVER = _graded_by_chains(12, _PG32_LESS_012._flat_masks + [0b10000001101])
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=_regraded([pg3(2), _PG32_LESS_012, vamos(), uniform(3, 6), uniform(4, 7)]))
+@example(M=_SKIPPING_COVER)
+def test_f1_is_decided_on_the_irreducible_flats_of_regraded_lattices(M):
+    _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+def test_the_exact_cover_pass_runs_only_on_families_the_declared_grades_do_not_decide(
+    monkeypatch, pg32, del32, pg33, pg35, vamos_m, two_cover, direct_sum_u12, loop_fixture,
+    looped_u44, rebuild,
+):
+    passes = _count_calls(monkeypatch, core, "_cover_violations")
+    zoo = [pg32, del32, pg33, pg35, delete(pg35, {0, 1}), vamos_m, two_cover, direct_sum_u12]
+    zoo += [loop_fixture, looped_u44, uniform(4, 8), uniform(4, 14), uniform(0, 2)]
+    for M in zoo:
+        assert verify_flat_axioms(rebuild(M)).passed
+    skipping = rebuild(_SKIPPING_COVER)
+    assert {v.axiom for v in verify_flat_axioms(skipping).violations} == {"F1"}
+    assert not passes
+
+    # The covers of ∅ miss 2: only F2 fails.  Grade 2 is empty, so the top
+    # flat's longest chain has length 2: the grading fails.
+    no_cover = Matroid(3, [[()], [{0}, {1}], [{0, 1, 2}]])
+    gap = Matroid(3, [[()], [{0}, {1}, {2}], [], [{0, 1, 2}]])
+    for M, axioms in ((no_cover, {"F2"}), (gap, {"grading"})):
+        passes.clear()
+        report = verify_flat_axioms(M)
+        assert len(passes) == 1
+        assert {v.axiom for v in report.violations} == axioms
+        assert list(report.violations) == _capped(brute_flat_report(M))
 
 
 def test_flat_axioms_scan_all_pairs_only_when_f1_fails(monkeypatch, pg33, pg35, vamos_m, rebuild):
