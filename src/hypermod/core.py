@@ -24,13 +24,14 @@ containment order of the stored flats once, as bits over flat indices
 unpacked rows, transposed and packed a block at a time, and each
 up-set is the AND of its members' rows.  The shape
 check, :func:`contract`, the pair table and :func:`verify_flat_axioms`
-all read that order.  The last decides the cover axiom F2 and the
-grading on the declared grades: when a flat strictly above another
-always has a higher grade, and each flat but the bottom lies above one
-a grade lower, the flats one grade above a flat are among its covers,
-so one pass over those settles both.  The exact covers of every flat,
-its full up-set reduced a block of flats at a time, are found only to
-list witnesses.
+all read that order.  The last decides the cover axiom F2, the
+grading and the irreducible flats, the hyperplanes, on the declared
+grades, which every valid family passes: a flat strictly above another
+has a higher grade, each flat but the bottom lies above one a grade
+lower, and the flats one grade above a flat below the hyperplanes hold
+every element and share only it.  Any other family takes one exact
+pass over every flat's covers, its up-set reduced a block of flats at
+a time.
 Connectivity comes from one basis: :func:`components` merges the
 stars of its fundamental circuits with 2r closure queries and
 enumerates no circuits.  :func:`is_isomorphic` places elements one at a
@@ -58,7 +59,7 @@ of :func:`verify_rank_axioms` give the exact verdict and its subset
 passes run only when they have witnesses to list.
 
 Declared grades are *stored*, not recomputed: :func:`verify_flat_axioms`
-checks them against longest-chain lengths, proved equal by the two
+checks them against longest-chain lengths, proved equal by the
 checks above or found along the exact covers, by size, so that corrupt
 input files are caught loudly instead of silently re-ranked.  Every report lists at most
 ``_VIOLATION_CAP`` witnesses per axiom, with an exact verdict.
@@ -678,26 +679,31 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     the bottom flat, along covers, since a longest chain of strict
     inclusions has no room for a flat between two of its steps.
 
-    F2 and the grading are decided on the declared grades, flat order
-    being grade-ascending, when two checks pass (:func:`_graded_irreducible`):
+    The declared grades decide F2, the grading and the irreducible flats,
+    flat order being grade-ascending, when four checks pass
+    (:func:`_grades_decide`): *monotone*, no other flat of grade at most
+    g lies above a flat of grade g; *downward*, every flat of grade g + 1
+    lies above one of grade g; and, for each flat F below the
+    hyperplanes, the next-grade flats above F hold every element (*OR*)
+    and share only F (*AND*).  Then the grading holds: the constructor
+    keeps one grade-0 flat, the grades along a strict chain ending at F
+    rise from 0, by monotone, so it has at most grade(F) steps, and by
+    downward one has exactly that many.  A next-grade flat above F
+    covers F: a flat strictly between would have a grade strictly
+    between grade(F) and grade(F) + 1.  So OR gives F2, the top flat E
+    being the one cover of a hyperplane, by monotone; F ⊆ ∩ covers ⊆ ∩
+    next-grade flats = F by AND, so F is reducible; every hyperplane is
+    irreducible, and the irreducible flats are exactly the hyperplanes.
 
-    * *monotone*: no other flat of grade at most g lies above a flat F
-      of grade g, so a flat strictly above F has a higher grade;
-    * *downward*: every flat of grade g + 1 lies above one of grade g.
-
-    Then the grading holds.  The constructor keeps exactly one grade-0
-    flat.  Along a strict chain ending at F the grades rise, by
-    monotone, from at least 0, so the chain has at most grade(F) steps;
-    by downward, F has a chain of exactly grade(F) steps below it.  And
-    F2 holds if each flat F and the flats of the next grade above it
-    hold every element: by monotone nothing lies strictly between F and
-    such a flat, whose grade is one higher, so each of them covers F.
-    If any of this fails, :func:`_cover_violations` finds every flat's
-    covers and its longest chain, and lists the witnesses; it lists
-    none otherwise, so the report is the same either way.  Violations
-    are reported, never thrown: the first ``_VIOLATION_CAP`` of each
-    axiom, in the order above, so the all-pairs F1 scan stops once it
-    has listed them.
+    A valid family passes all four.  It is graded by height, so monotone
+    and downward hold, and the covers of F are the next-grade flats
+    above it.  F2 makes them hold E - F.  Below the hyperplanes F has
+    two at least, as one would hold E, and F1 makes two meet in F.  So
+    :func:`_cover_violations`, exact on any family, runs only on one
+    that fails an axiom, and the report is the same either way.
+    Violations are reported, never thrown: the first ``_VIOLATION_CAP``
+    of each axiom, in the order above, so the all-pairs F1 scan stops
+    once it has listed them.
 
     The report is stored in ``M._cache["flat_report"]`` and returned as it
     is on later calls; the only other writer is
@@ -707,8 +713,10 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     stored = M._cache.get("flat_report")
     if stored is not None:
         return stored
-    irreducible, cover_violations = _graded_irreducible(M), []
-    if irreducible is None:
+    if _grades_decide(M):
+        first_hyperplane = M._grade_starts[max(M.rank - 1, 0)]
+        irreducible, cover_violations = np.arange(first_hyperplane, len(M._flat_list) - 1), []
+    else:
         irreducible, cover_violations = _cover_violations(M)
     violations: list[Violation] = []
     masks, flats = M._flat_masks, M._flat_list
@@ -734,22 +742,14 @@ def _has_passing_flat_report(M: Matroid) -> bool:
     return report is not None and report.passed
 
 
-def _graded_irreducible(M: Matroid) -> Optional[np.ndarray]:
-    """The irreducible flats, if the declared grades decide F2 and the grading; else None.
+def _grades_decide(M: Matroid) -> bool:
+    """Whether the declared grades decide F2, the grading and the irreducible flats.
 
-    None unless three checks pass: monotone, downward and F2 on the
-    next-grade flats above each flat, read off the declared grades as
-    :func:`verify_flat_axioms` sets out, where they are proved.  The
-    monotone and downward masks are Python ints.  By monotone only the
-    top flat lies strictly above a hyperplane, so it is a hyperplane's
-    one cover, and every hyperplane is irreducible.  The flats below the
-    hyperplanes, before index h, take one pass: each grade's next-grade
-    slices are packed, and one OR and one AND over the set bits of all
-    grades at once give what the next-grade flats of each flat hold and
-    share.  A flat equal to that meet is reducible, since by monotone
-    those flats are among its covers.  Every other flat is a candidate,
-    refined by its exact covers (:func:`_covers`), read off every flat's
-    packed strictly-above row: a cover may skip a grade where F1 fails.
+    The four checks of :func:`verify_flat_axioms`, where they are proved.
+    Monotone and downward are read off Python int masks; OR and AND off
+    one pass over the flats below the hyperplanes, one OR and one AND
+    over the set bits of every grade's packed next-grade slices.  AND
+    keeps an irreducible flat below the hyperplanes among F1's columns.
     """
     starts, sup = M._grade_starts, M._sup_bits
     words = _meet_index(M)[0]
@@ -760,10 +760,10 @@ def _graded_irreducible(M: Matroid) -> Optional[np.ndarray]:
         a, b, end = starts[g : g + 3]
         below, full = (1 << b) - 1, (1 << (end - b)) - 1
         if any(s & below != 1 << i for i, s in enumerate(sup[a:b], a)):
-            return None
+            return False
         slices = [s >> b & full for s in sup[a:b]]
         if reduce(or_, slices, 0) != full:
-            return None
+            return False
         if full and g < M.rank - 1:
             packed = _packed(slices, end - b)
             step = max(1, _BLOCK_BYTES // (end - b))
@@ -775,31 +775,19 @@ def _graded_irreducible(M: Matroid) -> Optional[np.ndarray]:
     held = words[:h].copy()
     _reduce_rows(np.bitwise_or, words, r, c, held)
     if (held != ground).any():
-        return None
+        return False
     meet = np.tile(ground, (h, 1))
     _reduce_rows(np.bitwise_and, words, r, c, meet)
-    candidates = np.flatnonzero((meet != words[:h]).any(axis=1))
-
-    irreducible = []
-    if len(candidates):
-        count = len(sup)
-        above = _packed([s ^ 1 << i for i, s in enumerate(sup)], count)
-        step = max(1, _BLOCK_BYTES // count)
-        for k in range(0, len(candidates), step):
-            rows = candidates[k : k + step]
-            cr, cc = _set_bits(_covers(above, rows))
-            meet = np.tile(ground, (len(rows), 1))
-            _reduce_rows(np.bitwise_and, words, cr, cc, meet)
-            irreducible.append(rows[(meet != words[rows]).any(axis=1)])
-    return np.concatenate(irreducible + [np.arange(h, len(sup) - 1)])
+    return bool((meet == words[:h]).all())
 
 
 def _cover_violations(M: Matroid) -> tuple[np.ndarray, list[Violation]]:
     """The irreducible flats, and the F2 and grading violations, read off each flat's covers.
 
-    One pass over blocks of flats, by size, finds each flat's covers
-    (:func:`_covers`), ORs and ANDs their packed element words, one
-    ``reduceat`` per step, and reads F2 and irreducibility off the two.
+    One pass over blocks of flats, by size, finds each flat's covers, ORs
+    and ANDs their packed element words, one ``reduceat`` per step, and
+    reads F2 and irreducibility off the two.  F's covers are its packed
+    strictly-above row less the OR of the rows of the flats in it.
     The same pass finds each flat's longest chain length from the bottom
     flat: 0 if it covers no flat, else 1 + the largest length among the
     flats it covers.  Those are smaller, so their lengths are final
@@ -824,8 +812,11 @@ def _cover_violations(M: Matroid) -> tuple[np.ndarray, list[Violation]]:
     step = max(1, _BLOCK_BYTES // count)
     for r0 in range(0, count, step):
         rows = by_size[r0 : r0 + step]
-        covers = _covers(above, rows)
-        r, c = _set_bits(covers)
+        block = above[rows]
+        r, c = _set_bits(block)
+        skipped = np.zeros_like(block)
+        _reduce_rows(np.bitwise_or, above, r, c, skipped)
+        r, c = _set_bits(block & ~skipped)
         held, meet = words[rows], np.tile(ground, (len(rows), 1))
         _reduce_rows(np.bitwise_or, words, r, c, held)
         _reduce_rows(np.bitwise_and, words, r, c, meet)
@@ -852,20 +843,6 @@ def _cover_violations(M: Matroid) -> tuple[np.ndarray, list[Violation]]:
         detail = f"declared grade {grade[j]} but longest chain has length {chain[j]}"
         grading.append(Violation("grading", (flats[j],), detail))
     return np.sort(np.concatenate(irreducible), kind="stable"), f2 + grading
-
-
-def _covers(above: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The covers of the flats ``rows``, packed, from every flat's packed strictly-above row.
-
-    A flat strictly above F covers F unless it lies strictly above
-    another flat strictly above F: the covers are F's row less the OR of
-    the rows of the flats in it.
-    """
-    block = above[rows]
-    r, c = _set_bits(block)
-    skipped = np.zeros_like(block)
-    _reduce_rows(np.bitwise_or, above, r, c, skipped)
-    return block & ~skipped
 
 
 def _set_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

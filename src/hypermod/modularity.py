@@ -34,6 +34,7 @@ and lines.  No report is computed to take it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from types import SimpleNamespace
@@ -301,20 +302,18 @@ def _column_counts(rows: list[int], width: int) -> np.ndarray:
     return counts
 
 
-def _first_apart_planes(M: Matroid) -> tuple[ElementSet, ElementSet] | None:
-    """The first pair of planes, in canonical order, that shares no line; None if there is none.
+def _first_apart_planes(M: Matroid) -> tuple[ElementSet, ElementSet]:
+    """The first pair of planes, in canonical order, that shares no line.
 
-    ``M`` is what :func:`_by_incidence` accepts, so the common elements
-    of two planes form a flat, their meet, and they share no line when
-    its grade is below 2.  The scan stops at the first such pair.
+    ``M`` is what :func:`_by_incidence` accepts, and its incidence counts
+    say it is not hypermodular, so such a pair exists.  The common
+    elements of two planes form a flat, their meet, and they share no
+    line when its grade is below 2.  The scan stops at the first.
     """
     masks, index, grade, flats = M._flat_masks, M._index_of_mask, M._grade_of_index, M._flat_list
-    p0, top = M._grade_starts[3:5]
-    for p in range(p0, top):
-        for q in range(p + 1, top):
-            if grade[index[masks[p] & masks[q]]] < 2:
-                return flats[p], flats[q]
-    return None
+    pairs = itertools.combinations(range(*M._grade_starts[3:5]), 2)
+    p, q = next((p, q) for p, q in pairs if grade[index[masks[p] & masks[q]]] < 2)
+    return flats[p], flats[q]
 
 
 def _incidence_pairs(M: Matroid) -> dict[tuple[ElementSet, ElementSet], int]:

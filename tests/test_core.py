@@ -451,6 +451,8 @@ def test_circuits_of_a_looped_matroid_are_its_loops(looped_u44):
     # listed from max_size 1 on, and no set holding the loop is tried.
     assert circuits_up_to(looped_u44, 0) == []
     assert [circuits_up_to(looped_u44, k) for k in range(1, 6)] == [[frozenset({4})]] * 5
+    with pytest.raises(ValueError, match=r"\Amax_size must be nonnegative\Z"):
+        circuits_up_to(looped_u44, -1)
 
 
 def test_circuits_pg32_lines(pg32):

@@ -469,8 +469,8 @@ def test_completion_checks_the_flat_axioms_of_its_input_only(monkeypatch, pg33, 
 
 def test_completion_builds_a_pair_table_for_its_input_only(monkeypatch, pg33, pg35):
     # Each extension's defects, disjoint flags and hypermodularity witness are
-    # read off its parent's report and its cut, so no later matroid of a
-    # completion builds a pair table, lists its flags or scans its corank pairs.
+    # counted off its own incidences, so no later matroid of a completion
+    # builds a pair table, lists its flags or scans its corank pairs.
     built, listed, scanned = [], [], []
     table, flags, pairs = core._pair_table, modularity.disjoint_rank32_pairs, modularity._defective_pairs
 

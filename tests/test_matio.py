@@ -127,6 +127,8 @@ def test_parse_errors():
         parse_matroid("matroid m\nground 2\nrank 1\nflat 0:\nflat 1: 0 5\nflat 1: 0 1\n")
     with pytest.raises(ParseError, match="line 4"):
         parse_matroid("matroid m\nground 2\nrank 1\nnonsense here\nflat 1: 0 1\n")
+    with pytest.raises(ParseError, match=r"\Aline 5: bad grade 'x'\Z"):
+        parse_matroid("matroid m\nground 2\nrank 1\nflat 0:\nflat x: 0\nflat 1: 0 1\n")
 
 
 def test_huge_header_values_fail_before_any_allocation():
@@ -200,6 +202,8 @@ def test_points_errors():
         parse_points("points p\nfield 2\ndim 2\npoint: 0 0\n")
     with pytest.raises(ParseError, match="arity"):
         parse_points("points p\nfield 2\ndim 3\npoint: 1 0\n")
+    with pytest.raises(ParseError, match=r"\Adimension must be positive\Z"):
+        parse_points("points p\nfield 2\ndim 0\n")
 
 
 def test_points_field_near_1e18_is_decided_promptly():

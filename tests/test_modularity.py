@@ -808,11 +808,15 @@ _PG32_LESS_012 = delete(pg3(2), {0, 1, 2})
 # {10} is covered by {0,2,3,10} of grade 3, two grades up, yet every check
 # on the declared grades passes; F1 fails.
 _SKIPPING_COVER = _graded_by_chains(12, _PG32_LESS_012._flat_masks + [0b10000001101])
+# The lines through {0} meet in {0,1}, so the declared grades leave {0}
+# undecided and the exact cover pass runs; F1 fails.
+_LINES_MEET_IN_A_PAIR = Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {0, 1, 3}, {2, 3}], [range(4)]])
 
 
 @settings(max_examples=150, deadline=None)
 @given(M=_regraded([pg3(2), _PG32_LESS_012, vamos(), uniform(3, 6), uniform(4, 7)]))
 @example(M=_SKIPPING_COVER)
+@example(M=_LINES_MEET_IN_A_PAIR)
 def test_f1_is_decided_on_the_irreducible_flats_of_regraded_lattices(M):
     _assert_f1_is_decided_on_the_irreducible_flats(M)
 
@@ -834,7 +838,8 @@ def test_the_exact_cover_pass_runs_only_on_families_the_declared_grades_do_not_d
     # flat's longest chain has length 2: the grading fails.
     no_cover = Matroid(3, [[()], [{0}, {1}], [{0, 1, 2}]])
     gap = Matroid(3, [[()], [{0}, {1}, {2}], [], [{0, 1, 2}]])
-    for M, axioms in ((no_cover, {"F2"}), (gap, {"grading"})):
+    lines = rebuild(_LINES_MEET_IN_A_PAIR)
+    for M, axioms in ((no_cover, {"F2"}), (gap, {"grading"}), (lines, {"F1"})):
         passes.clear()
         report = verify_flat_axioms(M)
         assert len(passes) == 1

@@ -55,6 +55,8 @@ def test_point_config_validation():
         PointConfig(prime=2, dim=2, points=((0, 0),))
     with pytest.raises(ValueError, match="arity"):
         PointConfig(prime=2, dim=3, points=((1, 0),))
+    with pytest.raises(ValueError, match=r"\Adimension must be positive\Z"):
+        PointConfig(prime=2, dim=0, points=())
 
 
 def test_point_config_normalization():
