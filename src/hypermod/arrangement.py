@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import _VIOLATION_CAP, AxiomReport, ElementSet, Matroid, Violation, closure
 from .extension import ExtensionContext
-from .modularity import _defective_pairs
+from .modularity import _defective_pairs, is_hypermodular
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,16 @@ def check_line_connectivity(M: Matroid) -> AxiomReport:
     For rank-4 loopless matroids this asks that any two distinct rank-3
     flats intersect in a rank-2 flat, which is exactly hypermodularity:
     two distinct planes A, B join to the top, so their modular defect is
-    2 - r(A∩B), nonzero exactly when they share no line.  The report
-    lists the first ``_VIOLATION_CAP`` such pairs, in the canonical pair
-    order, and the lazy scan stops there; the verdict is exact.
+    2 - r(A∩B), nonzero exactly when they share no line.  The verdict is
+    :func:`hypermod.modularity.is_hypermodular`.  When it fails, the
+    report lists the first ``_VIOLATION_CAP`` such pairs, in the canonical
+    pair order, and the lazy scan of the planes' pair table stops there.
     """
     if M.rank != 4:
         raise ValueError(f"line connectivity requires rank 4, got {M.rank}")
     if not M.is_loopless:
         raise ValueError("line connectivity requires a loopless matroid")
+    apart = () if is_hypermodular(M) else itertools.islice(_defective_pairs(M, 3), _VIOLATION_CAP)
     return AxiomReport.from_violations(
         [
             Violation(
@@ -111,7 +113,7 @@ def check_line_connectivity(M: Matroid) -> AxiomReport:
                 (a, b),
                 "two points of the arrangement lie on no common line",
             )
-            for a, b, _ in itertools.islice(_defective_pairs(M, 3), _VIOLATION_CAP)
+            for a, b, _ in apart
         ]
     )
 

@@ -10,7 +10,8 @@ Matroid documents (``.mat``)::
 
 Every flat of every grade must be listed — the lattice IS the
 representation — and a document may list at most
-:data:`hypermod.core.FLAT_LIMIT` flats.  Parsing verifies the flat
+:data:`hypermod.core.FLAT_LIMIT` flats on a ground set of at most as
+many elements.  Parsing verifies the flat
 axioms by default, so garbage is rejected at the boundary, and the
 parsed matroid keeps the report, which
 :func:`hypermod.core.verify_flat_axioms` stores on it; serialization is
@@ -118,6 +119,8 @@ def parse_matroid_document(text: str, *, verify: bool = True) -> MatroidDocument
         raise ParseError(f"missing rank-{rank} flat listing the whole ground set")
     if 0 not in by_grade:
         raise ParseError("missing the rank-0 flat")
+    if ground > FLAT_LIMIT:
+        raise ParseError(f"ground {ground} is more than {FLAT_LIMIT} elements, the limit of a document")
     grades = [by_grade.get(k, []) for k in range(rank + 1)]
     try:
         matroid = Matroid(ground, grades, name=name)

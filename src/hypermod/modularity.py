@@ -10,26 +10,23 @@ enumerates and the extension machinery repairs.
 
 Defects are defined only between flats; close arbitrary sets first.
 
-Two paths give a matroid's defect report.  The pair table of
-:mod:`hypermod.core` meets every flat with every other; it is exact on
-any family the constructor accepts, lattice or not, of any rank, and it
-is the reference the tests hold the other path to.  A loopless rank-4
-matroid that already carries a passing flat report, stored by parsing,
-by :func:`hypermod.core.verify_flat_axioms` or by
-:func:`hypermod.extension.extend_once`, is the lattice of flats of a
-matroid, so its positive pairs are of three kinds only, and their
+The pair table of :mod:`hypermod.core` is the one kernel that lists
+pair defects (:func:`_defective_pairs`).  It meets every flat with every
+other and is exact on any family the constructor accepts, lattice or
+not, of any rank.  A loopless rank-4 matroid that carries a passing flat
+report, stored by parsing, by :func:`hypermod.core.verify_flat_axioms`
+or by :func:`hypermod.extension.extend_once`, is the lattice of flats of
+a matroid, so its positive pairs are of three kinds only, and their
 numbers follow from point, line and plane incidence counts
-(:func:`total_modular_defect`).  Its total, its flag count and its
-hypermodularity verdict are counted off the up-set rows; its positive
-pairs (:func:`_incidence_pairs`) and its disjoint flags
-(:func:`_walk_flags`) are listed off incidences only when a caller reads
-them, and a witness of a matroid that is not hypermodular is the first
-pair of planes sharing no line (:func:`_first_apart_planes`).  That
-second path earns its lines because such matroids are what a completion
-visits: a parsed input, and every extension, which carries its passing
-flat report.  On PG(3,5) less two points the pair table visits 627 000
-pairs to find 2 480; the counts read the up-set rows of its 960 points
-and lines.  No report is computed to take it.
+(:func:`total_modular_defect`).  Such matroids are what a completion
+visits: a parsed input, and every extension.  Their total, flag count
+and hypermodularity verdict are counted off the up-set rows, with no
+pair listed; on PG(3,5) less two points the pair table visits 627 000
+pairs to find 2 480, where the counts read the rows of its 960 points
+and lines.  A witness of such a matroid that is not hypermodular is the
+first pair of planes sharing no line (:func:`_first_apart_planes`).
+Their pairs are listed off the pair table, and their disjoint flags by
+:func:`_walk_flags`, only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -56,9 +52,10 @@ class DefectReport:
     their number.
 
     ``DefectReport(pair_defects, total, disjoint_flags)`` holds all three.
-    A report counted off incidences holds ``total`` and ``flag_count`` and
-    lists ``pair_defects`` and ``disjoint_flags`` when they are first
-    read.  The fields are read-only: assigning one raises
+    A report counted off incidences holds ``total`` and ``flag_count``; it
+    lists ``pair_defects`` off the pair table and ``disjoint_flags`` by
+    :func:`_walk_flags` when they are first read.  The fields are
+    read-only: assigning one raises
     :class:`dataclasses.FrozenInstanceError`.  Two reports are equal when
     their pairs, totals and flags are.
     """
@@ -72,21 +69,27 @@ class DefectReport:
     def _counted(cls, M: Matroid, total: int, flag_count: int) -> "DefectReport":
         """The report of ``M``, which :func:`_by_incidence` accepts, listing nothing yet.
 
-        It keeps the rows the listings read, not ``M``, whose cache holds
+        It keeps the rows ``M`` was set from, not ``M``, whose cache holds
         the report: so no reference cycle keeps ``M`` alive.
         """
         report = cls.__new__(cls)
-        rows = SimpleNamespace(**{name: getattr(M, name) for name in _LISTED_ROWS})
+        rows = (M.ground_size, M.flats_by_rank, (M._flat_masks, M._elem_flatbits, M._sup_bits))
         vars(report).update(total=total, flag_count=flag_count, _rows=rows)
         return report
 
+    def _lattice(self) -> Matroid:
+        """A matroid set from the kept rows, with an empty cache; each listing builds its own."""
+        M = Matroid.__new__(Matroid)
+        M._set_rows(*self._rows)
+        return M
+
     @cached_property
     def pair_defects(self) -> dict[tuple[ElementSet, ElementSet], int]:
-        return _incidence_pairs(self._rows)
+        return {pair_key(a, b): d for a, b, d in _defective_pairs(self._lattice())}
 
     @cached_property
     def disjoint_flags(self) -> tuple[tuple[ElementSet, ElementSet], ...]:
-        return tuple(_walk_flags(self._rows))
+        return tuple(_walk_flags(self._lattice()))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -102,10 +105,6 @@ class DefectReport:
 
     def __repr__(self) -> str:
         return f"DefectReport(total={self.total}, flag_count={self.flag_count})"
-
-
-# What the listings of a counted report read off its matroid.
-_LISTED_ROWS = ("_grade_starts", "_flat_list", "_flat_masks", "_sup_bits", "_elem_flatbits")
 
 
 def _defective_pairs(
@@ -165,12 +164,12 @@ def is_hypermodular(M: Matroid) -> bool:
 def total_modular_defect(M: Matroid) -> DefectReport:
     """Sum of defects over all unordered pairs of distinct flats.
 
-    The pairs are listed in the global flat order, A before B, and keyed
-    canonically.  A loopless rank-4 matroid that carries a passing flat
-    report has positive pairs of three kinds only; its total and its flag
-    count are counted off incidences (:func:`_incidence_counts`), and its
-    pairs and flags are listed when first read.  Any other matroid is
-    scanned over the pair table.
+    The pairs are listed off the pair table in the global flat order, A
+    before B, and keyed canonically.  A loopless rank-4 matroid that
+    carries a passing flat report has positive pairs of three kinds only;
+    its total and its flag count are counted off incidences
+    (:func:`_incidence_counts`), and its pairs and flags are listed only
+    when first read.  Any other matroid is scanned over the pair table.
 
     Proof of the three kinds.  A family that passes F1, F2 and grading is
     the lattice of flats of a matroid, graded by height (Oxley, *Matroid
@@ -316,52 +315,6 @@ def _first_apart_planes(M: Matroid) -> tuple[ElementSet, ElementSet]:
     return flats[p], flats[q]
 
 
-def _incidence_pairs(M: Matroid) -> dict[tuple[ElementSet, ElementSet], int]:
-    """The positive pairs of ``M``, which :func:`_by_incidence` accepts, with their defects.
-
-    Only the three kinds of :func:`total_modular_defect` are listed, row
-    by row in the global flat order.  Each line's row holds the lines
-    after it in the planes through it, and all planes, less the flats
-    that share an element with it; the join of two disjoint coplanar
-    lines is their one common plane, so each such pair appears once.
-    Such a line and plane are keyed by their least elements: two
-    disjoint nonempty flats' sorted members differ at position 0, so the
-    flat holding the smaller least element comes first in canonical
-    order.  Each plane's row holds the planes after it outside the OR of
-    the up-sets of its lines, the planes sharing no line with it; one it
-    shares an element with meets it in a point.
-    """
-    starts, flats, masks, sup = M._grade_starts, M._flat_list, M._flat_masks, M._sup_bits
-    l0, p0, top = starts[2], starts[3], starts[4]
-    planes = (1 << top) - (1 << p0)
-    through = [_bits(sup[x] >> p0 & (1 << top - p0) - 1) for x in range(l0, p0)]
-    plane_lines = [0] * (top - p0)
-    for x, offsets in enumerate(through, l0):
-        for p in offsets:
-            plane_lines[p] |= 1 << x
-
-    # A grade's flats are in canonical order, so a pair within one grade is
-    # keyed as listed.  -(2 << i) keeps the bits above i: each pair is
-    # listed from its first flat.
-    pairs = {}
-    for x, meets in enumerate(_meet_rows(M, 2), l0):
-        coplanar = 0
-        for p in through[x - l0]:
-            coplanar |= plane_lines[p]
-        for y in _bits(coplanar & -(2 << x) & ~meets):
-            pairs[flats[x], flats[y]] = 1
-        least = masks[x] & -masks[x]
-        for y in _bits(planes & ~meets):
-            pairs[(flats[x], flats[y]) if least < masks[y] & -masks[y] else (flats[y], flats[x])] = 1
-    for p, meets, inner in zip(range(p0, top), _meet_rows(M, 3), plane_lines):
-        shared = 0
-        for x in _bits(inner):
-            shared |= sup[x]
-        for q in _bits(planes & -(2 << p) & ~shared):
-            pairs[flats[p], flats[q]] = 1 if meets >> q & 1 else 2
-    return pairs
-
-
 def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
     """All disjoint (rank-3 flat, rank-2 flat) pairs, canonically ordered.
 
@@ -376,27 +329,18 @@ def disjoint_rank32_pairs(M: Matroid) -> list[tuple[ElementSet, ElementSet]]:
     return list(_walk_flags(M))
 
 
-def _meet_rows(M: Matroid, grade: int) -> Iterator[int]:
-    """Per flat of ``grade``, in order, the flats sharing an element with it, as bits.
-
-    Each row is the OR of the element bits of the flat's members.
-    """
-    starts, elem = M._grade_starts, M._elem_flatbits
-    for mask in M._flat_masks[starts[grade] : starts[grade + 1]]:
-        meets = 0
-        for e in _bits(mask):
-            meets |= elem[e]
-        yield meets
-
-
 def _walk_flags(M: Matroid) -> Iterator[tuple[ElementSet, ElementSet]]:
     """The disjoint (plane, line) pairs in canonical order, plane by plane, as they are read.
 
-    A line misses a plane when it is outside the plane's meet row.  Each
-    plane's row is built only when the walk reaches it.
+    A line misses a plane when it is outside the plane's meet row, the OR
+    of the element bits of its members.  Each plane's row is built only
+    when the walk reaches it.
     """
-    starts, flats = M._grade_starts, M._flat_list
+    starts, flats, masks, elem = M._grade_starts, M._flat_list, M._flat_masks, M._elem_flatbits
     lines = (1 << starts[3]) - (1 << starts[2])
-    for p, meets in enumerate(_meet_rows(M, 3), starts[3]):
+    for p in range(starts[3], starts[4]):
+        meets = 0
+        for e in _bits(masks[p]):
+            meets |= elem[e]
         for x in _bits(lines & ~meets):
             yield flats[p], flats[x]

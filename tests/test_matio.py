@@ -22,7 +22,7 @@ from hypermod import (
     vamos,
     verify_flat_axioms,
 )
-from hypermod import core
+from hypermod import core, matio
 
 U23_DOC = """\
 matroid u23
@@ -318,3 +318,19 @@ def test_mutated_pts_parses_or_is_a_parse_error(text):
 @given(text=_mutated_coordinates(_PTS_TEXTS))
 def test_pts_with_mutated_coordinates_is_realized_or_a_parse_error(text):
     _assert_pts_parses_or_is_a_parse_error(text)
+
+
+def test_a_ground_past_the_flat_limit_is_refused_before_any_matroid(monkeypatch):
+    # F1 reads every 64-bit word of every cell's mask, so its cost grows
+    # with the ground set as well as with the flats.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no matroid is built")
+
+    monkeypatch.setattr(matio, "Matroid", unreachable)
+    n = core.FLAT_LIMIT + 1
+    text = f"matroid wide\nground {n}\nrank 1\nflat 0:\nflat 1: " + " ".join(map(str, range(n))) + "\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as excinfo:
+        parse_matroid(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(excinfo.value) == "ground 5001 is more than 5000 elements, the limit of a document"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -1003,7 +1005,7 @@ def test_analyze_counts_u430_and_lists_nothing(monkeypatch, tmp_path, capsys):
     # = 5 937 750 disjoint ones.  Listing them would take about 1 GB.
     path = tmp_path / "u430.mat"
     path.write_text(serialize_matroid(uniform(4, 30)))
-    names = ("_incidence_pairs", "_walk_flags", "_defective_pairs", "disjoint_rank32_pairs")
+    names = ("_walk_flags", "_defective_pairs", "disjoint_rank32_pairs")
     listings = [_count_calls(monkeypatch, modularity, name) for name in names]
     assert cli.main(["analyze", str(path), "--machine"]) == 0
     out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
@@ -1011,6 +1013,26 @@ def test_analyze_counts_u430_and_lists_nothing(monkeypatch, tmp_path, capsys):
     assert out["disjoint_flags"] == "1425060"
     assert out["hypermodular_witness"] == "({0,1,2},{0,3,4})"
     assert listings == [[]] * len(names)
+
+
+def test_a_counted_report_keeps_no_reference_cycle(pg33):
+    # A counted report keeps rows, not its matroid, and each listing builds
+    # and drops its own lattice: with the collector off, dropping the last
+    # reference to the matroid frees it, whatever was listed.
+    D = parse_matroid(serialize_matroid(delete(pg33, {0, 1})))
+    outcome = complete_to_modular(D)
+    assert outcome.ok
+    gc.disable()
+    try:
+        for M in (D, outcome.matroid):
+            report = total_modular_defect(M)
+            assert sum(report.pair_defects.values()) == report.total
+            assert len(report.disjoint_flags) == report.flag_count
+        refs = [weakref.ref(D), weakref.ref(outcome.matroid)]
+        del D, M, outcome
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -1026,16 +1048,17 @@ def test_a_parsed_completion_builds_no_pair_defects(monkeypatch, q, pg33, pg35):
     assert not scans and blocks == [[], []]
 
 
+@pytest.mark.parametrize("verb", ["analyze", "arrangement"])
 @pytest.mark.parametrize("q", [3, 5])
-def test_an_analyzed_parsed_deletion_builds_no_up_set_columns(monkeypatch, tmp_path, q, pg33, pg35):
-    # F1 reads only the meet index, and the defect report and the witness
-    # of a parsed deletion are read off incidences, so no defect block asks
-    # for the pair table's up-set columns.
+def test_an_analyzed_parsed_deletion_builds_no_up_set_columns(monkeypatch, tmp_path, q, verb, pg33, pg35):
+    # F1 reads only the meet index, and the defect report, the witness and
+    # the line connectivity verdict of a parsed deletion are read off
+    # incidences, so no defect block asks for the pair table's up-set columns.
     path = tmp_path / "deletion.mat"
     path.write_text(serialize_matroid(delete({3: pg33, 5: pg35}[q], {0, 1})))
     loaded, load = [], cli._load
     monkeypatch.setattr(cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
-    assert cli.main(["analyze", str(path), "--machine"]) == 0
+    assert cli.main([verb, str(path), "--machine"]) == 0
     (M,) = loaded
     assert "meet_index" in M._cache and "pair_table" not in M._cache
 
