@@ -3,9 +3,11 @@
 Verbs: generate, analyze, extend, complete, verify, iso, arrangement.
 Exit codes: 0 success, 1 a checked property is false (including a
 completion that runs out of ``--max-steps``), 2 usage error (including
-a path that cannot be read or written), 3 internal error.  ``--machine``
-switches to key-value output; every number in the human report also
-appears there.
+a path that cannot be read or written), 3 internal error.  Past
+argparse's own checks, every exit-2 case prints one ``error: <message>``
+line on stderr and nothing on stdout: the verbs raise ``ValueError``
+and only :func:`main` prints it.  ``--machine`` switches to key-value
+output; every number in the human report also appears there.
 """
 
 from __future__ import annotations
@@ -113,8 +115,6 @@ def _too_large(args) -> bool:
             if size > core.FLAT_LIMIT:
                 break
         size = max(size, args.n)
-    if size > core.FLAT_LIMIT:
-        print(f"error: generate builds at most {core.FLAT_LIMIT} flats or elements", file=sys.stderr)
     return size > core.FLAT_LIMIT
 
 
@@ -125,31 +125,24 @@ def _too_large(args) -> bool:
 
 def cmd_generate(args) -> int:
     if args.pts is not None and args.kind != "pg3":
-        print(f"error: --pts is only for pg3, not {args.kind}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--pts is only for pg3, not {args.kind}")
     rep = Report(args.machine)
     if args.kind == "pg3":
         if args.q is None:
-            print("error: generate pg3 requires --q", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("generate pg3 requires --q")
         if not realize.is_prime(args.q):
-            print(f"error: q must be prime, got {args.q}", file=sys.stderr)
-            return USAGE_ERROR
-        if _too_large(args):
-            return USAGE_ERROR
+            raise ValueError(f"q must be prime, got {args.q}")
         name = f"pg3_{args.q}"
     elif args.kind == "uniform":
         if args.r is None or args.n is None:
-            print("error: generate uniform requires --r and --n", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("generate uniform requires --r and --n")
         if not (0 <= args.r <= args.n):
-            print(f"error: need 0 <= r <= n, got r={args.r}, n={args.n}", file=sys.stderr)
-            return USAGE_ERROR
-        if _too_large(args):
-            return USAGE_ERROR
+            raise ValueError(f"need 0 <= r <= n, got r={args.r}, n={args.n}")
         name = f"uniform_{args.r}_{args.n}"
     else:
         name = "vamos"
+    if args.kind != "vamos" and _too_large(args):
+        raise ValueError(f"generate builds at most {core.FLAT_LIMIT} flats or elements")
     # The default output is named after the configuration, known before it is built.
     out = args.output or f"{name}.mat"
     _require_writable(out, args.pts)
@@ -210,12 +203,7 @@ def cmd_extend(args) -> int:
     _require_writable(args.output)
     M = _load(args.path)
     rep = Report(args.machine)
-    try:
-        chosen = _pick_flag(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
+    chosen = _pick_flag(args)
     if chosen is None:
         found = first_extendable_flag(M)
         if not isinstance(found, ExtensionContext):
@@ -227,11 +215,7 @@ def cmd_extend(args) -> int:
             return PROPERTY_FALSE
         ctx = found
     else:
-        try:
-            ctx = build_context(M, chosen[0], chosen[1])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        ctx = build_context(M, chosen[0], chosen[1])
         verdict = criterion_holds(M, ctx)
         if not verdict.holds:
             rep.add("criterion", False)
@@ -302,11 +286,7 @@ def cmd_verify(args) -> int:
     # The flat axioms are checked once, below, so a failure is reported, not a parse error.
     M = matio.parse_matroid(Path(args.path).read_text(), verify=False)
     if args.exhaustive and M.ground_size > core.EXHAUSTIVE_LIMIT:
-        print(
-            f"error: exhaustive mode is limited to {core.EXHAUSTIVE_LIMIT} elements",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError(f"exhaustive mode is limited to {core.EXHAUSTIVE_LIMIT} elements")
     rep = Report(args.machine)
     flat_report = core.verify_flat_axioms(M)
     rep.add("flat_axioms", "pass" if flat_report.passed else "fail")
@@ -343,8 +323,7 @@ def cmd_arrangement(args) -> int:
     M = _load(args.path)
     rep = Report(args.machine)
     if M.rank != 4 or not M.is_loopless:
-        print("error: arrangement report requires a loopless rank-4 matroid", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("arrangement report requires a loopless rank-4 matroid")
     points, lines, planes = classify(M)
     rep.add("points", len(points))
     rep.add("lines", len(lines))

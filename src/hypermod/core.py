@@ -874,17 +874,19 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
     """Whether every flat meets each flat of the index array ``cols`` in a stored flat.
 
     Per row block, each cell counts the elements its two flats share, by
-    popcount of the word ANDs.  Three rules settle a cell with no lookup,
-    each exact on any family the constructor accepts, since each reads
-    only the two masks: a count of 0 means the meet is ∅, settled if ∅ is
-    stored; a count of 1 means it is a singleton, settled if every
-    singleton is stored; a count equal to the size of either flat means
-    the two are nested, so the meet is one of them, and stored.  A cell
-    whose row is in ``cols`` too is the cell of its column's row and its
-    row's column read the other way, so only the one whose row index is
-    the smaller is checked.  Every other cell is looked up in the meet
-    index (:func:`_lookup`), and one not found there, a miss or a lost
-    hash collision, in ``M._index_of_mask``.
+    popcount of the word ANDs.  Only the words set in some row of the
+    block and in some flat of ``cols`` are ANDed: a word that is zero on
+    either side adds 0 to every count.  Three rules settle a cell with
+    no lookup, each exact on any family the constructor accepts, since
+    each reads only the two masks: a count of 0 means the meet is ∅,
+    settled if ∅ is stored; a count of 1 means it is a singleton, settled
+    if every singleton is stored; a count equal to the size of either
+    flat means the two are nested, so the meet is one of them, and
+    stored.  A cell whose row is in ``cols`` too is the cell of its
+    column's row and its row's column read the other way, so only the
+    one whose row index is the smaller is checked.  Every other cell is
+    looked up in the meet index (:func:`_lookup`), and one not found
+    there, a miss or a lost hash collision, in ``M._index_of_mask``.
     """
     words, index, masks = _meet_index(M)[0], M._index_of_mask, M._flat_masks
     settled = [0] if 0 in index else []
@@ -895,12 +897,13 @@ def _meets_are_flats(M: Matroid, cols: np.ndarray) -> bool:
     first_col = np.zeros(len(masks), dtype=np.intp)
     first_col[cols] = np.arange(1, len(cols) + 1)
     col_words, col_sizes = words[cols], sizes[cols]
+    col_live = col_words.any(axis=0)
     step = max(1, _BLOCK_CELLS // max(1, len(cols)))
     chunk = max(1, _BLOCK_CELLS // words.shape[1])
     for r0 in range(0, len(masks), step):
         row_words = words[r0 : r0 + step]
         shared = np.zeros((len(row_words), len(cols)), dtype=np.int32)
-        for w in range(words.shape[1]):
+        for w in np.flatnonzero(row_words.any(axis=0) & col_live):
             shared += np.bitwise_count(row_words[:, w, None] & col_words[None, :, w])
         open_cells = np.ones(shared.shape, dtype=bool)
         for k in settled:

@@ -577,6 +577,37 @@ def brute_star_violations(M, ctx) -> list:
     return violations
 
 
+def brute_modular_cut(M, seeds) -> set[frozenset[int]]:
+    """The least modular cut of ``M`` that holds the flats ``seeds``, every rank from ``brute_rank``.
+
+    A modular cut is a family of flats that holds every flat above one of
+    its members and the meet F ∩ G of every modular pair F, G among them:
+    r(F) + r(G) = r(F ∪ G) + r(F ∩ G) (Crapo 1965; Oxley, *Matroid
+    Theory*, §7.2).  It fixes a single-element extension, whose new
+    element lies on exactly the flats of the cut, and it is proper, a
+    new point and no loop or parallel element, when it holds no flat of
+    rank 1 or less.  The family grows from ``seeds`` one flat at a time;
+    each is paired once with every flat already in it, and a pair whose
+    meet is already in it adds nothing, so its ranks are not read.
+    """
+    flats = [f for grade in M.flats_by_rank for f in grade]
+    cut: set[frozenset[int]] = set()
+    todo = [frozenset(s) for s in seeds]
+    while todo:
+        f = todo.pop()
+        if f in cut:
+            continue
+        cut.add(f)
+        todo += [g for g in flats if f < g]
+        for g in cut:
+            meet = f & g
+            if meet not in cut and (
+                brute_rank(M, f) + brute_rank(M, g) == brute_rank(M, f | g) + brute_rank(M, meet)
+            ):
+                todo.append(meet)
+    return cut
+
+
 def reverified_extension(M, ctx) -> ExtensionResult:
     """``extend_once`` re-verified in full: flat axioms, restriction, full defect scan."""
     verdict = criterion_holds(M, ctx)

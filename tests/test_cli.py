@@ -726,3 +726,40 @@ def test_the_entry_point_exits_with_each_class(workdir, tmp_path):
         unreadable = _run_module(*argv)
         assert unreadable.returncode == 2 and unreadable.stdout == ""
         assert unreadable.stderr.startswith("error:") and "Traceback" not in unreadable.stderr
+
+
+# Every usage refusal of the verbs, each with the one line it prints.  ``{dir}``
+# is the module's work directory; ``u36.mat`` is U(3,6), rank 3.
+REFUSALS = [
+    (["generate", "pg3"], "generate pg3 requires --q"),
+    (["generate", "pg3", "--q", "4"], "q must be prime, got 4"),
+    (["generate", "pg3", "--q", "11"], "generate builds at most 5000 flats or elements"),
+    (["generate", "uniform", "--r", "3"], "generate uniform requires --r and --n"),
+    (["generate", "uniform", "--r", "4", "--n", "3"], "need 0 <= r <= n, got r=4, n=3"),
+    (["generate", "uniform", "--r", "1", "--n", "-1"], "need 0 <= r <= n, got r=1, n=-1"),
+    (["generate", "uniform", "--r", "13", "--n", "13"], "generate builds at most 5000 flats or elements"),
+    (["generate", "vamos", "--pts", "v.pts"], "--pts is only for pg3, not vamos"),
+    (["extend", "{dir}/pg32m0.mat", "--f", "0,1"], "--f and --l must be given together"),
+    (["extend", "{dir}/pg32m0.mat", "--l", "0,1"], "--f and --l must be given together"),
+    (["extend", "{dir}/pg32m0.mat", "--f", "0,1", "--l", "2"], "[0, 1] has rank 2, expected 3"),
+    (["extend", "{dir}/pg32m0.mat", "--f", "x", "--l", "2"], "bad element list 'x'"),
+    (["extend", "u36.mat"], "extension requires rank 4, got rank 3"),
+    (["complete", "{dir}/pg32m0.mat", "--max-steps", "-1"], "max_steps must be nonnegative, got -1"),
+    (["verify", "{dir}/pg32.mat", "--exhaustive"], "exhaustive mode is limited to 14 elements"),
+    (["verify", "{dir}/pg32.mat", "--trials", "-3"], "--trials must be nonnegative, got -3"),
+    (["arrangement", "u36.mat"], "arrangement report requires a loopless rank-4 matroid"),
+    (["arrangement", "{dir}/pg32.mat", "--samples", "-1"], "--samples must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_each_refusal_prints_one_error_line_and_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u36.mat").write_text(serialize_matroid(uniform(3, 6), name="u36"))
+    argv = [arg.format(dir=workdir) for arg in argv]
+    if argv[0] in ("extend", "complete"):
+        argv += ["-o", "out.mat"]
+    assert main(argv + ["--machine"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["u36.mat"]

@@ -334,3 +334,18 @@ def test_a_ground_past_the_flat_limit_is_refused_before_any_matroid(monkeypatch)
         parse_matroid(text)
     assert time.perf_counter() - start < 1.0
     assert str(excinfo.value) == "ground 5001 is more than 5000 elements, the limit of a document"
+
+
+def test_a_sparse_document_at_both_limits_is_verified_in_a_second():
+    # Rank 2 on 5000 elements, {0,1} and {2,3} parallel: 4998 points, 5000
+    # flats.  Each point's mask has one or two live words of 79, so F1 ANDs
+    # only those.
+    points = ["0 1", "2 3"] + [str(e) for e in range(4, core.FLAT_LIMIT)]
+    lines = ["matroid sparse", f"ground {core.FLAT_LIMIT}", "rank 2", "flat 0:"]
+    lines += [f"flat 1: {p}" for p in points]
+    lines.append("flat 2: " + " ".join(map(str, range(core.FLAT_LIMIT))))
+    start = time.perf_counter()
+    M = parse_matroid("\n".join(lines) + "\n")
+    assert time.perf_counter() - start < 1.5
+    assert len(M._flat_list) == core.FLAT_LIMIT and len(M.flats_by_rank[1]) == 4998
+    assert verify_flat_axioms(M).passed

@@ -58,6 +58,7 @@ from oracles import (
     brute_subset_r1_fails,
     brute_subset_r3_fails,
     brute_unit_increase,
+    pg_point_list,
 )
 from test_realizable_corpus import CASES, _lines, _ovoid
 
@@ -821,6 +822,37 @@ _LINES_MEET_IN_A_PAIR = Matroid(4, [[()], [{0}, {1}, {2}, {3}], [{0, 1, 2}, {0, 
 @example(M=_LINES_MEET_IN_A_PAIR)
 def test_f1_is_decided_on_the_irreducible_flats_of_regraded_lattices(M):
     _assert_f1_is_decided_on_the_irreducible_flats(M)
+
+
+def _wide_families() -> list[tuple[Matroid, bool]]:
+    """Families on 130 to 133 elements, three mask words each, and whether each fails F1.
+
+    Each failing family fails F1 only at meets inside the third word,
+    elements 128 and up; skipping a word that is zero on either side must
+    not hide them.
+    """
+    plane = matroid_from_points(PointConfig(prime=11, dim=3, points=tuple(pg_point_list(11, dim=3))))
+    grades = [list(g) for g in plane.flats_by_rank]
+    grades[1].remove(frozenset([128]))  # the 12 lines through 128 meet in {128}
+    parallel = [{0, 1}, {63, 64, 128}, {127, 129}]
+    singles = [{e} for e in range(130) if not any(e in p for p in parallel)]
+    overlapping = [{0, 128, 129}, {1, 128, 129}] + [{e} for e in range(2, 128)]
+    return [
+        (plane, False),
+        (delete(plane, {0, 1}), False),
+        (uniform(2, 130), False),
+        (Matroid(130, [[()], parallel + singles, [range(130)]]), False),
+        (Matroid(133, grades), True),
+        (Matroid(130, [[()], overlapping, [range(130)]]), True),
+    ]
+
+
+def test_f1_is_decided_on_the_irreducible_flats_of_families_past_two_words():
+    for M, fails in _wide_families():
+        f1 = brute_f1(M)
+        assert bool(f1) == fails
+        assert all(min(v.witnesses[0] & v.witnesses[1]) >= 128 for v in f1)
+        _assert_f1_is_decided_on_the_irreducible_flats(M)
 
 
 def test_the_exact_cover_pass_runs_only_on_families_the_declared_grades_do_not_decide(

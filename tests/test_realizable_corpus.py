@@ -45,6 +45,7 @@ from hypermod import (
     criterion_holds,
     delete,
     disjoint_rank32_pairs,
+    extend_once,
     flats_of_rank,
     is_hypermodular,
     matroid_from_points,
@@ -56,8 +57,11 @@ from hypermod import (
 )
 from hypermod import extension
 from hypermod.cli import main
+import oracles
 from oracles import (
     brute_defect_identity,
+    brute_modular_cut,
+    brute_rank,
     modp_line_plane_meet,
     modp_matrix_rank,
     modp_span_members,
@@ -293,3 +297,34 @@ def test_every_sampled_ovoid_flag_has_the_star_through_its_meet_point(ovoid33, d
     assert len(lines) == len(planes) == 13  # the lines and planes of PG(3,3) through a point
     assert set(ctx.star_lines) == lines
     assert set(ctx.star_planes) == planes
+
+
+def test_every_flag_generates_the_modular_cut_of_its_star(del32, del33a, del33ab, spaces, monkeypatch):
+    """The criterion against Crapo's theorem, on every flag and four sampled q = 5 flags per deletion.
+
+    A new point on a flag's plane and line is a single-element extension
+    whose modular cut holds both, so it holds the least such cut, built
+    from brute ranks alone (``oracles.brute_modular_cut``).  The criterion
+    must hold exactly when that cut holds no flat of rank 1 or less; the
+    cut must then be the star lines, the star planes and the ground set,
+    and the flats ``extend_once`` enlarges plus the ground set.  The
+    oracle's ranks are memoized: flags share most of their unions.
+    """
+    monkeypatch.setattr(oracles, "brute_rank", functools.cache(oracles.brute_rank))
+    inputs = [(M, disjoint_rank32_pairs(M)) for M in (del32, del33a, del33ab)]
+    for q, S in CASES + [(3, _ovoid(3))]:
+        if all(len(line - S) >= 2 for line in _lines(q)):
+            D = delete(spaces[q], S)
+            flags = disjoint_rank32_pairs(D)
+            inputs.append((D, random.Random(q).sample(flags, 4) if q == 5 else flags))
+    # 28 flags per point deleted from PG(3,2), 117 from PG(3,3): the q = 3 corpus deletes 16.
+    assert sum(len(flags) for _, flags in inputs) == 28 + 117 + 234 + 2 * 28 + 16 * 117 + 4 * 4 + 10 * 117
+    for M, flags in inputs:
+        for f3, f2 in flags:
+            ctx = build_context(M, f3, f2)
+            cut = brute_modular_cut(M, [f3, f2])
+            holds = criterion_holds(M, ctx).holds
+            assert holds == all(brute_rank(M, f) >= 2 for f in cut)
+            if holds:
+                assert cut == set(ctx.star_lines) | set(ctx.star_planes) | {M.ground_set}
+                assert cut == set(extend_once(M, ctx).enlarged) | {M.ground_set}
