@@ -85,7 +85,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -243,7 +243,7 @@ class Matroid:
         nested flats of one grade.  No flat axiom is assumed, so the rows
         are exact on any family that passes.  Each grade is sorted by its
         member lists, and every attribute is set by :meth:`_set_rows`,
-        with the rows of :func:`_flat_relation`.
+        with the grade starts and the rows of :func:`_flat_relation`.
         """
         seen: set[int] = set()
         for k, grade in enumerate(grades):
@@ -267,13 +267,8 @@ class Matroid:
             starts.append(a + len(grade))
             order.extend(sorted(range(a, starts[-1]), key=flats.__getitem__))
         members, masks, flat_list = map(list, zip(*[flats[i] for i in order]))
-        self._set_rows(
-            n,
-            tuple(tuple(flat_list[a:b]) for a, b in itertools.pairwise(starts)),
-            (masks, *_flat_relation(members, bits, order)),
-            name=name,
-            element_map=element_map,
-        )
+        rows = (masks, *_flat_relation(members, bits, order))
+        self._set_rows(n, flat_list, starts, rows, name=name, element_map=element_map)
         # A flat inside another of its own grade breaks the shape.  One inside
         # a flat of lower grade is left to verify_flat_axioms.
         spans = [(1 << b) - (1 << a) for a, b in itertools.pairwise(starts)]
@@ -289,34 +284,32 @@ class Matroid:
     def _set_rows(
         self,
         n: int,
-        grades: tuple[tuple[ElementSet, ...], ...],
+        flats: list[ElementSet],
+        starts: Iterable[int],
         rows: tuple[list[int], list[int], list[int]],
         *,
         name: str | None = None,
         element_map: tuple[int, ...] | None = None,
     ) -> None:
-        """Set every attribute from canonical ``grades`` and their rows.
+        """Set every attribute from the canonical flat list, the grade starts and the rows.
 
-        ``rows`` is ``(masks, elem_flatbits, sup_bits)`` in the global flat
-        order.  The only setter of a matroid's attributes, for
-        :meth:`_build` and for :func:`_extension`.
+        ``flats`` is in the global flat order, grade ascending and member
+        lists ascending inside a grade; grade k is ``starts[k]`` up to
+        ``starts[k + 1]``.  ``rows`` is ``(masks, elem_flatbits, sup_bits)``
+        in that order.  The only setter of a matroid's attributes, so
+        ``flats_by_rank`` and every flat's grade are derived here alone.
         """
         self.ground_size = n
-        self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = grades
+        self._grade_starts = starts = tuple(starts)
+        spans = list(itertools.pairwise(starts))
+        self.flats_by_rank: tuple[tuple[ElementSet, ...], ...] = tuple(tuple(flats[a:b]) for a, b in spans)
         self.name = name
         self.element_map = element_map
-
-        # Global flat order: grade ascending, lexicographic inside a grade.
-        flat_list: list[ElementSet] = []
-        grade_of: list[int] = []
-        for k, grade in enumerate(grades):
-            flat_list.extend(grade)
-            grade_of.extend([k] * len(grade))
-        self._flat_list = flat_list
+        self._flat_list = flats
         self._flat_masks, self._elem_flatbits, self._sup_bits = rows
-        self._grade_of_index = grade_of
+        self._grade_of_index = [k for k, (a, b) in enumerate(spans) for _ in range(a, b)]
         self._index_of_mask = {m: i for i, m in enumerate(self._flat_masks)}
-        self._all_flat_bits = (1 << len(flat_list)) - 1
+        self._all_flat_bits = (1 << len(flats)) - 1
         self._cache: dict = {}
 
     # -- basic views ---------------------------------------------------
@@ -343,17 +336,17 @@ class Matroid:
         return f"Matroid{label}(n={self.ground_size}, rank={self.rank}, flats={counts})"
 
     def __eq__(self, other) -> bool:
+        """Equal flats by grade: the masks in canonical order and the grade starts fix them."""
         if not isinstance(other, Matroid):
             return NotImplemented
-        return (
-            self.ground_size == other.ground_size
-            and self.flats_by_rank == other.flats_by_rank
+        return (self.ground_size, self._grade_starts, self._flat_masks) == (
+            other.ground_size, other._grade_starts, other._flat_masks
         )
 
     def __hash__(self) -> int:
         h = self._cache.get("hash")
         if h is None:
-            h = hash((self.ground_size, self.flats_by_rank))
+            h = hash((self.ground_size, self._grade_starts, tuple(self._flat_masks)))
             self._cache["hash"] = h
         return h
 
@@ -393,14 +386,6 @@ class Matroid:
         if idx is None:
             raise ValueError(f"{sorted(_members_of(mask))} is not a flat")
         return idx
-
-    @cached_property
-    def _grade_starts(self) -> tuple[int, ...]:
-        """``starts[k]`` is the first index of grade ``k``; ``starts[-1]`` is the flat count."""
-        starts = [0]
-        for grade in self.flats_by_rank:
-            starts.append(starts[-1] + len(grade))
-        return tuple(starts)
 
 
 def _flat_relation(
@@ -680,22 +665,24 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     inclusions has no room for a flat between two of its steps.
 
     The declared grades decide F2, the grading and the irreducible flats,
-    flat order being grade-ascending, when four checks pass
-    (:func:`_grades_decide`): *monotone*, no other flat of grade at most
-    g lies above a flat of grade g; *downward*, every flat of grade g + 1
-    lies above one of grade g; and, for each flat F below the
-    hyperplanes, the next-grade flats above F hold every element (*OR*)
-    and share only F (*AND*).  Then the grading holds: the constructor
-    keeps one grade-0 flat, the grades along a strict chain ending at F
-    rise from 0, by monotone, so it has at most grade(F) steps, and by
-    downward one has exactly that many.  A next-grade flat above F
-    covers F: a flat strictly between would have a grade strictly
+    flat order being grade-ascending, when three checks pass
+    (:func:`_grades_decide`): *downward*, every flat of grade g + 1 lies
+    above one of grade g; and, for each flat F below the hyperplanes, the
+    next-grade flats above F hold every element (*OR*) and share only F
+    (*AND*).  Downward gives *monotone*: no other flat G of grade h <= g
+    lies above a flat F of grade g, since downward leads from F down to a
+    grade-h flat inside F, so strictly inside G, and the constructor
+    refuses two nested flats of one grade.  Then the grading holds: the
+    constructor keeps one grade-0 flat, the grades along a strict chain
+    ending at F rise from 0, by monotone, so it has at most grade(F)
+    steps, and by downward one has exactly that many.  A next-grade flat
+    above F covers F: a flat strictly between would have a grade strictly
     between grade(F) and grade(F) + 1.  So OR gives F2, the top flat E
     being the one cover of a hyperplane, by monotone; F ⊆ ∩ covers ⊆ ∩
     next-grade flats = F by AND, so F is reducible; every hyperplane is
     irreducible, and the irreducible flats are exactly the hyperplanes.
 
-    A valid family passes all four.  It is graded by height, so monotone
+    A valid family passes all three.  It is graded by height, so monotone
     and downward hold, and the covers of F are the next-grade flats
     above it.  F2 makes them hold E - F.  Below the hyperplanes F has
     two at least, as one would hold E, and F1 makes two meet in F.  So
@@ -706,9 +693,8 @@ def verify_flat_axioms(M: Matroid) -> AxiomReport:
     once it has listed them.
 
     The report is stored in ``M._cache["flat_report"]`` and returned as it
-    is on later calls; the only other writer is
-    :func:`hypermod.extension.extend_once`, which stores a passing report
-    on an extension that :func:`_extension_passes_flat_axioms` proves.
+    is on later calls; the only other writer is :func:`_extension`, which
+    stores a passing report on the extension that its check proves.
     """
     stored = M._cache.get("flat_report")
     if stored is not None:
@@ -745,11 +731,12 @@ def _has_passing_flat_report(M: Matroid) -> bool:
 def _grades_decide(M: Matroid) -> bool:
     """Whether the declared grades decide F2, the grading and the irreducible flats.
 
-    The four checks of :func:`verify_flat_axioms`, where they are proved.
-    Monotone and downward are read off Python int masks; OR and AND off
-    one pass over the flats below the hyperplanes, one OR and one AND
-    over the set bits of every grade's packed next-grade slices.  AND
-    keeps an irreducible flat below the hyperplanes among F1's columns.
+    The three checks of :func:`verify_flat_axioms`, where they are proved
+    and monotone is derived from them.  Downward is read off Python int
+    masks; OR and AND off one pass over the flats below the hyperplanes,
+    one OR and one AND over the set bits of every grade's packed
+    next-grade slices.  AND keeps an irreducible flat below the
+    hyperplanes among F1's columns.
     """
     starts, sup = M._grade_starts, M._sup_bits
     words = _meet_index(M)[0]
@@ -758,9 +745,7 @@ def _grades_decide(M: Matroid) -> bool:
     r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for g in range(M.rank):
         a, b, end = starts[g : g + 3]
-        below, full = (1 << b) - 1, (1 << (end - b)) - 1
-        if any(s & below != 1 << i for i, s in enumerate(sup[a:b], a)):
-            return False
+        full = (1 << (end - b)) - 1
         slices = [s >> b & full for s in sup[a:b]]
         if reduce(or_, slices, 0) != full:
             return False
@@ -998,6 +983,9 @@ def _extension(M: Matroid, cut: list[int]) -> Matroid:
     * nothing else changes.  An image F' of a flat of M lies in G' iff F
       lies in G: if F is in the cut, so is every G above it, since the
       cut is up-closed (condition (i)).
+
+    N carries the passing flat report that the check proves, so it is
+    never re-verified; :func:`verify_flat_axioms` is the other writer.
     """
     m, s = M.ground_size, M._grade_starts[2]
     point = frozenset([m])
@@ -1017,12 +1005,10 @@ def _extension(M: Matroid, cut: list[int]) -> Matroid:
     sup[0] |= 1 << s
 
     starts = M._grade_starts[:2] + tuple(t + 1 for t in M._grade_starts[2:])
+    elem = [shift(bits) for bits in M._elem_flatbits] + [holding_m]
     N = Matroid.__new__(Matroid)
-    N._set_rows(
-        m + 1,
-        tuple(tuple(flats[a:b]) for a, b in zip(starts, starts[1:])),
-        (masks, [shift(bits) for bits in M._elem_flatbits] + [holding_m], sup),
-    )
+    N._set_rows(m + 1, flats, starts, (masks, elem, sup))
+    N._cache["flat_report"] = AxiomReport(True, ())
     return N
 
 
@@ -1148,11 +1134,7 @@ def _exhaustive_rank_violations(M: Matroid, r3_fails: bool) -> list[Violation]:
 
     violations: list[Violation] = []
     all_masks = np.arange(size, dtype=np.int64)
-    popcount = np.zeros(size, dtype=np.uint8)
-    for e in range(n):
-        popcount += ((all_masks >> e) & 1).astype(np.uint8)
-
-    bad = np.nonzero(rank_tbl > popcount)[0]
+    bad = np.nonzero(rank_tbl > np.bitwise_count(all_masks))[0]
     for m in bad[:_VIOLATION_CAP]:
         violations.append(
             Violation("R1", (_members_of(int(m)),), f"rank {rank_tbl[m]} exceeds cardinality")

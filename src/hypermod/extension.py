@@ -399,7 +399,6 @@ def extend_once(M: Matroid, ctx: ExtensionContext) -> ExtensionResult:
             f"extension lattice fails {first.axiom}: {first.detail}"
         )
     extended = _extension(M, cut)
-    extended._cache["flat_report"] = AxiomReport(True, ())
     if restrict(extended, range(m)) != M:
         raise InternalConsistencyError("extension does not restrict back to the input")
 

@@ -15,9 +15,9 @@ pair defects (:func:`_defective_pairs`).  It meets every flat with every
 other and is exact on any family the constructor accepts, lattice or
 not, of any rank.  A loopless rank-4 matroid that carries a passing flat
 report, stored by parsing, by :func:`hypermod.core.verify_flat_axioms`
-or by :func:`hypermod.extension.extend_once`, is the lattice of flats of
-a matroid, so its positive pairs are of three kinds only, and their
-numbers follow from point, line and plane incidence counts
+or on an extension by :func:`hypermod.core._extension`, is the lattice
+of flats of a matroid, so its positive pairs are of three kinds only,
+and their numbers follow from point, line and plane incidence counts
 (:func:`total_modular_defect`).  Such matroids are what a completion
 visits: a parsed input, and every extension.  Their total, flag count
 and hypermodularity verdict are counted off the up-set rows, with no
@@ -52,9 +52,11 @@ class DefectReport:
     their number.
 
     ``DefectReport(pair_defects, total, disjoint_flags)`` holds all three.
-    A report counted off incidences holds ``total`` and ``flag_count``; it
-    lists ``pair_defects`` off the pair table and ``disjoint_flags`` by
-    :func:`_walk_flags` when they are first read.  The fields are
+    A report counted off incidences holds ``total`` and ``flag_count``,
+    and ``(n, flats, starts, rows)``, what its matroid was set from by
+    :meth:`Matroid._set_rows`; it lists ``pair_defects`` off the pair
+    table and ``disjoint_flags`` by :func:`_walk_flags` of a matroid set
+    afresh from them when they are first read.  The fields are
     read-only: assigning one raises
     :class:`dataclasses.FrozenInstanceError`.  Two reports are equal when
     their pairs, totals and flags are.
@@ -69,12 +71,13 @@ class DefectReport:
     def _counted(cls, M: Matroid, total: int, flag_count: int) -> "DefectReport":
         """The report of ``M``, which :func:`_by_incidence` accepts, listing nothing yet.
 
-        It keeps the rows ``M`` was set from, not ``M``, whose cache holds
-        the report: so no reference cycle keeps ``M`` alive.
+        It keeps what ``M`` was set from, not ``M``, whose cache holds the
+        report: so no reference cycle keeps ``M`` alive.
         """
         report = cls.__new__(cls)
-        rows = (M.ground_size, M.flats_by_rank, (M._flat_masks, M._elem_flatbits, M._sup_bits))
-        vars(report).update(total=total, flag_count=flag_count, _rows=rows)
+        rows = (M._flat_masks, M._elem_flatbits, M._sup_bits)
+        kept = (M.ground_size, M._flat_list, M._grade_starts, rows)
+        vars(report).update(total=total, flag_count=flag_count, _rows=kept)
         return report
 
     def _lattice(self) -> Matroid:

@@ -34,6 +34,9 @@ F + C only when min(C) > top(F), and top(F + C) = min(C):
   cl(b_1, ..., b_k), with top b_k < b_(k+1) = min of the rest of G; any
   parent that emits G has, by the line above, that same basis.
 
+F's own points, the class of zero coordinates, are never emitted: their
+least is at most top(F), and no point is the zero vector, so ∅ has none.
+
 The new flat's normals are those of its parent that vanish on min(C),
 derived from its parent's (see ``_next_grade``).  Arithmetic is mod p in
 int64, where every product is of two residues below p and sums of them
@@ -221,7 +224,7 @@ def _next_grade(
         ends = np.append(starts[1:], b * n)
         first = order[starts]
         pt = order % n
-        keep = coords[first].any(axis=1) & (pt[starts] > tops[lo + own[first]])
+        keep = pt[starts] > tops[lo + own[first]]
         starts, ends, first = starts[keep], ends[keep], first[keep]
         owner = own[first]
         # A cover's row: the points inside its parent's span, then its class.

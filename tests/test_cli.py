@@ -728,6 +728,15 @@ def test_the_entry_point_exits_with_each_class(workdir, tmp_path):
         assert unreadable.stderr.startswith("error:") and "Traceback" not in unreadable.stderr
 
 
+def test_the_module_exits_with_the_code_main_returns(workdir, capsys):
+    """``python -m hypermod.cli`` prints what ``main()`` prints and exits with its code."""
+    for argv, code in ((["analyze", str(workdir / "pg32.mat"), "--machine"], 0), (["generate", "pg3"], 2)):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        ran = _run_module(*argv)
+        assert (ran.returncode, ran.stdout, ran.stderr) == (code, captured.out, captured.err)
+
+
 # Every usage refusal of the verbs, each with the one line it prints.  ``{dir}``
 # is the module's work directory; ``u36.mat`` is U(3,6), rank 3.
 REFUSALS = [

@@ -39,11 +39,12 @@ from oracles import (
     brute_flat_verdict,
     brute_isomorphic,
     brute_rank,
+    brute_rank_violations,
     modp_span_members,
     pg_point_list,
     uniform_rank,
 )
-from test_modularity import _corrupt_or_mutated, _small_families
+from test_modularity import _corrupt_families, _corrupt_or_mutated, _small_families
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,24 @@ def test_rank_axioms_r1_violation():
     report = verify_rank_axioms(M, mode="exhaustive")
     assert not report.passed
     assert any(v.axiom == "R1" for v in report.violations)
+
+
+def test_sampled_trials_stop_at_the_cap():
+    """The flat pairs list one R3 pair and R1 fifteen singles, so no trial is drawn."""
+    M = Matroid(20, [[()], [{0}, {1}], [], [], [range(20)]])
+    report = verify_rank_axioms(M, "sampled")
+    assert [v.axiom for v in report.violations] == ["R3"] + ["R1"] * 15
+    assert list(report.violations) == brute_rank_violations(M, "sampled")
+
+
+def test_exhaustive_reports_are_the_oracles_on_the_corrupt_families(pg32, rebuild):
+    """R1 is listed off the popcount of every subset, as the oracle counts its members."""
+    families = [M for M in _corrupt_families(pg32) if M.ground_size <= 8]
+    families.append(Matroid(6, [[()], [{0}, {1}], [], [], [range(6)]]))  # one R3 pair, then R1 on subsets
+    for M in families:
+        report = verify_rank_axioms(rebuild(M), "exhaustive")
+        assert not report.passed
+        assert list(report.violations) == brute_rank_violations(M, "exhaustive")
 
 
 def test_rank_axioms_exhaustive_rejects_large(pg32):
@@ -460,6 +479,26 @@ def test_circuits_pg32_lines(pg32):
     assert set(three) == set(flats_of_rank(pg32, 2))
 
 
+def _brute_circuits(M, max_size: int) -> list[frozenset[int]]:
+    """Sets of at most ``max_size`` elements that are dependent and lose that by dropping any one."""
+
+    def dependent(subset) -> bool:
+        return brute_rank(M, subset) < len(subset)
+
+    ground = range(M.ground_size)
+    sets = (frozenset(c) for k in range(1, max_size + 1) for c in itertools.combinations(ground, k))
+    return sorted((c for c in sets if dependent(c) and not any(dependent(c - {e}) for e in c)), key=sorted)
+
+
+def test_circuits_are_the_minimal_dependent_sets(pg32):
+    # A line plus a point, or a doubled point plus any point, is dependent
+    # but holds a smaller circuit, so it is skipped.
+    points = pg_point_list(2)
+    doubled = matroid_from_points(PointConfig(2, 4, tuple(points + points[:1])))
+    for M, size in ((pg32, 4), (doubled, 3)):
+        assert circuits_up_to(M, size) == _brute_circuits(M, size)
+
+
 def test_components(pg32, direct_sum_u12, loop_fixture):
     assert components(pg32).kappa == 1
     part = components(direct_sum_u12)
@@ -559,6 +598,15 @@ def test_isomorphic_deletions(pg32):
         for f in grade:
             image = frozenset(mapping[e] for e in f)
             assert image in b.flats_by_rank[k]
+
+
+def test_a_matroid_leaves_comparison_with_anything_else_to_the_other_side(pg32):
+    assert pg32.__eq__(pg32.flats_by_rank) is NotImplemented
+    assert pg32 != pg32.flats_by_rank and pg32 != (pg32.ground_size, pg32.flats_by_rank)
+
+
+def test_two_empty_matroids_are_isomorphic_by_the_empty_map():
+    assert is_isomorphic(Matroid(0, [[()]]), Matroid(0, [[()]])) == {}
 
 
 def test_isomorphic_profile_mismatch(pg32):

@@ -321,8 +321,9 @@ def test_pts_with_mutated_coordinates_is_realized_or_a_parse_error(text):
 
 
 def test_a_ground_past_the_flat_limit_is_refused_before_any_matroid(monkeypatch):
-    # F1 reads every 64-bit word of every cell's mask, so its cost grows
-    # with the ground set as well as with the flats.
+    # Every flat is unpacked to a row of one byte per element, and F1 ANDs
+    # the 64-bit words live on both sides of a cell, so the cost of a
+    # matroid grows with the ground set as well as with the flats.
     def unreachable(*args, **kwargs):
         raise AssertionError("no matroid is built")
 

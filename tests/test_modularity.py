@@ -179,6 +179,19 @@ def test_the_cached_defect_report_is_frozen():
     assert total_modular_defect(M).total == 3
 
 
+def test_a_counted_and_a_scanned_report_of_one_lattice_are_equal(del33ab, del32, rebuild):
+    counted = total_modular_defect(parse_matroid(serialize_matroid(del33ab)))
+    scanned = total_modular_defect(rebuild(del33ab))
+    assert "_rows" in vars(counted) and "_rows" not in vars(scanned)
+    assert counted == scanned and scanned == counted
+    assert counted != total_modular_defect(del32)
+    fields = f"total={scanned.total}, flag_count={scanned.flag_count}"
+    assert repr(counted) == repr(scanned) == f"DefectReport({fields})"
+    # A report is no other object, and leaves the comparison to it.
+    assert counted.__eq__((counted.pair_defects, counted.total, counted.disjoint_flags)) is NotImplemented
+    assert counted != counted.total
+
+
 def test_total_defect_flag_invariants(del32):
     report = total_modular_defect(del32)
     from hypermod import rank_of

@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermod import (
+    Matroid,
     PointConfig,
     build_context,
     complete_to_modular,
@@ -46,11 +47,15 @@ from hypermod import (
     delete,
     disjoint_rank32_pairs,
     extend_once,
+    first_extendable_flag,
     flats_of_rank,
     is_hypermodular,
+    is_modular,
     matroid_from_points,
+    parse_matroid,
     pg3_points,
     profile,
+    restrict,
     serialize_matroid,
     total_modular_defect,
     verify_flat_axioms,
@@ -312,13 +317,14 @@ def test_every_flag_generates_the_modular_cut_of_its_star(del32, del33a, del33ab
     """
     monkeypatch.setattr(oracles, "brute_rank", functools.cache(oracles.brute_rank))
     inputs = [(M, disjoint_rank32_pairs(M)) for M in (del32, del33a, del33ab)]
-    for q, S in CASES + [(3, _ovoid(3))]:
+    for q, S in CASES + [(3, _ovoid(3)), (5, _ovoid(5))]:
         if all(len(line - S) >= 2 for line in _lines(q)):
             D = delete(spaces[q], S)
             flags = disjoint_rank32_pairs(D)
             inputs.append((D, random.Random(q).sample(flags, 4) if q == 5 else flags))
     # 28 flags per point deleted from PG(3,2), 117 from PG(3,3): the q = 3 corpus deletes 16.
-    assert sum(len(flags) for _, flags in inputs) == 28 + 117 + 234 + 2 * 28 + 16 * 117 + 4 * 4 + 10 * 117
+    # Four flags of each q = 5 deletion, the q = 5 ovoid's last.
+    assert sum(len(flags) for _, flags in inputs) == 28 + 117 + 234 + 2 * 28 + 16 * 117 + 4 * 4 + 10 * 117 + 4
     for M, flags in inputs:
         for f3, f2 in flags:
             ctx = build_context(M, f3, f2)
@@ -328,3 +334,31 @@ def test_every_flag_generates_the_modular_cut_of_its_star(del32, del33a, del33ab
             if holds:
                 assert cut == set(ctx.star_lines) | set(ctx.star_planes) | {M.ground_set}
                 assert cut == set(extend_once(M, ctx).enlarged) | {M.ground_set}
+
+
+def test_equality_and_hash_agree_with_the_graded_flats(
+    spaces, del32, del33a, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture, looped_u44
+):
+    """``==`` and ``hash`` agree with comparing ``(ground_size, flats_by_rank)`` on every pair of copies.
+
+    Each zoo and corpus lattice is copied every way a matroid is set:
+    constructed from its flats, parsed, restricted to its ground set and
+    to all but its last element, relabelled by a rotation, and, when it
+    is extendable, extended at its first extendable flag and restricted
+    back, which gives the lattice again under another name.
+    """
+    bases = [spaces[q] for q in (2, 3, 5)] + [delete(spaces[q], S) for q, S in CASES]
+    bases += [del32, del33a, del33ab, vamos_m, two_cover, direct_sum_u12, loop_fixture, looped_u44]
+    copies = []
+    for M in bases:
+        n = M.ground_size
+        copies += [M, Matroid(n, M.flats_by_rank), parse_matroid(serialize_matroid(M))]
+        copies += [restrict(M, range(n)), restrict(M, range(n - 1))]
+        copies.append(Matroid(n, [[[(e + 1) % n for e in f] for f in g] for g in M.flats_by_rank]))
+        if M.rank == 4 and M.is_loopless and is_hypermodular(M) and not is_modular(M):
+            extended = extend_once(M, first_extendable_flag(M)).extended
+            copies += [extended, restrict(extended, range(n))]
+    keys = [(M.ground_size, M.flats_by_rank) for M in copies]
+    for (a, key_a), (b, key_b) in itertools.product(zip(copies, keys), repeat=2):
+        assert (a == b) == (key_a == key_b)
+        assert key_a != key_b or hash(a) == hash(b)
